@@ -82,6 +82,15 @@ struct ModeMetrics
 {
     double decisions_per_s = 0.0;
     uint64_t schedule_calls = 0;
+    /** Retries the failure memo proved futile (no scheduler call). */
+    size_t retries_skipped = 0;
+    /** Successful placements (QuasarStats::scheduled). */
+    size_t placements_ok = 0;
+    /** The greedy walk's candidate accounting. */
+    core::WalkCounts walk;
+    /** Failure-memo proof attempts: count and mean, milliseconds. */
+    uint64_t proofs = 0;
+    double proof_ms = 0.0;
     double mean_admission_depth = 0.0;
     size_t max_admission_depth = 0;
     double qos_violation_rate = 0.0;
@@ -176,6 +185,11 @@ runStream(int servers, double horizon_s, bool dirty, bool full,
 
     const core::QuasarStats &st = mgr.stats();
     m.schedule_calls = st.schedule_time.count;
+    m.retries_skipped = st.retries_skipped;
+    m.placements_ok = st.scheduled;
+    m.walk = mgr.scheduler().walkCounts();
+    m.proofs = st.retry_proof_time.count;
+    m.proof_ms = st.retry_proof_time.meanSeconds() * 1e3;
     m.decisions_per_s = st.schedule_time.total_s > 0.0
                             ? double(st.schedule_time.count) /
                                   st.schedule_time.total_s
@@ -386,11 +400,26 @@ runTraceReplayBench(bool smoke, const std::string &out_path,
             "tick %.3f\n",
             m.classify_ms, m.profile_ms, m.schedule_ms, m.rank_ms,
             m.place_ms, m.adapt_ms, m.tick_ms);
+        std::printf(
+            "         admission: %zu placed, %zu of %llu memo proofs "
+            "skipped a retry (%.4f ms each); walk: %llu candidates -> "
+            "%llu nodes (unfit %llu, intolerant %llu, evict %llu, cost "
+            "%llu, hosted %llu)\n",
+            m.placements_ok, m.retries_skipped,
+            (unsigned long long)m.proofs, m.proof_ms,
+            (unsigned long long)m.walk.candidates,
+            (unsigned long long)m.walk.nodes,
+            (unsigned long long)m.walk[core::NodeReject::Unfit],
+            (unsigned long long)m.walk[core::NodeReject::Intolerant],
+            (unsigned long long)m.walk[core::NodeReject::Evict],
+            (unsigned long long)m.walk[core::NodeReject::Cost],
+            (unsigned long long)m.walk[core::NodeReject::Hosted]);
         std::fprintf(
             out,
             "%s    {\"fixture\": \"%s\", \"mode\": \"%s\", "
             "\"arrivals\": %zu, \"decisions_per_s\": %.1f, "
-            "\"schedule_calls\": %llu, "
+            "\"schedule_calls\": %llu, \"retries_skipped\": %zu, "
+            "\"placements_ok\": %zu, "
             "\"mean_admission_depth\": %.2f, "
             "\"max_admission_depth\": %zu, "
             "\"qos_violation_rate\": %.4f, "
@@ -403,7 +432,7 @@ runTraceReplayBench(bool smoke, const std::string &out_path,
             "\"tick_ms\": %.4f}",
             wrote_run ? ",\n" : "", r.fx->name, label, m.arrivals,
             m.decisions_per_s, (unsigned long long)m.schedule_calls,
-            m.mean_admission_depth, m.max_admission_depth,
+            m.retries_skipped, m.placements_ok, m.mean_admission_depth, m.max_admission_depth,
             m.qos_violation_rate, m.completed, m.departed, m.shed,
             m.degraded,
             (unsigned long long)m.placement_hash,

@@ -23,36 +23,34 @@ AdmissionQueue::enqueue(WorkloadId id, double t)
 {
     // Re-enqueue after a failed retry keeps the original wait start
     // (and the backoff policy the entry was created with).
-    for (size_t i = 0; i < in_retry_.size(); ++i) {
-        if (in_retry_[i].id == id) {
-            Entry e = in_retry_[i];
-            in_retry_.erase(in_retry_.begin() + long(i));
-            applyBackoff(e, t);
-            pending_.push_back(e);
-            return;
-        }
+    auto it = in_retry_.find(id);
+    if (it != in_retry_.end()) {
+        Entry e = it->second;
+        in_retry_.erase(it);
+        applyBackoff(e, t);
+        pending_.push_back(e);
+        return;
     }
     assert(!contains(id));
     pending_.push_back({id, t, 0, 0.0, 0.0, 0.0});
+    queued_at_.emplace(id, t);
 }
 
 void
 AdmissionQueue::enqueueWithBackoff(WorkloadId id, double t, double base_s,
                                    double max_s)
 {
-    for (size_t i = 0; i < in_retry_.size(); ++i) {
-        if (in_retry_[i].id == id) {
-            Entry e = in_retry_[i];
-            in_retry_.erase(in_retry_.begin() + long(i));
-            e.backoff_s = base_s;
-            e.backoff_max_s = max_s;
-            applyBackoff(e, t);
-            pending_.push_back(e);
-            return;
-        }
-    }
-    assert(!contains(id));
     Entry e{id, t, 0, 0.0, base_s, max_s};
+    auto it = in_retry_.find(id);
+    if (it != in_retry_.end()) {
+        e = it->second;
+        in_retry_.erase(it);
+        e.backoff_s = base_s;
+        e.backoff_max_s = max_s;
+    } else {
+        assert(!contains(id));
+        queued_at_.emplace(id, t);
+    }
     applyBackoff(e, t);
     pending_.push_back(e);
 }
@@ -60,9 +58,9 @@ AdmissionQueue::enqueueWithBackoff(WorkloadId id, double t, double base_s,
 std::vector<WorkloadId>
 AdmissionQueue::drainForRetry(double now)
 {
-    // Entries move to in_retry_ (appending, so a nested drain during
-    // an in-progress retry pass neither duplicates nor drops entries)
-    // and return to pending_ via enqueue() if the retry fails.
+    // Due entries move to in_retry_ (so a nested drain during an
+    // in-progress retry pass neither duplicates nor drops entries) and
+    // return to pending_ via enqueue() if the retry fails.
     std::vector<WorkloadId> out;
     std::vector<Entry> not_due;
     for (Entry &e : pending_) {
@@ -72,7 +70,7 @@ AdmissionQueue::drainForRetry(double now)
                     now - e.enqueued_at >= aging_limit_s_;
         if (e.not_before <= now || aged) {
             out.push_back(e.id);
-            in_retry_.push_back(e);
+            in_retry_.emplace(e.id, e);
         } else {
             not_due.push_back(e);
         }
@@ -82,59 +80,47 @@ AdmissionQueue::drainForRetry(double now)
 }
 
 void
+AdmissionQueue::dropPending(WorkloadId id)
+{
+    pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
+                                  [id](const Entry &e) {
+                                      return e.id == id;
+                                  }),
+                   pending_.end());
+}
+
+void
 AdmissionQueue::admitted(WorkloadId id, double t)
 {
-    auto it = std::find_if(in_retry_.begin(), in_retry_.end(),
-                           [id](const Entry &e) { return e.id == id; });
-    if (it == in_retry_.end()) {
-        it = std::find_if(pending_.begin(), pending_.end(),
-                          [id](const Entry &e) { return e.id == id; });
-        if (it == pending_.end())
-            return; // was never queued; zero wait
-        waits_.add(t - it->enqueued_at);
-        pending_.erase(it);
-        return;
-    }
-    waits_.add(t - it->enqueued_at);
-    in_retry_.erase(it);
+    auto it = queued_at_.find(id);
+    if (it == queued_at_.end())
+        return; // was never queued; zero wait
+    waits_.add(t - it->second);
+    queued_at_.erase(it);
+    if (in_retry_.erase(id) == 0)
+        dropPending(id);
 }
 
 void
 AdmissionQueue::abandon(WorkloadId id)
 {
-    auto drop = [id](std::vector<Entry> &v) {
-        v.erase(std::remove_if(v.begin(), v.end(),
-                               [id](const Entry &e) {
-                                   return e.id == id;
-                               }),
-                v.end());
-    };
-    drop(pending_);
-    drop(in_retry_);
+    if (queued_at_.erase(id) == 0)
+        return; // not queued: the common case, once per completion
+    if (in_retry_.erase(id) == 0)
+        dropPending(id);
 }
 
 double
 AdmissionQueue::enqueuedAt(WorkloadId id) const
 {
-    for (const Entry &e : pending_)
-        if (e.id == id)
-            return e.enqueued_at;
-    for (const Entry &e : in_retry_)
-        if (e.id == id)
-            return e.enqueued_at;
-    return -1.0;
+    auto it = queued_at_.find(id);
+    return it == queued_at_.end() ? -1.0 : it->second;
 }
 
 bool
 AdmissionQueue::contains(WorkloadId id) const
 {
-    for (const Entry &e : pending_)
-        if (e.id == id)
-            return true;
-    for (const Entry &e : in_retry_)
-        if (e.id == id)
-            return true;
-    return false;
+    return queued_at_.contains(id);
 }
 
 } // namespace quasar::core

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <limits>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -39,8 +40,8 @@ class AdmissionQueue
     void enqueueWithBackoff(WorkloadId id, double t, double base_s,
                             double max_s);
 
-    bool empty() const { return pending_.empty() && in_retry_.empty(); }
-    size_t size() const { return pending_.size() + in_retry_.size(); }
+    bool empty() const { return queued_at_.empty(); }
+    size_t size() const { return queued_at_.size(); }
 
     /**
      * Aging / starvation guard: entries queued for at least limit_s
@@ -106,8 +107,18 @@ class AdmissionQueue
     /** Apply the entry's backoff policy after a failed attempt. */
     static void applyBackoff(Entry &e, double t);
 
+    /** Remove id's entry from the FIFO (admitted or abandoned). */
+    void dropPending(WorkloadId id);
+
+    /** Waiting entries in FIFO order. */
     std::vector<Entry> pending_;
-    std::vector<Entry> in_retry_;
+    /** Entries handed out by drainForRetry and not yet resolved; only
+     *  looked up by id, never walked, so hashed. */
+    std::unordered_map<WorkloadId, Entry> in_retry_;
+    /** Wait start of every queued id (pending or mid-retry): O(1)
+     *  contains/enqueuedAt/size, and the "not queued" fast path of
+     *  abandon, which runs on every completion. */
+    std::unordered_map<WorkloadId, double> queued_at_;
     stats::Samples waits_;
     double aging_limit_s_ = 0.0;
 };

@@ -6,6 +6,12 @@
 
 #include "workload/queueing.hh"
 
+#ifdef QUASAR_VERIFY
+// Sanctioned upward edge: the skipped-retry oracle hooks in under
+// QUASAR_VERIFY only. quasar-lint: allow(layering)
+#include "verify/verify.hh"
+#endif
+
 namespace quasar::core
 {
 
@@ -163,6 +169,7 @@ QuasarManager::onSubmit(WorkloadId id, double t)
     overhead_s_[id] +=
         data.profiling_seconds + est.classification_seconds;
     estimates_[id] = std::move(est);
+    memo_.forget(id); // a recorded failure was against the old estimate
 
     // Backpressure at the door: while the cluster is pressured,
     // sheddable classes queue with exponential backoff instead of
@@ -194,44 +201,106 @@ QuasarManager::trySchedule(WorkloadId id, double t, bool requeue_on_fail)
     // Re-placement after a failure spreads latency-critical replicas
     // across fault zones so one rack/PDU cannot hold the whole
     // service again (Sec. 4.4).
-    std::optional<Allocation> alloc;
-    {
-        stats::ScopedTimer timer(stats_.schedule_time);
-        if (cfg_.spread_zones_on_recovery && displaced_at_.contains(id) &&
-            workload::isLatencyCritical(w.type)) {
-            SchedulerConfig spread_cfg = scheduler_.config();
-            spread_cfg.spread_fault_zones = true;
-            // Deliberately unsharded in BOTH modes: the zone-spread
-            // recovery walk is a one-off full_rescan-class decision,
-            // and keeping it identical here is part of why a fixed
-            // (K, seed) reproduces the unsharded placement hashes.
-            GreedyScheduler spread(cluster_, spread_cfg, &registry_);
-            alloc = spread.allocate(w, est, required, estimateLookup(),
-                                    !w.best_effort);
-        } else {
-            alloc = schedAllocate(w, est, required, estimateLookup(),
-                                  !w.best_effort);
-        }
-    }
-    // Place the best allocation available and let monitoring adjust
-    // it ("get as close as possible to the constraint", Sec. 3.3);
-    // admission control only holds workloads for which no resources
-    // exist at all, or best-effort tasks that would run far below
-    // a useful rate.
-    bool ok = alloc.has_value() &&
-              (!w.best_effort ||
-               alloc->predicted_perf >=
-                   cfg_.admit_fraction * required);
-    if (!ok) {
+    const bool spread = cfg_.spread_zones_on_recovery &&
+                        displaced_at_.contains(id) &&
+                        workload::isLatencyCritical(w.type);
+    SchedulerConfig sched_cfg = scheduler_.config();
+    sched_cfg.spread_fault_zones = sched_cfg.spread_fault_zones || spread;
+    if (retryProvenFutile(w, est, required, sched_cfg)) {
+        ++stats_.retries_skipped;
         if (requeue_on_fail)
             admission_.enqueue(id, t);
         return false;
     }
+    std::optional<Allocation> alloc;
+    // Eviction-planning rejections of this call: the one reason a
+    // failure may not hold at a larger requirement (failure_memo.hh).
+    uint64_t evict_rejects = 0;
+    {
+        stats::ScopedTimer timer(stats_.schedule_time);
+        if (spread) {
+            // Deliberately unsharded in BOTH modes: the zone-spread
+            // recovery walk is a one-off full_rescan-class decision,
+            // and keeping it identical here is part of why a fixed
+            // (K, seed) reproduces the unsharded placement hashes.
+            GreedyScheduler spreader(cluster_, sched_cfg, &registry_);
+            alloc = spreader.allocate(w, est, required, estimateLookup(),
+                                      !w.best_effort);
+            evict_rejects = spreader.walkCounts()[NodeReject::Evict];
+        } else {
+            const uint64_t before =
+                scheduler_.walkCounts()[NodeReject::Evict];
+            alloc = schedAllocate(w, est, required, estimateLookup(),
+                                  !w.best_effort);
+            evict_rejects =
+                scheduler_.walkCounts()[NodeReject::Evict] - before;
+        }
+    }
+    if (!admits(w, alloc, required)) {
+        // Nothing placeable, or a single-node pick too weak to admit:
+        // both are provable from the journal next time. A too-weak
+        // multi-node allocation is not, so it leaves no record.
+        if (!memoEnabled() || (alloc && workload::isDistributed(w.type)))
+            memo_.forget(id);
+        else
+            memo_.noteFailure(id, cluster_.journal(), required,
+                              alloc ? alloc->nodes.front().server
+                                    : FailureMemo::kNoAnchor,
+                              evict_rejects == 0);
+        if (requeue_on_fail)
+            admission_.enqueue(id, t);
+        return false;
+    }
+    memo_.forget(id);
     applyAllocation(w, *alloc, t);
     admission_.admitted(id, t);
     ++stats_.scheduled;
     noteRecovered(id, t);
     return true;
+}
+
+bool
+QuasarManager::admits(const Workload &w,
+                      const std::optional<Allocation> &alloc,
+                      double required) const
+{
+    // Place the best allocation available and let monitoring adjust
+    // it ("get as close as possible to the constraint", Sec. 3.3);
+    // admission control only holds workloads for which no resources
+    // exist at all, or best-effort tasks that would run far below
+    // a useful rate.
+    return alloc.has_value() &&
+           (!w.best_effort ||
+            alloc->predicted_perf >= cfg_.admit_fraction * required);
+}
+
+bool
+QuasarManager::retryProvenFutile(const Workload &w,
+                                 const WorkloadEstimate &est,
+                                 double required,
+                                 const SchedulerConfig &sched_cfg)
+{
+    if (!memoEnabled() || !memo_.recorded(w.id))
+        return false;
+    stats::ScopedTimer timer(stats_.retry_proof_time);
+    const EstimateLookup estimates = estimateLookup();
+    const bool futile = memo_.provenFutile(
+        w.id, cluster_.journal(), required, [&](ServerId sid) {
+            return scheduler_.firstNodeVerdict(cluster_.server(sid), w,
+                                               est, required, estimates,
+                                               !w.best_effort);
+        });
+#ifdef QUASAR_VERIFY
+    if (futile)
+        verify::checkSkippedRetry(
+            cluster_, sched_cfg, &registry_, w, est, required, estimates,
+            !w.best_effort, [&](const std::optional<Allocation> &alloc) {
+                return admits(w, alloc, required);
+            });
+#else
+    (void)sched_cfg;
+#endif
+    return futile;
 }
 
 void
@@ -599,6 +668,7 @@ QuasarManager::adjust(Workload &w, double t)
                 classifier_.feedbackScaleUp(est, col,
                                             est.scale_up_perf[col]);
             }
+            memo_.forget(w.id); // the estimate just changed
             ++stats_.feedback_updates;
         }
     }
@@ -672,6 +742,7 @@ QuasarManager::reclassifyAndReschedule(Workload &w, double t)
         releaseWorkload(w.id);
     }
     estimates_[w.id] = std::move(est);
+    memo_.forget(w.id);
     ++stats_.rescheduled;
 
     double required = requiredPerf(w, t);
@@ -712,6 +783,7 @@ QuasarManager::drainAdmission(double t, bool ignore_backoff)
         Workload &w = registry_.get(id);
         if (w.completed || w.killed) {
             admission_.abandon(id);
+            memo_.forget(id);
             continue;
         }
         double since = admission_.enqueuedAt(id);
@@ -753,6 +825,7 @@ QuasarManager::shedWorkload(Workload &w, double t)
     overload_.noteShed(w.id, t);
     ++stats_.shed;
     admission_.abandon(w.id);
+    memo_.forget(w.id);
     cluster_.removeEverywhere(w.id);
     strikes_.erase(w.id);
     predictors_.erase(w.id);
@@ -955,6 +1028,7 @@ QuasarManager::onCompletion(WorkloadId id, double t)
     brownout_saved_.erase(id);
     overload_.forget(id);
     admission_.abandon(id);
+    memo_.forget(id);
     // Free capacity: retry queued workloads immediately.
     drainAdmission(t, true);
 }

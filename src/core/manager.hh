@@ -16,6 +16,7 @@
 
 #include "core/admission.hh"
 #include "core/classifier.hh"
+#include "core/failure_memo.hh"
 #include "core/monitor.hh"
 #include "core/overload.hh"
 #include "core/predictor.hh"
@@ -77,6 +78,14 @@ struct QuasarConfig
     /** Fraction of required perf below which a workload queues. */
     double admit_fraction = 0.5;
     /**
+     * Skip admission retries the failure memo proves futile
+     * (core/failure_memo.hh). Placements are identical either way:
+     * off re-runs the scheduler on every retry and is the reference
+     * the on/off replay tests compare against. Ignored (off) on the
+     * sharded decision path.
+     */
+    bool failure_memo = true;
+    /**
      * Use resource partitioning (Sec. 4.4: cache partitioning / NIC
      * rate limiting) to shield a workload from contention before
      * resorting to scaling or migration.
@@ -118,9 +127,16 @@ struct QuasarStats
     stats::TimerStat profile_time;
     stats::TimerStat schedule_time; ///< allocate() per schedule call.
     stats::TimerStat adapt_time;    ///< the adjust() decision body.
+    /** Failure-memo checks: one per schedule call of a workload with
+     *  a failure on record, whether or not it proved the call futile
+     *  (disjoint from schedule_time). */
+    stats::TimerStat retry_proof_time;
 
     size_t scheduled = 0;
     size_t queued = 0;
+    /** Schedule calls skipped because the failure memo proved they
+     *  would fail; each is re-queued exactly like a failed attempt. */
+    size_t retries_skipped = 0;
     size_t rescheduled = 0;
     size_t evictions = 0;
     size_t phase_reclassifications = 0;
@@ -179,6 +195,8 @@ class QuasarManager : public driver::ClusterManager
     /// @{
     const WorkloadEstimate *estimateFor(WorkloadId id) const;
     const AdmissionQueue &admission() const { return admission_; }
+    /** Failed admission attempts on record (core/failure_memo.hh). */
+    const FailureMemo &failureMemo() const { return memo_; }
     /** Profiling + classification + queue wait charged to id. */
     double overheadSeconds(WorkloadId id) const;
     const QuasarStats &stats() const { return stats_; }
@@ -203,6 +221,20 @@ class QuasarManager : public driver::ClusterManager
   private:
     double requiredPerf(const workload::Workload &w, double t) const;
     bool trySchedule(WorkloadId id, double t, bool requeue_on_fail);
+    /** Whether trySchedule places w given the scheduler's decision. */
+    bool admits(const workload::Workload &w,
+                const std::optional<Allocation> &alloc,
+                double required) const;
+    /** True when the failure memo is in use for this configuration. */
+    bool memoEnabled() const { return cfg_.failure_memo && !sharded_; }
+    /**
+     * Ask the failure memo whether a schedule call for w at
+     * `required` is proven to fail (decision config `sched_cfg`,
+     * which the QUASAR_VERIFY oracle re-runs a skipped call with).
+     */
+    bool retryProvenFutile(const workload::Workload &w,
+                           const WorkloadEstimate &est, double required,
+                           const SchedulerConfig &sched_cfg);
     /** Re-place a workload displaced by a crash (no re-profiling). */
     void replaceDisplaced(WorkloadId id, double t);
     /** Close the recovery-time window for a re-placed workload. */
@@ -267,6 +299,7 @@ class QuasarManager : public driver::ClusterManager
     std::optional<shard::ShardedScheduler> sharded_;
     Monitor monitor_;
     AdmissionQueue admission_;
+    FailureMemo memo_;
     OverloadController overload_;
     stats::Rng rng_;
 

@@ -267,6 +267,16 @@ GreedyScheduler::filterAdmits(const OrderFilter &f, FeasClass cls,
     return false;
 }
 
+GreedyScheduler::OrderFilter
+GreedyScheduler::candidateFilter(const Workload &w, bool may_evict) const
+{
+    OrderFilter filter;
+    filter.evict = may_evict;
+    if (may_evict && registry_)
+        filter.prio_below = w.priority;
+    return filter;
+}
+
 void
 GreedyScheduler::refreshEntryIndexed(const sim::Server &srv,
                                      ServerCacheEntry &e) const
@@ -762,6 +772,75 @@ GreedyScheduler::priorityEvictable(const sim::Server &srv,
 }
 
 double
+GreedyScheduler::nodeNeed(const WorkloadEstimate &est, double target,
+                          const std::vector<double> &node_perfs)
+{
+    int n_next = int(node_perfs.size()) + 1;
+    double eff = est.scaleOutSpeedupAt(n_next) / double(n_next);
+    double sum_now = 0.0;
+    for (double v : node_perfs)
+        sum_now += v;
+    double needed = eff > 0.0 ? target / eff - sum_now
+                              : std::numeric_limits<double>::infinity();
+    return std::max(needed, 1e-9);
+}
+
+bool
+GreedyScheduler::planEvictions(
+    const sim::Server &srv, const Workload &w, const NodePick &pick,
+    bool may_evict,
+    std::vector<std::pair<ServerId, WorkloadId>> &planned) const
+{
+    int base_free_cores;
+    double base_free_mem;
+    if (cfg_.full_rescan) {
+        base_free_cores = srv.coresFree();
+        base_free_mem = srv.memoryFree();
+    } else {
+        const ServerCacheEntry &e = cachedState(srv);
+        base_free_cores = e.free_cores;
+        base_free_mem = e.free_mem;
+    }
+    if (!(may_evict && (pick.cores > base_free_cores ||
+                        pick.memory_gb > base_free_mem + 1e-9)))
+        return true; // fits the raw free capacity (or may not evict)
+    int need_cores = pick.cores - base_free_cores;
+    double need_mem = pick.memory_gb - base_free_mem;
+    // Evict best-effort first, then ascending priority, and larger
+    // shares before smaller ones.
+    std::vector<const sim::TaskShare *> be;
+    for (const sim::TaskShare &t : srv.tasks())
+        if (evictable(t, w))
+            be.push_back(&t);
+    auto prio = [&](const sim::TaskShare *t) {
+        if (t->best_effort || !registry_ ||
+            !registry_->contains(t->workload))
+            return std::numeric_limits<int>::min();
+        return registry_->get(t->workload).priority;
+    };
+    std::sort(be.begin(), be.end(), [&](const auto *a, const auto *b) {
+        if (prio(a) != prio(b))
+            return prio(a) < prio(b);
+        return a->cores > b->cores;
+    });
+    for (const sim::TaskShare *t : be) {
+        if (need_cores <= 0 && need_mem <= 1e-9)
+            break;
+        planned.emplace_back(srv.id(), t->workload);
+        need_cores -= t->cores;
+        need_mem -= t->memory_gb;
+    }
+    return !(need_cores > 0 || need_mem > 1e-9);
+}
+
+double
+GreedyScheduler::nodeCost(const sim::Server &srv, const NodePick &pick)
+{
+    return srv.platform().cost_per_hour * double(pick.cores) /
+           double(srv.platform().cores);
+}
+
+double
 GreedyScheduler::serverQuality(const sim::Server &srv,
                                const WorkloadEstimate &est) const
 {
@@ -1013,6 +1092,45 @@ GreedyScheduler::allocateWithSource(const Workload &w,
                         &source);
 }
 
+NodeReject
+GreedyScheduler::firstNodeVerdict(const sim::Server &srv,
+                                  const Workload &w,
+                                  const WorkloadEstimate &est,
+                                  double required_perf,
+                                  const EstimateLookup &estimates,
+                                  bool may_evict) const
+{
+    // allocateImpl's candidate test with no node chosen yet: no knob
+    // filter, no cost spent, no fault zone used, no marginal-gain
+    // knee. The rank-time filter reads the same cached entry (and
+    // class factorization) the dirty drain partitions on.
+    ServerCacheEntry fresh;
+    const ServerCacheEntry *e = &fresh;
+    if (cfg_.full_rescan)
+        refreshEntry(srv, fresh);
+    else
+        e = &cachedState(srv);
+    auto [cls, prio_key] = feasibilityClass(*e);
+    if (!filterAdmits(candidateFilter(w, may_evict), cls, prio_key))
+        return NodeReject::Closed;
+    if (srv.hosts(w.id))
+        return NodeReject::Hosted;
+    const double target = std::max(required_perf, 1e-9) * cfg_.headroom;
+    NodePick pick =
+        pickNodeConfig(srv, w, est, may_evict, nodeNeed(est, target, {}));
+    if (!pick.valid)
+        return NodeReject::Unfit;
+    if (!residentsTolerate(srv, est, pick.cores, pick.socket, estimates))
+        return NodeReject::Intolerant;
+    std::vector<std::pair<ServerId, WorkloadId>> planned;
+    if (!planEvictions(srv, w, pick, may_evict, planned))
+        return NodeReject::Evict;
+    if (w.cost_cap_per_hour > 0.0 &&
+        nodeCost(srv, pick) > w.cost_cap_per_hour)
+        return NodeReject::Cost;
+    return NodeReject::None;
+}
+
 std::optional<Allocation>
 GreedyScheduler::allocateImpl(const Workload &w,
                               const WorkloadEstimate &est,
@@ -1047,11 +1165,8 @@ GreedyScheduler::allocateImpl(const Workload &w,
             // placement-preserving predicate — and skips saturated
             // levels wholesale instead of emitting servers only for
             // pickNodeConfig to reject them one by one.
-            OrderFilter filter;
-            filter.evict = may_evict;
-            if (may_evict && registry_)
-                filter.prio_below = w.priority;
-            beginOrderedCandidates(stream, est, filter);
+            beginOrderedCandidates(stream, est,
+                                   candidateFilter(w, may_evict));
         } else {
             ranked.reserve(cluster_.size());
             for (size_t i = 0; i < cluster_.size(); ++i) {
@@ -1179,34 +1294,29 @@ GreedyScheduler::allocateImpl(const Workload &w,
             auto cand = nth(i);
             if (!cand)
                 break; // candidates exhausted; maybe relax zones
+            ++walk_.candidates;
             const auto [quality, sid] = *cand;
             (void)quality;
             const sim::Server &srv = cluster_.server(sid);
-            if (srv.hosts(w.id))
-                continue;
-            bool already_chosen = false;
+            bool already_chosen = srv.hosts(w.id);
             for (const AllocationNode &n : alloc.nodes)
                 already_chosen = already_chosen || n.server == sid;
-            if (already_chosen)
+            if (already_chosen) {
+                ++walk_.rejected[size_t(NodeReject::Hosted)];
                 continue;
+            }
             if (cfg_.spread_fault_zones && pass == 0 &&
-                zone_used[size_t(srv.faultZone())])
-                continue; // first pass: fresh zones only
-            // Per-node perf needed to close the gap if this node joins.
-            int n_next = int(node_perfs.size()) + 1;
-            double eff = est.scaleOutSpeedupAt(n_next) / double(n_next);
-            double sum_now = 0.0;
-            for (double v : node_perfs)
-                sum_now += v;
-            double needed =
-                eff > 0.0 ? target / eff - sum_now
-                          : std::numeric_limits<double>::infinity();
-            needed = std::max(needed, 1e-9);
-
-            NodePick pick =
-                pickNodeConfig(srv, w, est, may_evict, needed);
-            if (!pick.valid)
+                zone_used[size_t(srv.faultZone())]) {
+                // First pass: fresh zones only.
+                ++walk_.rejected[size_t(NodeReject::Zone)];
                 continue;
+            }
+            NodePick pick = pickNodeConfig(
+                srv, w, est, may_evict, nodeNeed(est, target, node_perfs));
+            if (!pick.valid) {
+                ++walk_.rejected[size_t(NodeReject::Unfit)];
+                continue;
+            }
             if (knob_filter &&
                 !(est.scale_up_grid[pick.col].knobs == *knob_filter)) {
                 // Keep one knob setting across the job: re-scan
@@ -1242,12 +1352,16 @@ GreedyScheduler::allocateImpl(const Workload &w,
                     fixed = true;
                     break;
                 }
-                if (!fixed)
+                if (!fixed) {
+                    ++walk_.rejected[size_t(NodeReject::Knob)];
                     continue;
+                }
             }
             if (!residentsTolerate(srv, est, pick.cores, pick.socket,
-                                   estimates))
+                                   estimates)) {
+                ++walk_.rejected[size_t(NodeReject::Intolerant)];
                 continue;
+            }
 
             // Diminishing returns: when this node's marginal
             // contribution falls well below what it would deliver
@@ -1260,74 +1374,37 @@ GreedyScheduler::allocateImpl(const Workload &w,
                 double gain =
                     est.jobPerf(with_node) - est.jobPerf(node_perfs);
                 if (gain < cfg_.min_marginal_efficiency * pick.perf) {
+                    ++walk_.rejected[size_t(NodeReject::Knee)];
                     done = true;
                     break;
                 }
             }
 
-            // Plan evictions when the raw free capacity is
-            // insufficient — into a local list, committed only once
+            // Plan evictions into a local list, committed only once
             // the node clears every remaining check. Nothing may land
             // in alloc.evictions for a node that is rejected later
             // (cost cap) or for a server revisited by the relaxed
             // spreading pass, or the same share would be consumed
             // twice in one schedule call.
             std::vector<std::pair<ServerId, WorkloadId>> planned;
-            int base_free_cores;
-            double base_free_mem;
-            if (cfg_.full_rescan) {
-                base_free_cores = srv.coresFree();
-                base_free_mem = srv.memoryFree();
-            } else {
-                const ServerCacheEntry &e = cachedState(srv);
-                base_free_cores = e.free_cores;
-                base_free_mem = e.free_mem;
-            }
-            if (may_evict && (pick.cores > base_free_cores ||
-                              pick.memory_gb > base_free_mem + 1e-9)) {
-                int need_cores = pick.cores - base_free_cores;
-                double need_mem = pick.memory_gb - base_free_mem;
-                // Evict best-effort first, then ascending priority,
-                // and larger shares before smaller ones.
-                std::vector<const sim::TaskShare *> be;
-                for (const sim::TaskShare &t : srv.tasks())
-                    if (evictable(t, w))
-                        be.push_back(&t);
-                auto prio = [&](const sim::TaskShare *t) {
-                    if (t->best_effort || !registry_ ||
-                        !registry_->contains(t->workload))
-                        return std::numeric_limits<int>::min();
-                    return registry_->get(t->workload).priority;
-                };
-                std::sort(be.begin(), be.end(),
-                          [&](const auto *a, const auto *b) {
-                              if (prio(a) != prio(b))
-                                  return prio(a) < prio(b);
-                              return a->cores > b->cores;
-                          });
-                for (const sim::TaskShare *t : be) {
-                    if (need_cores <= 0 && need_mem <= 1e-9)
-                        break;
-                    planned.emplace_back(sid, t->workload);
-                    need_cores -= t->cores;
-                    need_mem -= t->memory_gb;
-                }
-                if (need_cores > 0 || need_mem > 1e-9)
-                    continue; // still does not fit
+            if (!planEvictions(srv, w, pick, may_evict, planned)) {
+                ++walk_.rejected[size_t(NodeReject::Evict)];
+                continue;
             }
 
             // Cost target (Sec. 4.4): never exceed the spending cap.
             // Checked before anything is committed so a rejection
             // leaves no trace.
             if (w.cost_cap_per_hour > 0.0) {
-                double node_cost = srv.platform().cost_per_hour *
-                                   double(pick.cores) /
-                                   double(srv.platform().cores);
-                if (cost_so_far + node_cost > w.cost_cap_per_hour)
+                double node_cost = nodeCost(srv, pick);
+                if (cost_so_far + node_cost > w.cost_cap_per_hour) {
+                    ++walk_.rejected[size_t(NodeReject::Cost)];
                     continue;
+                }
                 cost_so_far += node_cost;
             }
 
+            ++walk_.nodes;
             if (alloc.nodes.empty()) {
                 chosen_knobs = est.scale_up_grid[pick.col].knobs;
                 if (w.type == workload::WorkloadType::Analytics)

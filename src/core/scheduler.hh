@@ -158,6 +158,40 @@ struct SchedulerConfig
     bool socket_aware = true;
 };
 
+/** Why the greedy walk passes over a candidate server. */
+enum class NodeReject : uint8_t
+{
+    None = 0,   ///< not rejected: the server takes the node.
+    Closed,     ///< rank-time filter: down, or no free/evictable core.
+    Hosted,     ///< already hosts w, or chosen earlier in this call.
+    Zone,       ///< fault-zone spreading: zone used (first pass).
+    Unfit,      ///< no grid column fits the free capacity/storage.
+    Knob,       ///< no column of the job's knob setting at that size.
+    Intolerant, ///< residents would lose more than max_resident_loss.
+    Knee,       ///< marginal gain below the scale-out knee; stops.
+    Evict,      ///< evictions cannot free the picked size.
+    Cost,       ///< the node would exceed the cost cap.
+    Count
+};
+
+/**
+ * Candidate accounting of the greedy walk since construction:
+ * candidates drawn from the ranking, nodes taken, and a histogram of
+ * why the rest were passed over (indexed by NodeReject; the drain
+ * never emits Closed servers, so that bucket stays 0 here).
+ */
+struct WalkCounts
+{
+    uint64_t candidates = 0;
+    uint64_t nodes = 0;
+    std::array<uint64_t, size_t(NodeReject::Count)> rejected{};
+
+    uint64_t operator[](NodeReject r) const
+    {
+        return rejected[size_t(r)];
+    }
+};
+
 /** Wall-clock timing of the scheduler's decision phases. */
 struct SchedulerTiming
 {
@@ -209,6 +243,37 @@ class GreedyScheduler
              bool may_evict) const;
 
     /**
+     * Whether srv would take w's first node right now, and if not,
+     * why: exactly the per-candidate test allocate() applies while no
+     * node has been chosen yet (the rank-time feasibility filter,
+     * pickNodeConfig, residents' tolerance, eviction planning, the
+     * cost cap). It reads only srv's own state, so allocate() returns
+     * nullopt iff no server answers None, and a single-node
+     * allocation lands on the best-ranked server that does — the two
+     * facts the admission failure memo (core/failure_memo.hh) proves
+     * retries futile with.
+     */
+    NodeReject firstNodeVerdict(const sim::Server &srv,
+                                const workload::Workload &w,
+                                const WorkloadEstimate &est,
+                                double required_perf,
+                                const EstimateLookup &estimates,
+                                bool may_evict) const;
+
+    /**
+     * True when a first-node rejection for this reason also holds at
+     * every larger required_perf (srv unchanged). A larger requirement
+     * only grows the picked core count; the filter, hosting and fit
+     * tests ignore it, and residents' loss and cost only grow with
+     * cores. Eviction planning is the exception: the pick may trade
+     * memory for cores, so a larger requirement can need less memory.
+     */
+    static bool holdsAtLargerRequirement(NodeReject r)
+    {
+        return r != NodeReject::None && r != NodeReject::Evict;
+    }
+
+    /**
      * Server quality score used for ranking (platform factor x
      * predicted interference multiplier x speed factor).
      */
@@ -225,6 +290,9 @@ class GreedyScheduler
 
     /** Decision-phase wall-clock timing since construction. */
     const SchedulerTiming &timing() const { return timing_; }
+
+    /** Candidate accounting of every allocate since construction. */
+    const WalkCounts &walkCounts() const { return walk_; }
 
     /**
      * The complete candidate order this scheduler would walk for the
@@ -500,6 +568,10 @@ class GreedyScheduler
     static bool filterAdmits(const OrderFilter &f, FeasClass cls,
                              int prio_key);
 
+    /** The drain filter of one allocate: the classes w may land in. */
+    OrderFilter candidateFilter(const workload::Workload &w,
+                                bool may_evict) const;
+
     /** Start a drain of the maintained order for one estimate. */
     void beginOrderedCandidates(OrderStream &s,
                                 const WorkloadEstimate &est,
@@ -609,6 +681,27 @@ class GreedyScheduler
     bool evictable(const sim::TaskShare &victim,
                    const workload::Workload &w) const;
 
+    /**
+     * Per-node perf a candidate must supply to close the gap to
+     * target when it joins the nodes already chosen (perfs given).
+     */
+    static double nodeNeed(const WorkloadEstimate &est, double target,
+                           const std::vector<double> &node_perfs);
+
+    /**
+     * When the raw free capacity cannot hold the pick, plan evictions
+     * (best-effort first, then ascending priority, larger shares
+     * first) into `planned`. False when even that does not fit.
+     */
+    bool planEvictions(const sim::Server &srv,
+                       const workload::Workload &w, const NodePick &pick,
+                       bool may_evict,
+                       std::vector<std::pair<ServerId, WorkloadId>>
+                           &planned) const;
+
+    /** Hourly cost of the pick's cores on srv (Sec. 4.4 cost cap). */
+    static double nodeCost(const sim::Server &srv, const NodePick &pick);
+
     const sim::Cluster &cluster_;
     SchedulerConfig cfg_;
     const workload::WorkloadRegistry *registry_;
@@ -656,6 +749,7 @@ class GreedyScheduler
     mutable uint64_t audit_refreshes_ = 0;
 #endif
     mutable SchedulerTiming timing_;
+    mutable WalkCounts walk_;
 };
 
 } // namespace quasar::core

@@ -313,4 +313,28 @@ shadowCheckAllocation(const sim::Cluster &cluster,
     }
 }
 
+void
+checkSkippedRetry(
+    const sim::Cluster &cluster, const core::SchedulerConfig &cfg,
+    const workload::WorkloadRegistry *registry,
+    const workload::Workload &w, const core::WorkloadEstimate &est,
+    double required_perf, const core::EstimateLookup &estimates,
+    bool may_evict,
+    const std::function<bool(const std::optional<core::Allocation> &)>
+        &admitted)
+{
+    ++counters().skipped_retry_checks;
+    core::SchedulerConfig shadow_cfg = cfg;
+    shadow_cfg.full_rescan = true;
+    core::GreedyScheduler shadow(cluster, shadow_cfg, registry);
+    std::optional<core::Allocation> decision =
+        shadow.allocate(w, est, required_perf, estimates, may_evict);
+    if (admitted(decision))
+        fail("admission failure memo skipped a retry of workload " +
+             std::to_string(w.id) + " (" + w.name +
+             ") as proven futile, but the full_rescan oracle admits "
+             "it:\n" +
+             describeAllocation(decision));
+}
+
 } // namespace quasar::verify

@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 
 #include "core/scheduler.hh"
@@ -61,6 +62,9 @@ struct Counters
      *  shard-per-server accounting, plus every primed worker's
      *  per-shard index-coherence audit. */
     uint64_t shard_sweeps = 0;
+    /** Admission retries the failure memo skipped, each re-run
+     *  through the full_rescan oracle (checkSkippedRetry). */
+    uint64_t skipped_retry_checks = 0;
 };
 
 /** Mutable access to the process-wide counters. */
@@ -92,5 +96,21 @@ void shadowCheckAllocation(
     bool may_evict, const std::optional<core::Allocation> &primary,
     const std::vector<uint32_t> *shard_of = nullptr,
     uint32_t shard_id = 0);
+
+/**
+ * Re-run a schedule call the admission failure memo skipped as proven
+ * futile (core/failure_memo.hh) through the full_rescan path, and
+ * abort if the manager would have admitted the result — `admitted` is
+ * the manager's own acceptance test. Turns the memo's proof from an
+ * argument into a checked fact on every verify-build run.
+ */
+void checkSkippedRetry(
+    const sim::Cluster &cluster, const core::SchedulerConfig &cfg,
+    const workload::WorkloadRegistry *registry,
+    const workload::Workload &w, const core::WorkloadEstimate &est,
+    double required_perf, const core::EstimateLookup &estimates,
+    bool may_evict,
+    const std::function<bool(const std::optional<core::Allocation> &)>
+        &admitted);
 
 } // namespace quasar::verify
