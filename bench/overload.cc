@@ -19,9 +19,8 @@
  * per-tick placement fold and the controller's own decision hash.
  *
  * Gates (exit 1):
- *  - replay: the controller-on leg re-run under the cached scheduler
- *    index and re-replayed under dirty must reproduce both hashes
- *    bit-identically;
+ *  - replay: the controller-on leg re-replayed must reproduce both
+ *    hashes bit-identically;
  *  - accounting: completed + departed + shed + active == arrivals in
  *    every leg (no arrival leaks out of the outcome split);
  *  - QoS: controller-on must violate strictly less than
@@ -192,13 +191,12 @@ hashClusterState(const sim::Cluster &cluster, uint64_t &h)
 
 LegMetrics
 runLeg(int servers, double horizon_s, const churn::ChurnConfig &ccfg,
-       bool controller, bool dirty)
+       bool controller)
 {
     sim::Cluster cluster = clusterOfSize(servers);
     workload::WorkloadRegistry registry;
 
     core::QuasarConfig qcfg;
-    qcfg.scheduler.dirty_set = dirty;
     qcfg.proactive_interval_s = horizon_s / 3.0;
     if (controller)
         qcfg.overload = controllerOn();
@@ -350,13 +348,13 @@ printLeg(const char *name, const LegMetrics &m)
 
 void
 writeLeg(std::FILE *out, const char *name, int servers,
-         bool controller, const char *mode, const LegMetrics &m,
+         bool controller, const LegMetrics &m,
          bool identical, bool last)
 {
     std::fprintf(
         out,
         "    {\"leg\": \"%s\", \"servers\": %d, "
-        "\"controller\": %s, \"mode\": \"%s\", "
+        "\"controller\": %s, "
         "\"arrivals\": %zu, \"completed\": %zu, "
         "\"departed\": %zu, \"shed\": %zu, \"active\": %zu, "
         "\"degraded\": %zu, \"shed_fraction\": %.4f, "
@@ -371,7 +369,7 @@ writeLeg(std::FILE *out, const char *name, int servers,
         "\"max_admission_depth\": %zu, "
         "\"placement_hash\": \"%016llx\", "
         "\"decision_hash\": \"%016llx\", \"identical\": %s}%s\n",
-        name, servers, controller ? "true" : "false", mode,
+        name, servers, controller ? "true" : "false",
         m.arrivals, m.completed, m.departed, m.shed, m.active,
         m.degraded, m.shed_fraction, m.goodput_fraction,
         m.qos_violation_rate, m.qos_violation_crowd,
@@ -402,18 +400,16 @@ runOverloadBench(bool smoke, const std::string &out_path,
         const char *name;
         int servers;
         bool controller;
-        bool dirty;
         LegMetrics m;
     };
     std::vector<Leg> legs = {
-        {"off-dirty", gate_servers, false, true, {}},
-        {"on-dirty", gate_servers, true, true, {}},
-        {"on-cached", gate_servers, true, false, {}},
-        {"on-dirty-replay", gate_servers, true, true, {}},
+        {"off-dirty", gate_servers, false, {}},
+        {"on-dirty", gate_servers, true, {}},
+        {"on-dirty-replay", gate_servers, true, {}},
     };
     if (!smoke) {
-        legs.push_back({"off-500", 500, false, true, {}});
-        legs.push_back({"on-500", 500, true, true, {}});
+        legs.push_back({"off-500", 500, false, {}});
+        legs.push_back({"on-500", 500, true, {}});
     }
 
     for (Leg &leg : legs) {
@@ -421,7 +417,7 @@ runOverloadBench(bool smoke, const std::string &out_path,
         std::fflush(stdout);
         leg.m = runLeg(leg.servers, horizon,
                        streamFor(leg.servers, horizon),
-                       leg.controller, leg.dirty);
+                       leg.controller);
     }
 
     // Full-run synth legs: fit a churn stream to the bundled google
@@ -460,16 +456,16 @@ runOverloadBench(bool smoke, const std::string &out_path,
                         "%.3f/s)...\n",
                         synth.arrival_rate_per_s);
             std::fflush(stdout);
-            legs.push_back({"synth-off", 500, false, true,
-                            runLeg(500, horizon, synth, false, true)});
-            legs.push_back({"synth-on", 500, true, true,
-                            runLeg(500, horizon, synth, true, true)});
+            legs.push_back({"synth-off", 500, false,
+                            runLeg(500, horizon, synth, false)});
+            legs.push_back({"synth-on", 500, true,
+                            runLeg(500, horizon, synth, true)});
         }
     }
 
     // Replay gate: every controller-on leg at the gate scale must
-    // reproduce the on-dirty leg's placement AND decision hashes —
-    // across the scheduler index mode and across a full re-replay.
+    // reproduce the on-dirty leg's placement AND decision hashes
+    // across a full re-replay.
     const LegMetrics &on = legs[1].m;
     bool replay_ok = true;
     std::FILE *out = std::fopen(out_path.c_str(), "w");
@@ -492,9 +488,8 @@ runOverloadBench(bool smoke, const std::string &out_path,
         printLeg(leg.name, leg.m);
         if (!identical)
             std::printf("        ^^ DIVERGED from on-dirty\n");
-        writeLeg(out, leg.name, leg.servers, leg.controller,
-                 leg.dirty ? "dirty" : "cached", leg.m, identical,
-                 i + 1 == legs.size());
+        writeLeg(out, leg.name, leg.servers, leg.controller, leg.m,
+                 identical, i + 1 == legs.size());
     }
     std::fprintf(out, "  ]\n}\n");
     std::fclose(out);
@@ -503,8 +498,8 @@ runOverloadBench(bool smoke, const std::string &out_path,
     int rc = 0;
     if (!replay_ok) {
         std::fprintf(stderr,
-                     "FAIL: overload decisions diverged across "
-                     "scheduler modes / re-replay\n");
+                     "FAIL: overload decisions diverged across a "
+                     "re-replay\n");
         rc = 1;
     }
     for (const Leg &leg : legs) {

@@ -26,9 +26,8 @@
  * the share's home socket folded in.
  *
  * Gates (exit 1):
- *  - replay: the thrash aware leg re-run under the cached scheduler
- *    index and re-replayed under dirty must reproduce the placement
- *    hash bit-identically;
+ *  - replay: the thrash aware leg re-replayed must reproduce the
+ *    placement hash bit-identically;
  *  - QoS: socket-aware must violate strictly less than topology-blind
  *    on the thrash scenario;
  *  - baseline (with --baseline): the aware thrash leg must stay
@@ -115,7 +114,7 @@ hashClusterState(const sim::Cluster &cluster, uint64_t &h)
 }
 
 LegMetrics
-runThrashLeg(int servers, bool aware, bool dirty)
+runThrashLeg(int servers, bool aware)
 {
     sim::Cluster cluster = numaCluster(servers);
     // The co-runner: socket 0 of every machine is being thrashed for
@@ -129,7 +128,6 @@ runThrashLeg(int servers, bool aware, bool dirty)
 
     workload::WorkloadRegistry registry;
     core::QuasarConfig qcfg;
-    qcfg.scheduler.dirty_set = dirty;
     qcfg.scheduler.socket_aware = aware;
     core::QuasarManager mgr(cluster, registry, qcfg);
     workload::WorkloadFactory seeder{stats::Rng(4242)};
@@ -227,12 +225,11 @@ runThrashLeg(int servers, bool aware, bool dirty)
 }
 
 LegMetrics
-runBandwidthLeg(int servers, bool aware, bool dirty)
+runBandwidthLeg(int servers, bool aware)
 {
     sim::Cluster cluster = numaCluster(servers);
     workload::WorkloadRegistry registry;
     core::QuasarConfig qcfg;
-    qcfg.scheduler.dirty_set = dirty;
     qcfg.scheduler.socket_aware = aware;
     core::QuasarManager mgr(cluster, registry, qcfg);
     workload::WorkloadFactory seeder{stats::Rng(4242)};
@@ -391,31 +388,28 @@ runTopologyBench(bool smoke, const std::string &out_path,
         const char *name;
         const char *scenario;
         bool aware;
-        bool dirty;
         LegMetrics m;
     };
     std::vector<Leg> legs = {
-        {"thrash-aware", "thrash", true, true, {}},
-        {"thrash-blind", "thrash", false, true, {}},
-        {"thrash-aware-cached", "thrash", true, false, {}},
-        {"thrash-aware-replay", "thrash", true, true, {}},
+        {"thrash-aware", "thrash", true, {}},
+        {"thrash-blind", "thrash", false, {}},
+        {"thrash-aware-replay", "thrash", true, {}},
     };
     if (!smoke) {
-        legs.push_back({"bw-aware", "bandwidth", true, true, {}});
-        legs.push_back({"bw-blind", "bandwidth", false, true, {}});
+        legs.push_back({"bw-aware", "bandwidth", true, {}});
+        legs.push_back({"bw-blind", "bandwidth", false, {}});
     }
 
     for (Leg &leg : legs) {
         std::printf("  running %s...\n", leg.name);
         std::fflush(stdout);
         leg.m = std::strcmp(leg.scenario, "thrash") == 0
-                    ? runThrashLeg(servers, leg.aware, leg.dirty)
-                    : runBandwidthLeg(servers, leg.aware, leg.dirty);
+                    ? runThrashLeg(servers, leg.aware)
+                    : runBandwidthLeg(servers, leg.aware);
     }
 
     // Replay gate: the aware thrash decision stream must reproduce
-    // bit-identically across the scheduler index mode (dirty vs
-    // cached) and across a full re-run.
+    // bit-identically across a full re-run.
     const LegMetrics &aware = legs[0].m;
     bool replay_ok = true;
     std::FILE *out = std::fopen(out_path.c_str(), "w");
@@ -441,14 +435,13 @@ runTopologyBench(bool smoke, const std::string &out_path,
         std::fprintf(
             out,
             "    {\"leg\": \"%s\", \"scenario\": \"%s\", "
-            "\"servers\": %d, \"aware\": %s, \"mode\": \"%s\", "
+            "\"servers\": %d, \"aware\": %s, "
             "\"services\": %zu, \"qos_violation_rate\": %.4f, "
             "\"lc_socket0_core_frac\": %.4f, \"be_completed\": %zu, "
             "\"placement_hash\": \"%016llx\", "
             "\"identical\": %s}%s\n",
             leg.name, leg.scenario, servers,
-            leg.aware ? "true" : "false",
-            leg.dirty ? "dirty" : "cached", leg.m.services,
+            leg.aware ? "true" : "false", leg.m.services,
             leg.m.qos_violation_rate, leg.m.lc_socket0_core_frac,
             leg.m.be_completed,
             (unsigned long long)leg.m.placement_hash,
@@ -462,8 +455,8 @@ runTopologyBench(bool smoke, const std::string &out_path,
     int rc = 0;
     if (!replay_ok) {
         std::fprintf(stderr,
-                     "FAIL: topology decisions diverged across "
-                     "scheduler modes / re-replay\n");
+                     "FAIL: topology decisions diverged across a "
+                     "re-replay\n");
         rc = 1;
     }
     const LegMetrics &blind = legs[1].m;

@@ -2,37 +2,33 @@
  * @file
  * Trace-replay bench: the two checked-in cluster-trace fixtures
  * (Google task-events style, Azure vmtable style) ingested, mapped,
- * and replayed through the full Quasar manager, comparing the
- * scheduler's two production decision paths under the identical
- * mapped stream (full_rescan is tests-only: the QUASAR_VERIFY shadow
- * oracle and the equivalence tests cover it).
+ * and replayed through the full Quasar manager on the production
+ * dirty-set decision path (full_rescan is tests-only: the
+ * QUASAR_VERIFY shadow oracle and the equivalence tests cover it).
  *
  * Gates (exit non-zero on violation):
  *   1. Parser diagnostics: each fixture carries a known number of
  *      deliberately malformed rows; the parsers must reject exactly
  *      those, with per-line diagnostics, and nothing else.
- *   2. Mode divergence: dirty / cached must produce bit-identical
- *      placements (FNV-1a fold of the full allocation state every
- *      tick).
- *   3. Re-replay stability: replaying the same mapped trace twice in
- *      the same mode must produce the identical placement hash.
+ *   2. Re-replay stability: replaying the same mapped trace twice
+ *      must produce the identical placement hash (FNV-1a fold of the
+ *      full allocation state every tick).
  *
  * Reports decisions/s, admission depth, QoS-violation rate, the
- * placement hash, and the wall-clock breakdown per (fixture, mode),
+ * placement hash, and the wall-clock breakdown per (fixture, run),
  * to BENCH_trace_replay.json. The full run adds a synthesizer leg:
  * a ChurnConfig fitted to the mapped Google fixture driving a
  * 2000-server stream — the "small fixture, big cluster" path.
  *
  * `--smoke` is the CI variant: both fixtures at 200 servers over a
- * short horizon, both modes plus the re-replay gate.
+ * short horizon, each with its re-replay gate.
  *
  * To replay a real downloaded trace instead of the fixtures, point
  * `--traces=<dir>` at a directory whose files carry the fixture
  * names (google_task_events.csv / azure_vmtable.csv, optionally with
  * a .gz suffix when built with zlib) and pass `--no-diag-gate` —
  * gate 1's exact counts are a property of the bundled fixtures, not
- * of real data. Gates 2 and 3 (mode equivalence, re-replay
- * stability) still apply.
+ * of real data. Gate 2 (re-replay stability) still applies.
  */
 
 #include <cmath>
@@ -70,12 +66,6 @@ clusterOfSize(int servers)
     for (int &c : counts)
         c *= servers / 200;
     return sim::Cluster(catalog, counts);
-}
-
-const char *
-modeName(bool dirty, bool full)
-{
-    return full ? "full_rescan" : dirty ? "dirty" : "cached";
 }
 
 struct ModeMetrics
@@ -134,9 +124,9 @@ hashClusterState(const sim::Cluster &cluster, uint64_t &h)
     }
 }
 
-/** One replay (or synth) run in one scheduler mode. */
+/** One replay (or synth) run. */
 ModeMetrics
-runStream(int servers, double horizon_s, bool dirty, bool full,
+runStream(int servers, double horizon_s,
           const trace::MappedTrace *mapped,
           const churn::ChurnConfig *synth_cfg)
 {
@@ -144,8 +134,6 @@ runStream(int servers, double horizon_s, bool dirty, bool full,
     workload::WorkloadRegistry registry;
 
     core::QuasarConfig qcfg;
-    qcfg.scheduler.dirty_set = dirty;
-    qcfg.scheduler.full_rescan = full;
     qcfg.proactive_interval_s = horizon_s / 3.0;
     core::QuasarManager mgr(cluster, registry, qcfg);
     workload::WorkloadFactory seeder{stats::Rng(4242)};
@@ -277,8 +265,8 @@ runTraceReplayBench(bool smoke, const std::string &out_path,
 
     bench::banner(
         smoke ? "trace replay (smoke): google + azure fixtures"
-              : "trace replay: google + azure fixtures, dirty vs "
-                "cached + synth leg");
+              : "trace replay: google + azure fixtures, re-replay "
+                "gate + synth leg");
 
     Fixture fixtures[2] = {
         {"google", "google_task_events.csv", 9, {}, {}},
@@ -353,38 +341,30 @@ runTraceReplayBench(bool smoke, const std::string &out_path,
     struct Run
     {
         const Fixture *fx;
-        bool dirty;
-        bool full;
-        bool replay_check; ///< second dirty run: stability gate.
+        bool replay_check; ///< second run: stability gate.
     };
     std::vector<Run> runs;
     for (const Fixture &fx : fixtures) {
-        runs.push_back({&fx, true, false, false});
-        runs.push_back({&fx, false, false, false});
-        runs.push_back({&fx, true, false, true});
+        runs.push_back({&fx, false});
+        runs.push_back({&fx, true});
     }
 
-    bool all_identical = true;
     bool all_stable = true;
     std::vector<std::pair<const Fixture *, uint64_t>> dirty_hashes;
     bool wrote_run = false;
     for (const Run &r : runs) {
-        ModeMetrics m = runStream(servers, horizon, r.dirty, r.full,
-                                  &r.fx->mapped, nullptr);
+        ModeMetrics m =
+            runStream(servers, horizon, &r.fx->mapped, nullptr);
         bool identical = true;
-        if (r.dirty && !r.replay_check) {
+        if (!r.replay_check) {
             dirty_hashes.emplace_back(r.fx, m.placement_hash);
         } else {
             for (const auto &[fx, h] : dirty_hashes)
                 if (fx == r.fx)
                     identical = m.placement_hash == h;
-            if (r.replay_check)
-                all_stable = all_stable && identical;
-            else
-                all_identical = all_identical && identical;
+            all_stable = all_stable && identical;
         }
-        const char *label =
-            r.replay_check ? "re-replay" : modeName(r.dirty, r.full);
+        const char *label = r.replay_check ? "re-replay" : "dirty";
         std::printf(
             "  %-6s %-11s: %8.0f decisions/s  (%llu calls)  "
             "depth %.1f/%zu  qos-viol %.3f  done %zu, departed %zu, "
@@ -461,8 +441,7 @@ runTraceReplayBench(bool smoke, const std::string &out_path,
                     fit.config.mix.analytics, fit.config.mix.service,
                     fit.config.mix.best_effort,
                     fit.config.phase_change_fraction);
-        ModeMetrics m = runStream(2000, horizon, true, false, nullptr,
-                                  &fit.config);
+        ModeMetrics m = runStream(2000, horizon, nullptr, &fit.config);
         std::printf(
             "  synth  2000 dirty  : %8.0f decisions/s  (%llu calls) "
             " depth %.1f/%zu  qos-viol %.3f  tick %.3f ms\n",
@@ -498,11 +477,6 @@ runTraceReplayBench(bool smoke, const std::string &out_path,
     std::fclose(out);
     std::printf("wrote %s\n", out_path.c_str());
 
-    if (!all_identical) {
-        std::fprintf(stderr, "FAIL: scheduler modes diverged on "
-                             "placements under trace replay\n");
-        return 1;
-    }
     if (!all_stable) {
         std::fprintf(stderr, "FAIL: re-replaying the same mapped "
                              "trace changed placements\n");

@@ -35,23 +35,6 @@ QuasarManager::QuasarManager(sim::Cluster &cluster,
     // exactly as before.
     if (cfg_.overload.enabled)
         admission_.setAgingLimit(cfg_.overload.aging_limit_s);
-    if (cfg_.shard.enabled())
-        sharded_.emplace(cluster, cfg_.scheduler, cfg_.shard,
-                         &registry);
-}
-
-std::optional<Allocation>
-QuasarManager::schedAllocate(const Workload &w,
-                             const WorkloadEstimate &est,
-                             double required_perf,
-                             const EstimateLookup &estimates,
-                             bool may_evict)
-{
-    if (sharded_)
-        return sharded_->allocate(w, est, required_perf, estimates,
-                                  may_evict);
-    return scheduler_.allocate(w, est, required_perf, estimates,
-                               may_evict);
 }
 
 void
@@ -219,10 +202,8 @@ QuasarManager::trySchedule(WorkloadId id, double t, bool requeue_on_fail)
     {
         stats::ScopedTimer timer(stats_.schedule_time);
         if (spread) {
-            // Deliberately unsharded in BOTH modes: the zone-spread
-            // recovery walk is a one-off full_rescan-class decision,
-            // and keeping it identical here is part of why a fixed
-            // (K, seed) reproduces the unsharded placement hashes.
+            // The zone-spread recovery walk is a one-off decision
+            // with its own config, run through a fresh scheduler.
             GreedyScheduler spreader(cluster_, sched_cfg, &registry_);
             alloc = spreader.allocate(w, est, required, estimateLookup(),
                                       !w.best_effort);
@@ -230,8 +211,8 @@ QuasarManager::trySchedule(WorkloadId id, double t, bool requeue_on_fail)
         } else {
             const uint64_t before =
                 scheduler_.walkCounts()[NodeReject::Evict];
-            alloc = schedAllocate(w, est, required, estimateLookup(),
-                                  !w.best_effort);
+            alloc = scheduler_.allocate(w, est, required,
+                                        estimateLookup(), !w.best_effort);
             evict_rejects =
                 scheduler_.walkCounts()[NodeReject::Evict] - before;
         }
@@ -240,7 +221,7 @@ QuasarManager::trySchedule(WorkloadId id, double t, bool requeue_on_fail)
         // Nothing placeable, or a single-node pick too weak to admit:
         // both are provable from the journal next time. A too-weak
         // multi-node allocation is not, so it leaves no record.
-        if (!memoEnabled() || (alloc && workload::isDistributed(w.type)))
+        if (!cfg_.failure_memo || (alloc && workload::isDistributed(w.type)))
             memo_.forget(id);
         else
             memo_.noteFailure(id, cluster_.journal(), required,
@@ -280,7 +261,7 @@ QuasarManager::retryProvenFutile(const Workload &w,
                                  double required,
                                  const SchedulerConfig &sched_cfg)
 {
-    if (!memoEnabled() || !memo_.recorded(w.id))
+    if (!cfg_.failure_memo || !memo_.recorded(w.id))
         return false;
     stats::ScopedTimer timer(stats_.retry_proof_time);
     const EstimateLookup estimates = estimateLookup();
@@ -489,8 +470,8 @@ QuasarManager::tryScaleOut(Workload &w, const WorkloadEstimate &est,
     // host a second share).
     auto hosting = cluster_.serversHosting(w.id);
     double residual = required - current;
-    auto alloc = schedAllocate(w, est, residual, estimateLookup(),
-                               !w.best_effort);
+    auto alloc = scheduler_.allocate(w, est, residual, estimateLookup(),
+                                     !w.best_effort);
     if (!alloc)
         return false;
     // Filter nodes on servers that already host w.
@@ -746,8 +727,8 @@ QuasarManager::reclassifyAndReschedule(Workload &w, double t)
     ++stats_.rescheduled;
 
     double required = requiredPerf(w, t);
-    auto alloc = schedAllocate(w, estimates_[w.id], required,
-                               estimateLookup(), !w.best_effort);
+    auto alloc = scheduler_.allocate(w, estimates_[w.id], required,
+                                     estimateLookup(), !w.best_effort);
     bool better = alloc.has_value() &&
                   (alloc->predicted_perf >=
                        cfg_.reschedule_hysteresis * old_predicted ||

@@ -22,7 +22,6 @@
 #include "core/predictor.hh"
 #include "core/scheduler.hh"
 #include "driver/cluster_manager.hh"
-#include "shard/sharded_scheduler.hh"
 #include "workload/factory.hh"
 
 namespace quasar::core
@@ -39,11 +38,6 @@ struct QuasarConfig
      *  disabled by default so existing decision paths and their
      *  placement hashes are unperturbed. */
     OverloadConfig overload;
-    /** Sharded parallel decision path (src/shard/, DESIGN.md §14);
-     *  shards == 0 (the default) keeps the classic single scheduler.
-     *  DeterministicMerge reproduces the unsharded placements
-     *  bit-identically at any K. */
-    shard::ShardConfig shard;
 
     /** Enable proactive phase sampling (paper Sec. 4.1). */
     bool proactive_detection = true;
@@ -81,8 +75,7 @@ struct QuasarConfig
      * Skip admission retries the failure memo proves futile
      * (core/failure_memo.hh). Placements are identical either way:
      * off re-runs the scheduler on every retry and is the reference
-     * the on/off replay tests compare against. Ignored (off) on the
-     * sharded decision path.
+     * the on/off replay tests compare against.
      */
     bool failure_memo = true;
     /**
@@ -208,11 +201,6 @@ class QuasarManager : public driver::ClusterManager
     const profiling::Profiler &profiler() const { return profiler_; }
     Classifier &classifier() { return classifier_; }
     const GreedyScheduler &scheduler() const { return scheduler_; }
-    /** The sharded decision front-end, or nullptr when shards == 0. */
-    const shard::ShardedScheduler *sharded() const
-    {
-        return sharded_ ? &*sharded_ : nullptr;
-    }
     /** Overload controller (state machine, shed/boost decisions,
      *  decision hash, time-in-state). */
     const OverloadController &overload() const { return overload_; }
@@ -225,8 +213,6 @@ class QuasarManager : public driver::ClusterManager
     bool admits(const workload::Workload &w,
                 const std::optional<Allocation> &alloc,
                 double required) const;
-    /** True when the failure memo is in use for this configuration. */
-    bool memoEnabled() const { return cfg_.failure_memo && !sharded_; }
     /**
      * Ask the failure memo whether a schedule call for w at
      * `required` is proven to fail (decision config `sched_cfg`,
@@ -261,12 +247,6 @@ class QuasarManager : public driver::ClusterManager
     void adjust(workload::Workload &w, double t);
     void reclassifyAndReschedule(workload::Workload &w, double t);
     EstimateLookup estimateLookup() const;
-    /** Every scheduling decision funnels through here: the sharded
-     *  path when configured, the classic scheduler otherwise. */
-    std::optional<Allocation>
-    schedAllocate(const workload::Workload &w,
-                  const WorkloadEstimate &est, double required_perf,
-                  const EstimateLookup &estimates, bool may_evict);
 
     /**
      * One admission retry pass (tick / completion / server-up), with
@@ -293,10 +273,6 @@ class QuasarManager : public driver::ClusterManager
     profiling::Profiler profiler_;
     Classifier classifier_;
     GreedyScheduler scheduler_;
-    /** Engaged when cfg.shard.enabled(); owns the per-shard workers
-     *  and the commit protocol, replacing scheduler_ as the decision
-     *  path (scheduler_ still serves quality/platform queries). */
-    std::optional<shard::ShardedScheduler> sharded_;
     Monitor monitor_;
     AdmissionQueue admission_;
     FailureMemo memo_;

@@ -120,7 +120,7 @@ bestSocketMultiplier(
  * Socket-selection rule (DESIGN.md §13). Aware: highest predicted
  * multiplier, ties broken toward fewer homed cores, then the lower
  * socket id; blind: least homed cores, then lower id. Deterministic
- * on bitwise-equal inputs, so it replays identically in all modes.
+ * on bitwise-equal inputs, so it replays identically in both modes.
  */
 int
 chooseSocket(
@@ -282,29 +282,7 @@ GreedyScheduler::refreshEntryIndexed(const sim::Server &srv,
                                      ServerCacheEntry &e) const
 {
     refreshEntry(srv, e);
-    // Non-members never enter the maintained order: a shard worker
-    // only ranks its own servers, even if a stray state read (e.g.
-    // the committer walking a merged stream) refreshes their entries.
-    if (orderMaintained() && memberServer(srv.id()))
-        orderPlace(srv.id(), e);
-}
-
-void
-GreedyScheduler::restrictToShard(const std::vector<uint32_t> *shard_of,
-                                 uint32_t shard)
-{
-    shard_of_ = shard_of;
-    shard_id_ = shard;
-    // Drop the index and order wholesale: membership changed, so the
-    // next refresh re-primes from scratch over the new member set.
-    cache_.clear();
-    server_bucket_.clear();
-    order_buckets_.clear();
-    free_buckets_.clear();
-    bucket_of_sig_.clear();
-    platform_order_.clear();
-    index_primed_ = false;
-    journal_cursor_ = 0;
+    orderPlace(srv.id(), e);
 }
 
 void
@@ -545,11 +523,8 @@ GreedyScheduler::refreshIndex() const
         rebuildPlatformIndex(); // platform indices may have moved
     if (force || !index_primed_ || journal_cursor_ < journal.base()) {
         // First use, a cursor compacted out of the journal, or a
-        // catalog change: fall back to the full epoch-check scan
-        // (exactly the cached mode's per-decision cost, once).
+        // catalog change: fall back to a full epoch-check scan, once.
         for (size_t i = 0; i < cluster_.size(); ++i) {
-            if (!memberServer(ServerId(i)))
-                continue; // another shard's server
             const sim::Server &srv = cluster_.server(ServerId(i));
             ServerCacheEntry &e = cache_[i];
             if (force || e.version != srv.version())
@@ -560,16 +535,10 @@ GreedyScheduler::refreshIndex() const
         // Incremental: replay only the servers touched since this
         // scheduler's last decision. Duplicate journal entries dedupe
         // through the epoch compare (first replay refreshes, the rest
-        // no-op). A shard worker skips other shards' entries — each of
-        // the K cursors walks the same shared window independently
-        // (the journal's multi-reader contract) but refreshes only
-        // its own members.
+        // no-op).
         const uint64_t snapshot = journal.end();
         for (uint64_t pos = journal_cursor_; pos < snapshot; ++pos) {
-            ServerId sid = journal.at(pos);
-            if (!memberServer(sid))
-                continue;
-            const sim::Server &srv = cluster_.server(sid);
+            const sim::Server &srv = cluster_.server(journal.at(pos));
             ServerCacheEntry &e = cache_[size_t(srv.id())];
             if (e.version != srv.version())
                 refreshEntryIndexed(srv, e);
@@ -595,11 +564,7 @@ GreedyScheduler::auditIndexCoherence() const
 {
     ++verify::counters().index_audits;
     size_t ordered_members = 0;
-    size_t expected_members = 0;
     for (size_t i = 0; i < cluster_.size(); ++i) {
-        if (!memberServer(ServerId(i)))
-            continue; // another shard's server: never indexed here
-        ++expected_members;
         const sim::Server &srv = cluster_.server(ServerId(i));
         const ServerCacheEntry &cached = cache_[i];
         if (cached.version != srv.version()) {
@@ -726,11 +691,11 @@ GreedyScheduler::auditIndexCoherence() const
                 check_list(lvl.closed, FeasClass::Closed, kNoPrio);
             }
         }
-        if (ordered_members != expected_members) {
+        if (ordered_members != cluster_.size()) {
             std::fprintf(stderr,
                          "QUASAR_VERIFY: maintained order holds %zu "
-                         "members for %zu servers in this shard\n",
-                         ordered_members, expected_members);
+                         "members for %zu servers in the cluster\n",
+                         ordered_members, cluster_.size());
             std::abort();
         }
     }
@@ -855,19 +820,12 @@ GreedyScheduler::serverQuality(const sim::Server &srv,
                                          cfg_.slope_guess);
         return pf * im * srv.speedFactor();
     }
-    if (cfg_.dirty_set) {
-        // Public entry point (the manager scores live placements with
-        // it between decisions): replay the journal first so the entry
-        // reflects any mutation since the last refresh.
-        refreshIndex();
-        const ServerCacheEntry &e = cache_[size_t(srv.id())];
-        double pf = est.platform_factor[e.platform_idx];
-        double im = bestSocketMultiplier(est, e.socket_contention,
-                                         e.sockets, cfg_.slope_guess);
-        return pf * im * e.speed;
-    }
-    double pf = est.platform_factor[platformIndexOf(srv)];
-    const ServerCacheEntry &e = cachedState(srv);
+    // Public entry point (the manager scores live placements with it
+    // between decisions): replay the journal first so the entry
+    // reflects any mutation since the last refresh.
+    refreshIndex();
+    const ServerCacheEntry &e = cache_[size_t(srv.id())];
+    double pf = est.platform_factor[e.platform_idx];
     double im = bestSocketMultiplier(est, e.socket_contention,
                                      e.sockets, cfg_.slope_guess);
     return pf * im * e.speed;
@@ -890,8 +848,6 @@ GreedyScheduler::rankedCandidates(const WorkloadEstimate &est) const
         return out;
     }
     for (size_t i = 0; i < cluster_.size(); ++i) {
-        if (!memberServer(ServerId(i)))
-            continue;
         const sim::Server &srv = cluster_.server(ServerId(i));
         out.emplace_back(serverQuality(srv, est), ServerId(i));
     }
@@ -935,7 +891,7 @@ GreedyScheduler::pickNodeConfig(const sim::Server &srv, const Workload &w,
         }
     } else {
         const ServerCacheEntry &e = cachedState(srv);
-        p_idx = cfg_.dirty_set ? e.platform_idx : platformIndexOf(srv);
+        p_idx = e.platform_idx;
         free_cores = e.free_cores;
         free_mem = e.free_mem;
         free_storage = e.free_storage;
@@ -1068,28 +1024,13 @@ GreedyScheduler::allocate(const Workload &w, const WorkloadEstimate &est,
     // Shadow scheduler oracle: every incremental-mode decision is
     // re-derived through the legacy full_rescan path; any divergence
     // aborts. full_rescan decisions are the oracle, so they are never
-    // shadowed (also what makes this non-recursive). A shard worker's
-    // decision is shadowed by a full_rescan oracle restricted to the
-    // same shard (the per-shard oracle of DESIGN.md §14).
+    // shadowed (also what makes this non-recursive).
     if (!cfg_.full_rescan)
         verify::shadowCheckAllocation(cluster_, cfg_, registry_, w,
                                       est, required_perf, estimates,
-                                      may_evict, decision, shard_of_,
-                                      shard_id_);
+                                      may_evict, decision);
 #endif
     return decision;
-}
-
-std::optional<Allocation>
-GreedyScheduler::allocateWithSource(const Workload &w,
-                                    const WorkloadEstimate &est,
-                                    double required_perf,
-                                    const EstimateLookup &estimates,
-                                    bool may_evict,
-                                    const CandidateFn &source) const
-{
-    return allocateImpl(w, est, required_perf, estimates, may_evict,
-                        &source);
 }
 
 NodeReject
@@ -1136,8 +1077,7 @@ GreedyScheduler::allocateImpl(const Workload &w,
                               const WorkloadEstimate &est,
                               double required_perf,
                               const EstimateLookup &estimates,
-                              bool may_evict,
-                              const CandidateFn *external) const
+                              bool may_evict) const
 {
     assert(est.scale_up_grid.size() == est.scale_up_perf.size());
     const double target = std::max(required_perf, 1e-9) * cfg_.headroom;
@@ -1147,21 +1087,21 @@ GreedyScheduler::allocateImpl(const Workload &w,
             : 1;
 
     // Rank candidate servers by decreasing quality. The full_rescan
-    // path sorts everything up front (legacy); the cached path
-    // heapifies and pops lazily; the dirty path never even touches
-    // servers that did not change — it streams best-first from the
-    // maintained per-platform order, so a placement that settles after
-    // k servers costs O(dirty + expanded levels + k log buckets).
+    // oracle scores and sorts everything up front; the dirty path
+    // never even touches servers that did not change — it streams
+    // best-first from the maintained per-platform order, so a
+    // placement that settles after k servers costs O(dirty + expanded
+    // levels + k log buckets).
     std::vector<std::pair<double, ServerId>> ranked;
     OrderStream stream;
-    const bool dirty = orderMaintained() && !external;
-    if (!external) {
+    const bool dirty = orderMaintained();
+    {
         stats::ScopedTimer timer(timing_.rank);
         if (dirty) {
             refreshIndex();
             // The maintained order partitions members by feasibility
             // class, so the drain below emits exactly the servers the
-            // cached path's rank-time filter admits — the proven
+            // full_rescan rank-time filter admits — the proven
             // placement-preserving predicate — and skips saturated
             // levels wholesale instead of emitting servers only for
             // pickNodeConfig to reject them one by one.
@@ -1170,28 +1110,11 @@ GreedyScheduler::allocateImpl(const Workload &w,
         } else {
             ranked.reserve(cluster_.size());
             for (size_t i = 0; i < cluster_.size(); ++i) {
-                if (!memberServer(ServerId(i)))
-                    continue; // another shard's server
-                bool avail;
-                int free;
-                if (cfg_.full_rescan) {
-                    const sim::Server &srv =
-                        cluster_.server(ServerId(i));
-                    avail = srv.available();
-                    free = srv.coresFree();
-                    if (avail && may_evict) {
-                        free += bestEffortTotals(srv).cores;
-                    }
-                } else {
-                    const sim::Server &srv =
-                        cluster_.server(ServerId(i));
-                    const ServerCacheEntry &e = cachedState(srv);
-                    avail = e.available;
-                    free = e.free_cores;
-                    if (avail && may_evict) {
-                        free += e.be_cores;
-                    }
-                }
+                const sim::Server &srv = cluster_.server(ServerId(i));
+                bool avail = srv.available();
+                int free = srv.coresFree();
+                if (avail && may_evict)
+                    free += bestEffortTotals(srv).cores;
                 // The resident-ledger walk only ADDS evictable
                 // capacity and the filter below is `free < 1`, so a
                 // server already over the bar never needs it — the
@@ -1199,42 +1122,27 @@ GreedyScheduler::allocateImpl(const Workload &w,
                 // decision.
                 if (avail && free < 1 && may_evict && registry_) {
                     double pm = 0.0, ps = 0.0;
-                    priorityEvictable(cluster_.server(ServerId(i)), w,
-                                      free, pm, ps);
+                    priorityEvictable(srv, w, free, pm, ps);
                 }
                 if (!avail || free < 1)
                     continue; // down machines accept no placements
-                double quality =
-                    serverQuality(cluster_.server(ServerId(i)), est);
-                ranked.emplace_back(quality, ServerId(i));
+                ranked.emplace_back(serverQuality(srv, est), ServerId(i));
             }
-            if (cfg_.full_rescan) {
-                std::sort(ranked.begin(), ranked.end(), rankedBefore);
-            } else {
-                std::make_heap(ranked.begin(), ranked.end(),
-                               [](const auto &a, const auto &b) {
-                                   return rankedBefore(b, a);
-                               });
-            }
+            std::sort(ranked.begin(), ranked.end(), rankedBefore);
         }
     }
 
     // nth(i): the i-th best candidate, or nullopt past the end. The
-    // full_rescan path indexes its sorted vector; the cached path pops
-    // the heap on demand (popped elements settle, sorted, at the
-    // tail); the dirty path pulls from the order stream, memoizing
-    // into `ranked` so the fault-zone relaxation pass can rewind.
-    // All three present the identical order rankedBefore defines over
-    // the identical candidate set: the dirty stream's class filter is
-    // the same predicate the cached/full paths apply at rank time
-    // (down machines and servers without a free or evictable core are
-    // never emitted), so the chosen nodes are bit-identical across
-    // modes.
-    size_t popped = 0;
+    // full_rescan path indexes its sorted vector; the dirty path pulls
+    // from the order stream, memoizing into `ranked` so the fault-zone
+    // relaxation pass can rewind. Both present the identical order
+    // rankedBefore defines over the identical candidate set: the dirty
+    // stream's class filter is the same predicate the full_rescan path
+    // applies at rank time (down machines and servers without a free
+    // or evictable core are never emitted), so the chosen nodes are
+    // bit-identical across modes.
     auto nth =
         [&](size_t i) -> std::optional<std::pair<double, ServerId>> {
-        if (external)
-            return (*external)(i);
         if (dirty) {
             while (ranked.size() <= i) {
                 auto cand = nextOrderedCandidate(stream, est);
@@ -1242,25 +1150,10 @@ GreedyScheduler::allocateImpl(const Workload &w,
                     return std::nullopt;
                 ranked.push_back(*cand);
             }
-            return ranked[i];
-        }
-        if (cfg_.full_rescan) {
-            if (i >= ranked.size())
-                return std::nullopt;
-            return ranked[i];
         }
         if (i >= ranked.size())
             return std::nullopt;
-        while (popped <= i) {
-            std::pop_heap(ranked.begin(),
-                          ranked.begin() +
-                              ptrdiff_t(ranked.size() - popped),
-                          [](const auto &a, const auto &b) {
-                              return rankedBefore(b, a);
-                          });
-            ++popped;
-        }
-        return ranked[ranked.size() - 1 - i];
+        return ranked[i];
     };
 
     stats::ScopedTimer timer(timing_.place);

@@ -9,7 +9,7 @@
  * The cluster owns one journal; every placement-relevant Server
  * mutation (the same set that bumps Server::version()) appends the
  * server's id. Readers keep their own cursor into the log, so any
- * number of independent schedulers can consume it concurrently.
+ * number of independent schedulers can consume it side by side.
  * Entries are *not* deduplicated — readers dedupe naturally by
  * comparing their cached epoch against Server::version() when they
  * refresh an entry.
@@ -28,29 +28,24 @@
  * at scale. The absolute-offset contract (base()/end()/at()) is
  * unchanged; only the retained window's physical layout moved.
  *
- * Multi-reader cursor contract (the shard decision path fans the
- * journal out to K per-shard readers, each with its own cursor):
+ * Multi-reader cursor contract (every scheduler instance — the
+ * manager's, a zone-spread recovery walk's — keeps its own cursor):
  *
  *  1. Reads (base()/end()/at()/totalNoted()) are const and touch no
- *     mutable state, so any number of reader threads may call them
- *     concurrently — the per-shard refresh phase does exactly that.
- *  2. note() is single-writer and must never run concurrently with a
- *     reader: the simulation mutates servers (and notes them) only
- *     between decision phases, never during one. This phasing is the
- *     synchronization; the journal itself carries no locks.
- *  3. Compaction only advances base() — retained offsets keep their
+ *     mutable state, so one reader never perturbs another.
+ *  2. Compaction only advances base() — retained offsets keep their
  *     values and entries never move to a different absolute offset.
  *     A reader must therefore snapshot `end()` once, replay
  *     [cursor, end), and resync its cursor to that snapshot.
- *  4. A laggard whose cursor < base() has lost entries to compaction
+ *  3. A laggard whose cursor < base() has lost entries to compaction
  *     (its window was dropped while it sat out); at() would serve it
  *     entries from the *wrong* offsets, so readers MUST check
  *     cursor >= base() before replaying and otherwise fall back to a
  *     full version-check scan, then resync to end(). at() asserts
  *     the window so a reader that skips the check dies loudly in
- *     debug builds instead of replaying aliased entries. With K
- *     cursors the laggard check is per-reader: one shard falling
- *     back never perturbs the others' incremental replay.
+ *     debug builds instead of replaying aliased entries. With
+ *     several cursors the laggard check is per-reader: one reader
+ *     falling back never perturbs the others' incremental replay.
  */
 
 #pragma once

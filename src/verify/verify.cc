@@ -280,33 +280,25 @@ shadowCheckAllocation(const sim::Cluster &cluster,
                       double required_perf,
                       const core::EstimateLookup &estimates,
                       bool may_evict,
-                      const std::optional<core::Allocation> &primary,
-                      const std::vector<uint32_t> *shard_of,
-                      uint32_t shard_id)
+                      const std::optional<core::Allocation> &primary)
 {
     ++counters().shadow_checks;
 
     // Fresh scheduler on the legacy recompute-everything path: no
     // shared cache, no journal cursor, nothing to inherit a primary-
     // path bug from. Its own verify hook is a no-op (full_rescan never
-    // shadows), so this cannot recurse. A shard worker's oracle gets
-    // the identical membership restriction: the equivalence claim is
-    // per shard, against a from-scratch walk over the same members.
+    // shadows), so this cannot recurse.
     core::SchedulerConfig shadow_cfg = cfg;
     shadow_cfg.full_rescan = true;
     core::GreedyScheduler shadow(cluster, shadow_cfg, registry);
-    if (shard_of)
-        shadow.restrictToShard(shard_of, shard_id);
     std::optional<core::Allocation> expected =
         shadow.allocate(w, est, required_perf, estimates, may_evict);
 
     if (!sameAllocation(primary, expected)) {
         ++counters().shadow_divergences;
         fail("shadow scheduler oracle divergence for workload " +
-             std::to_string(w.id) + " (" + w.name + "), mode=" +
-             (cfg.dirty_set ? "dirty_set" : "cached") +
-             (shard_of ? " shard=" + std::to_string(shard_id) : "") +
-             ":\n--- incremental decision ---\n" +
+             std::to_string(w.id) + " (" + w.name + "):\n"
+             "--- dirty-set decision ---\n" +
              describeAllocation(primary) +
              "\n--- full_rescan decision ---\n" +
              describeAllocation(expected));

@@ -17,10 +17,10 @@
  *    soak test of the accounting and journal plumbing.
  *
  *  - **Shadow scheduler oracle** (`shadowCheckAllocation`): every
- *    decision taken by an incremental index mode (dirty_set or cached)
- *    is re-run through the legacy full_rescan path and the two
- *    Allocations are compared field-for-field, bitwise on doubles.
- *    Any divergence aborts with a diff. This is the automated
+ *    decision taken by the incremental dirty-set path is re-run
+ *    through the legacy full_rescan path and the two Allocations are
+ *    compared field-for-field, bitwise on doubles. Any divergence
+ *    aborts with a diff. This is the automated
  *    equivalence evidence ROADMAP wants before the legacy path can be
  *    demoted: a QUASAR_VERIFY soak across the chaos + churn suites
  *    proves zero divergences over every decision those scenarios take.
@@ -57,11 +57,6 @@ struct Counters
     /** Full index-coherence audits executed (sampled per refresh,
      *  plus any test-forced unsampled runs). */
     uint64_t index_audits = 0;
-    /** Cross-shard conservation sweeps (sampled per sharded
-     *  allocate): partition table coverage, range, and exactly-one-
-     *  shard-per-server accounting, plus every primed worker's
-     *  per-shard index-coherence audit. */
-    uint64_t shard_sweeps = 0;
     /** Admission retries the failure memo skipped, each re-run
      *  through the full_rescan oracle (checkSkippedRetry). */
     uint64_t skipped_retry_checks = 0;
@@ -84,18 +79,14 @@ void sweepCluster(const sim::Cluster &cluster,
  * and abort unless the primary decision matches it exactly (node list,
  * sizing columns, evictions, knobs, predicted performance — doubles
  * compared bitwise). Called by GreedyScheduler::allocate for every
- * decision its incremental modes take. When the primary is a shard
- * worker (shard_of != nullptr), the oracle is restricted to the same
- * shard — the per-shard shadow oracle of DESIGN.md §14.
+ * decision the dirty-set path takes.
  */
 void shadowCheckAllocation(
     const sim::Cluster &cluster, const core::SchedulerConfig &cfg,
     const workload::WorkloadRegistry *registry,
     const workload::Workload &w, const core::WorkloadEstimate &est,
     double required_perf, const core::EstimateLookup &estimates,
-    bool may_evict, const std::optional<core::Allocation> &primary,
-    const std::vector<uint32_t> *shard_of = nullptr,
-    uint32_t shard_id = 0);
+    bool may_evict, const std::optional<core::Allocation> &primary);
 
 /**
  * Re-run a schedule call the admission failure memo skipped as proven

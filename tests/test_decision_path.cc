@@ -1,15 +1,15 @@
 /**
  * @file
- * A/B equivalence proof for the incremental decision path: the cached
- * platform/interference indices and lazy-heap ranking must pick the
- * exact same placements as the legacy full-rescan path
+ * A/B equivalence proof for the incremental decision path: the
+ * journal-replayed index and the maintained candidate order must pick
+ * the exact same placements as the legacy full-rescan path
  * (SchedulerConfig::full_rescan) — first at the scheduler level over a
  * many-seed sweep of perturbed clusters, then end-to-end through the
  * manager on a compact Fig. 6-style mixed scenario, and finally under
  * open-loop churn: a many-seed sweep of seeded arrival / departure /
- * fault streams where all three decision paths (dirty-set journal
- * index, per-call cached index, legacy full rescan) must finish in
- * the same simulated state workload for workload.
+ * fault streams where both decision paths (dirty-set journal index,
+ * legacy full rescan) must finish in the same simulated state
+ * workload for workload.
  */
 
 #include <gtest/gtest.h>
@@ -311,14 +311,6 @@ TEST(DecisionPath, MixedScenarioIsBitIdenticalToFullRescan)
 namespace
 {
 
-/** Scheduler decision-path variants under test. */
-enum class Mode
-{
-    DirtySet,
-    Cached,
-    FullRescan,
-};
-
 /** Final simulated state of one churn run, for equality checks. */
 struct ChurnRun
 {
@@ -333,14 +325,13 @@ struct ChurnRun
 };
 
 ChurnRun
-runChurnScenario(uint64_t seed, Mode mode)
+runChurnScenario(uint64_t seed, bool full_rescan)
 {
     sim::Cluster cluster = sim::Cluster::localCluster();
     workload::WorkloadRegistry registry;
     core::QuasarConfig cfg;
     cfg.seed = 7;
-    cfg.scheduler.dirty_set = mode == Mode::DirtySet;
-    cfg.scheduler.full_rescan = mode == Mode::FullRescan;
+    cfg.scheduler.full_rescan = full_rescan;
     core::QuasarManager mgr(cluster, registry, cfg);
     workload::WorkloadFactory seeder{stats::Rng(8)};
     mgr.seedOffline(seeder, 12);
@@ -355,7 +346,7 @@ runChurnScenario(uint64_t seed, Mode mode)
     ccfg.arrival_rate_per_s = 0.15;
     ccfg.horizon_s = 400.0;
     ccfg.phase_change_fraction = 0.15;
-    // ~4 expected machine events over the horizon: every mode must
+    // ~4 expected machine events over the horizon: both modes must
     // track displacements and recoveries identically.
     ccfg.server_mttf_s = 4000.0;
     ccfg.server_mttr_s = 120.0;
@@ -409,12 +400,10 @@ TEST(DecisionPath, ChurnSweepAllModesBitIdentical)
     size_t total_failures = 0;
     size_t total_kills = 0;
     for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
-        ChurnRun full = runChurnScenario(seed, Mode::FullRescan);
-        ChurnRun dirty = runChurnScenario(seed, Mode::DirtySet);
-        ChurnRun cached = runChurnScenario(seed, Mode::Cached);
+        ChurnRun full = runChurnScenario(seed, true);
+        ChurnRun dirty = runChurnScenario(seed, false);
         std::string ctx = "seed " + std::to_string(seed);
         expectSameChurnRun(dirty, full, ctx + " dirty-vs-full");
-        expectSameChurnRun(cached, full, ctx + " cached-vs-full");
         total_failures += full.server_failures;
         for (bool k : full.killed)
             total_kills += k ? 1 : 0;

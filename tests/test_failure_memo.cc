@@ -167,10 +167,10 @@ struct VerdictWorld
     std::map<WorkloadId, core::WorkloadEstimate> estimates;
     core::SchedulerConfig cfg;
 
-    explicit VerdictWorld(uint64_t seed, bool dirty)
+    explicit VerdictWorld(uint64_t seed, bool full_rescan)
         : factory{stats::Rng(seed)}, rng{seed + 1}
     {
-        cfg.dirty_set = dirty;
+        cfg.full_rescan = full_rescan;
         std::vector<Workload> seeds;
         for (int i = 0; i < 5; ++i)
             seeds.push_back(factory.hadoopJob(
@@ -260,11 +260,11 @@ TEST(FirstNodeVerdict, AgreesWithAllocateOverPerturbedClusters)
 {
     // allocate() fails outright iff no server admits a first node, and
     // a single-node allocation lands on the best-ranked server that
-    // does — in every index mode.
+    // does — on the dirty-set path and under full_rescan.
     size_t failures = 0, placed = 0;
     for (uint64_t seed = 1; seed <= 12; ++seed) {
-        for (bool dirty : {true, false}) {
-            VerdictWorld world(seed, dirty);
+        for (bool full_rescan : {false, true}) {
+            VerdictWorld world(seed, full_rescan);
             GreedyScheduler sched(world.cluster, world.cfg,
                                   &world.registry);
             world.populate(sched, 60 + int(seed) * 5);
@@ -289,7 +289,7 @@ TEST(FirstNodeVerdict, AgreesWithAllocateOverPerturbedClusters)
                     }
                 }
                 std::string ctx = "seed " + std::to_string(seed) +
-                                  (dirty ? " dirty" : " cached") +
+                                  (full_rescan ? " full_rescan" : " dirty") +
                                   " probe " + std::to_string(i);
                 ASSERT_EQ(alloc.has_value(), first != FailureMemo::kNoAnchor)
                     << ctx;
@@ -314,7 +314,7 @@ TEST(FirstNodeVerdict, MonotoneRejectionsHoldAtLargerRequirements)
     // whose requirement shrank.
     size_t checked = 0, lifted_smaller = 0;
     for (uint64_t seed = 21; seed <= 28; ++seed) {
-        VerdictWorld world(seed, true);
+        VerdictWorld world(seed, false);
         GreedyScheduler sched(world.cluster, world.cfg, &world.registry);
         world.populate(sched, 80);
         for (int i = 0; i < 12; ++i) {
@@ -350,7 +350,7 @@ TEST(FirstNodeVerdict, MonotoneRejectionsHoldAtLargerRequirements)
 
 TEST(WalkCounts, EveryCandidateIsTakenOrRejectedOnce)
 {
-    VerdictWorld world(5, true);
+    VerdictWorld world(5, false);
     GreedyScheduler sched(world.cluster, world.cfg, &world.registry);
     world.populate(sched, 90);
     const core::WalkCounts &c = sched.walkCounts();

@@ -506,15 +506,14 @@ foldCluster(const sim::Cluster &cluster, uint64_t &h)
 
 /** One seeded churn run with overload control on, in one mode. */
 ReplayResult
-replayRun(uint64_t seed, bool dirty, bool full)
+replayRun(uint64_t seed, bool full_rescan)
 {
     sim::Cluster cluster = sim::Cluster::localCluster();
     workload::WorkloadRegistry registry;
 
     core::QuasarConfig cfg;
     cfg.seed = 99;
-    cfg.scheduler.dirty_set = dirty;
-    cfg.scheduler.full_rescan = full;
+    cfg.scheduler.full_rescan = full_rescan;
     cfg.overload = testOverloadConfig();
     cfg.overload.depth_pressured = 4;
     cfg.overload.depth_overloaded = 8;
@@ -578,28 +577,23 @@ replayRun(uint64_t seed, bool dirty, bool full)
 
 TEST(OverloadReplay, DecisionsBitIdenticalAcrossModesAndReplays)
 {
-    // 20-seed sweep x {dirty, cached, full_rescan} x re-replay: the
+    // 20-seed sweep x {dirty, full_rescan} x re-replay: the
     // shedding/scaling decision hash and the placement hash must be
     // bit-identical everywhere — the replay contract of DESIGN.md.
     for (uint64_t seed = 1; seed <= 20; ++seed) {
-        ReplayResult base = replayRun(1000 + seed, true, false);
-        ReplayResult cached = replayRun(1000 + seed, false, false);
-        ReplayResult rescan = replayRun(1000 + seed, false, true);
-        ReplayResult again = replayRun(1000 + seed, true, false);
+        ReplayResult base = replayRun(1000 + seed, false);
+        ReplayResult rescan = replayRun(1000 + seed, true);
+        ReplayResult again = replayRun(1000 + seed, false);
 
-        EXPECT_EQ(base.placement_hash, cached.placement_hash)
-            << "seed " << seed << ": dirty vs cached placements";
         EXPECT_EQ(base.placement_hash, rescan.placement_hash)
             << "seed " << seed << ": dirty vs full_rescan placements";
         EXPECT_EQ(base.placement_hash, again.placement_hash)
             << "seed " << seed << ": re-replay placements";
-        EXPECT_EQ(base.decision_hash, cached.decision_hash)
-            << "seed " << seed << ": dirty vs cached decisions";
         EXPECT_EQ(base.decision_hash, rescan.decision_hash)
             << "seed " << seed << ": dirty vs full_rescan decisions";
         EXPECT_EQ(base.decision_hash, again.decision_hash)
             << "seed " << seed << ": re-replay decisions";
-        EXPECT_EQ(base.shed, cached.shed);
+        EXPECT_EQ(base.shed, rescan.shed);
         EXPECT_EQ(base.deferred, rescan.deferred);
         EXPECT_EQ(base.accounted, base.arrivals);
     }

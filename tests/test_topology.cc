@@ -17,7 +17,7 @@
  *    aborts the sweep.
  *
  *  - `Socket*` placement: socket-aware selection avoids a thrashed
- *    socket where the blind fewest-cores rule walks into it; all three
+ *    socket where the blind fewest-cores rule walks into it; both
  *    scheduler modes stay bit-identical on multi-socket catalogs; and
  *    the flat single-socket model — default or spelled out as
  *    Topology::single() — is bit-identical to the pre-topology
@@ -492,13 +492,6 @@ TEST(SocketSelection, FlatPlatformAlwaysHomesSocketZero)
 namespace
 {
 
-enum class Mode
-{
-    DirtySet,
-    Cached,
-    FullRescan,
-};
-
 /** Final simulated state of one churn run, for equality checks. */
 struct ChurnRun
 {
@@ -514,14 +507,14 @@ struct ChurnRun
 /** Seeded open-loop churn stream on the given catalog. */
 ChurnRun
 runChurn(const std::vector<sim::Platform> &catalog,
-         const std::vector<int> &counts, uint64_t seed, Mode mode)
+         const std::vector<int> &counts, uint64_t seed,
+         bool full_rescan)
 {
     sim::Cluster cluster(catalog, counts);
     workload::WorkloadRegistry registry;
     core::QuasarConfig cfg;
     cfg.seed = 7;
-    cfg.scheduler.dirty_set = mode == Mode::DirtySet;
-    cfg.scheduler.full_rescan = mode == Mode::FullRescan;
+    cfg.scheduler.full_rescan = full_rescan;
     core::QuasarManager mgr(cluster, registry, cfg);
     workload::WorkloadFactory seeder{stats::Rng(8)};
     mgr.seedOffline(seeder, 12);
@@ -587,19 +580,15 @@ expectSameRun(const ChurnRun &a, const ChurnRun &b,
 TEST(SocketReplay, AllModesBitIdenticalOnTwoSocketCatalog)
 {
     // The socket-selection step rides the same decision path as server
-    // selection, so the three scheduler modes must keep picking
+    // selection, so both scheduler modes must keep picking
     // bit-identical (server, socket) pairs on NUMA machines too.
     auto catalog = sim::numaPlatforms();
     std::vector<int> counts(catalog.size(), 4);
     for (uint64_t seed = 1; seed <= 5; ++seed) {
-        ChurnRun full = runChurn(catalog, counts, seed,
-                                 Mode::FullRescan);
-        ChurnRun dirty = runChurn(catalog, counts, seed,
-                                  Mode::DirtySet);
-        ChurnRun cached = runChurn(catalog, counts, seed, Mode::Cached);
+        ChurnRun full = runChurn(catalog, counts, seed, true);
+        ChurnRun dirty = runChurn(catalog, counts, seed, false);
         std::string ctx = "seed " + std::to_string(seed);
         expectSameRun(dirty, full, ctx + " dirty-vs-full");
-        expectSameRun(cached, full, ctx + " cached-vs-full");
         // The catalog is multi-socket: the sweep only proves something
         // if some placements actually homed off socket 0.
         bool off_zero = false;
@@ -623,17 +612,15 @@ TEST(SocketReplay, FlatTopologyEquivalenceTwentySeeds)
 
     for (uint64_t seed = 1; seed <= 20; ++seed) {
         const std::string ctx = "seed " + std::to_string(seed);
-        ChurnRun base = runChurn(default_catalog, counts, seed,
-                                 Mode::DirtySet);
+        ChurnRun base = runChurn(default_catalog, counts, seed, false);
         for (int s : base.sockets)
             EXPECT_EQ(s, 0) << ctx;
-        for (Mode mode :
-             {Mode::DirtySet, Mode::Cached, Mode::FullRescan}) {
+        for (bool full_rescan : {false, true}) {
             ChurnRun ex = runChurn(explicit_catalog, counts, seed,
-                                   mode);
+                                   full_rescan);
             expectSameRun(ex, base,
-                          ctx + " explicit-single mode " +
-                              std::to_string(int(mode)));
+                          ctx + " explicit-single " +
+                              (full_rescan ? "full_rescan" : "dirty"));
         }
     }
 }

@@ -78,7 +78,6 @@ const char *const kDecisionDirs[] = {
     "src/core/",
     "src/baselines/",
     "src/churn/",
-    "src/shard/",
     "src/trace/",
     "src/topology/",
     "fixture/decision/",

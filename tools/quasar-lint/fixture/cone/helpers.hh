@@ -50,15 +50,6 @@ chainHelper()
     return deepHelper(); // transitive edge into the cone
 }
 
-// Reachable only from the fixture ShardedScheduler::allocate in
-// cone/shard_sched.cc — the sharded front door is its own cone entry.
-inline bool
-shardMergeHelper()
-{
-    double quality = 0.75;
-    return quality == 0.5; // expect(decision-purity)
-}
-
 // Reachable from no entry point: the identical compare below must NOT
 // fire — the cone is call-graph-scoped, not directory-scoped.
 inline bool

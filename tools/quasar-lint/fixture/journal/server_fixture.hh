@@ -49,12 +49,10 @@ class Server
         bumpVersion();
     }
 
-    // The cross-shard hazard: a shard worker reaching around the
-    // journal to move another shard's resident. Every per-shard
-    // cursor replays the journal to stay coherent, so an unjournaled
-    // write desyncs K readers at once — same rule, named for the
-    // failure it now guards against.
-    void crossShardSteal(int v)
+    // Two unjournaled writes, a container push_back and then a field
+    // assignment: the rule reports the method once, at its first
+    // write — the push_back context, not the later assignment.
+    void pushThenAssign(int v)
     {
         tasks_.push_back(v); // expect(mutation-journaling)
         state_ = v;
