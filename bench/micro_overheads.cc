@@ -87,14 +87,19 @@ struct Fixture
 
 } // namespace
 
+// Args: rows, cols. 60 x {16, 32, 64}, then the classifier's shapes
+// (history rows x profiling columns) at rank 8.
 static void
 BM_SvdJacobi(benchmark::State &state)
 {
-    auto a = randomMatrix(60, size_t(state.range(0)), 3);
+    auto a = randomMatrix(size_t(state.range(0)), size_t(state.range(1)),
+                          3);
     for (auto _ : state)
         benchmark::DoNotOptimize(linalg::svd(a, 8));
 }
-BENCHMARK(BM_SvdJacobi)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_SvdJacobi)
+    ->Args({60, 16})->Args({60, 32})->Args({60, 64})
+    ->Args({300, 16})->Args({300, 25})->Args({280, 54});
 
 static void
 BM_RandomizedSvd(benchmark::State &state)
@@ -123,22 +128,29 @@ BM_PqFit(benchmark::State &state)
 }
 BENCHMARK(BM_PqFit)->Arg(50)->Arg(150)->Arg(400);
 
+// Args: rows, cols, observed entries of the folded-in row. Rank 8.
 static void
 BM_FoldInRow(benchmark::State &state)
 {
+    const size_t rows = size_t(state.range(0));
+    const size_t cols = size_t(state.range(1));
     stats::Rng rng(6);
-    linalg::MaskedMatrix m(120, 56);
-    for (size_t r = 0; r < 120; ++r)
-        for (size_t c = 0; c < 56; ++c)
+    linalg::MaskedMatrix m(rows, cols);
+    for (size_t r = 0; r < rows; ++r)
+        for (size_t c = 0; c < cols; ++c)
             if (r < 30 || rng.chance(0.06))
                 m.set(r, c, rng.normal(1.0, 0.5));
     linalg::PqModel model;
     model.fit(m);
-    std::vector<std::pair<size_t, double>> obs = {{3, 1.2}, {40, 0.8}};
+    std::vector<std::pair<size_t, double>> obs;
+    for (int64_t i = 0; i < state.range(2); ++i)
+        obs.emplace_back(size_t(i * 7 + 3) % cols, 0.8 + 0.2 * double(i));
     for (auto _ : state)
         benchmark::DoNotOptimize(model.foldInRow(obs));
 }
-BENCHMARK(BM_FoldInRow);
+BENCHMARK(BM_FoldInRow)
+    ->Args({120, 56, 2})->Args({300, 16, 2})->Args({300, 25, 3})
+    ->Args({280, 54, 4});
 
 static void
 BM_Classify4Parallel(benchmark::State &state)
@@ -209,6 +221,9 @@ BM_GreedyAllocate(benchmark::State &state)
 }
 BENCHMARK(BM_GreedyAllocate)->Arg(40)->Arg(200)->Arg(1000);
 
+// Arg 0 (cold): a new t every iteration, so each call recomputes the
+// rate. Arg 1 (warm): one t, so every call after the first is a memo
+// hit.
 static void
 BM_OracleCurrentRate(benchmark::State &state)
 {
@@ -232,10 +247,15 @@ BM_OracleCurrentRate(benchmark::State &state)
         cluster.server(node.server).place(share);
     }
     workload::PerfOracle oracle(cluster, registry);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(oracle.currentRate(w, 0.0));
+    const bool warm = state.range(0) != 0;
+    double t = 0.0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(oracle.currentRate(w, t));
+        if (!warm)
+            t += 1.0;
+    }
 }
-BENCHMARK(BM_OracleCurrentRate);
+BENCHMARK(BM_OracleCurrentRate)->ArgName("warm")->Arg(0)->Arg(1);
 
 // ---------------------------------------------------------------------------
 // Decision-path mode: incremental index vs full_rescan, JSON + CI gate.

@@ -13,8 +13,9 @@
 #      incremental scheduler picks identical placements to the
 #      full-rescan path and fails if the 200-server schedule-call
 #      mean regresses more than 25% against the committed
-#      BENCH_decision_path.json baseline. The fresh numbers are
-#      written back to that file so improvements can be committed.
+#      BENCH_decision_path.json baseline. The fresh numbers go to
+#      build-release/decision_path.json; copy them over the baseline
+#      by hand when an improvement should be committed.
 #   4. Run the churn-stream smoke (Release): a seeded open-loop
 #      arrival/departure/fault stream through the dirty-set decision
 #      path — a 1000-server leg, its dirty-rerun referee, and a
@@ -69,13 +70,23 @@
 #         dirty-set decision and every failure-memo skip is
 #         shadow-checked against full_rescan, every driver tick sweeps cluster invariants,
 #         every listed mutator provably trips the index audit when
-#         unjournaled, and any warning is an error.
+#         unjournaled, every PerfOracle memo hit is recomputed and
+#         compared bitwise, and any warning is an error.
+#   9. Fail if the run modified any tracked file: every stage writes
+#      its outputs under build trees, so the checkout stays clean.
 #
 # Usage: ci/check.sh [jobs]   (defaults to nproc)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
+
+# Fingerprint of the tracked files' state, compared at the end (a
+# checkout with local edits may run the script; it must not add any).
+tracked_state() {
+    { git diff HEAD --binary 2>/dev/null || true; } | cksum
+}
+TRACKED_BEFORE="$(tracked_state)"
 
 echo "== tier-1: build + ctest =="
 cmake -B build -S . >/dev/null
@@ -101,7 +112,7 @@ if [ -f BENCH_decision_path.json ]; then
                    --max-regression=0.25)
 fi
 ./build-release/bench/micro_overheads --decision-path \
-    --out=BENCH_decision_path.json "${BASELINE_ARGS[@]}"
+    --out=build-release/decision_path.json "${BASELINE_ARGS[@]}"
 
 echo "== churn smoke: re-replay referee, throughput/hash gates (1k + 10k) =="
 cmake --build build-release -j "$JOBS" --target churn
@@ -181,8 +192,18 @@ cmake --build build-verify -j "$JOBS" --target quasar_tests
 # only arms in this QUASAR_VERIFY build), socket selection, and the
 # flat-topology replay-equivalence sweep; the FailureMemo/
 # FirstNodeVerdict suites re-run every skipped retry through the
-# full_rescan oracle.
+# full_rescan oracle; the PerfOracle* suites prime and mutate the
+# rate memo under its bitwise recheck, and the FoldInReference/
+# JacobiReference suites hold the linear algebra bit-exact against
+# its straightforward references.
 ./build-verify/tests/quasar_tests \
-    --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:FailureMemo*.*:FirstNodeVerdict.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:ChurnClosedLoop.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*'
+    --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:FailureMemo*.*:FirstNodeVerdict.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:ChurnClosedLoop.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*:PerfOracle*.*:FoldInReference.*:JacobiReference.*'
+
+echo "== clean tree: no tracked file modified =="
+if [ "$(tracked_state)" != "$TRACKED_BEFORE" ]; then
+    echo "ci/check.sh modified tracked files:" >&2
+    git status --short --untracked-files=no >&2
+    exit 1
+fi
 
 echo "== all checks passed =="

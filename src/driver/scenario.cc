@@ -220,7 +220,7 @@ ScenarioDriver::tick()
         for (const sim::TaskShare &share : srv.tasks()) {
             const Workload &w = registry_.get(share.workload);
             srv.setUsage(share.workload,
-                         oracle_.usedCores(w, share, t));
+                         oracle_.usedCores(w, srv, share, t));
         }
     }
 

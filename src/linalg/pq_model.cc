@@ -176,57 +176,58 @@ PqModel::predict(size_t r, size_t c) const
     return mu_ + row_bias_[r] + col_bias_[c] + dot;
 }
 
-namespace
-{
-
-/** Solve the k x k SPD system a * x = b in place (Gaussian elim). */
-std::vector<double>
-solveSmall(std::vector<std::vector<double>> a, std::vector<double> b)
-{
-    const size_t k = b.size();
-    for (size_t i = 0; i < k; ++i) {
-        // Partial pivot.
-        size_t piv = i;
-        for (size_t r = i + 1; r < k; ++r)
-            if (std::fabs(a[r][i]) > std::fabs(a[piv][i]))
-                piv = r;
-        std::swap(a[i], a[piv]);
-        std::swap(b[i], b[piv]);
-        double d = a[i][i];
-        if (std::fabs(d) < 1e-12)
-            continue;
-        for (size_t r = i + 1; r < k; ++r) {
-            double f = a[r][i] / d;
-            if (f == 0.0)
-                continue;
-            for (size_t c = i; c < k; ++c)
-                a[r][c] -= f * a[i][c];
-            b[r] -= f * b[i];
-        }
-    }
-    std::vector<double> x(k, 0.0);
-    for (size_t ii = k; ii-- > 0;) {
-        double acc = b[ii];
-        for (size_t c = ii + 1; c < k; ++c)
-            acc -= a[ii][c] * x[c];
-        x[ii] = std::fabs(a[ii][ii]) < 1e-12 ? 0.0 : acc / a[ii][ii];
-    }
-    return x;
-}
-
-} // namespace
-
 std::vector<double>
 PqModel::foldInRow(
     const std::vector<std::pair<size_t, double>> &observed) const
 {
     const size_t k = q_.cols();
-    std::vector<double> qu(k, 0.0);
-    double bu = 0.0;
     const double lambda =
         std::max(cfg_.fold_in_regularization, 1e-4);
     const double lambda_b = 1.0;
 
+    // The ridge matrix P_o^T P_o + lambda n I does not depend on the
+    // bias, so it is built and eliminated once per call: each step's
+    // pivot row and multipliers are recorded, and every iteration
+    // replays them on its right-hand side. These are the floating-
+    // point operations, in the same order, of eliminating the
+    // augmented system afresh per iteration (DESIGN.md §9).
+    std::vector<double> u(k * k, 0.0); // row-major, becomes U
+    for (size_t f = 0; f < k; ++f)
+        u[f * k + f] = lambda * double(observed.size());
+    for (const auto &[c, v] : observed)
+        for (size_t f = 0; f < k; ++f) {
+            double pf = p_.at(c, f);
+            for (size_t g = 0; g < k; ++g)
+                u[f * k + g] += pf * p_.at(c, g);
+        }
+    std::vector<size_t> pivot(k);
+    // mult[i * k + r]: row r's multiplier at step i; 0 = no update.
+    std::vector<double> mult(k * k, 0.0);
+    for (size_t i = 0; i < k; ++i) {
+        size_t piv = i;
+        for (size_t r = i + 1; r < k; ++r)
+            if (std::fabs(u[r * k + i]) > std::fabs(u[piv * k + i]))
+                piv = r;
+        pivot[i] = piv;
+        std::swap_ranges(u.begin() + ptrdiff_t(i * k),
+                         u.begin() + ptrdiff_t(i * k + k),
+                         u.begin() + ptrdiff_t(piv * k));
+        double d = u[i * k + i];
+        if (std::fabs(d) < 1e-12)
+            continue;
+        for (size_t r = i + 1; r < k; ++r) {
+            double f = u[r * k + i] / d;
+            mult[i * k + r] = f;
+            if (f == 0.0)
+                continue;
+            for (size_t c = i; c < k; ++c)
+                u[r * k + c] -= f * u[i * k + c];
+        }
+    }
+
+    std::vector<double> qu(k, 0.0);
+    std::vector<double> b(k);
+    double bu = 0.0;
     for (int iter = 0; iter < 20; ++iter) {
         // Bias given factors.
         double acc = 0.0;
@@ -239,21 +240,27 @@ PqModel::foldInRow(
         bu = acc / (double(observed.size()) + lambda_b);
 
         // Ridge solve for the latent vector given the bias.
-        std::vector<std::vector<double>> ata(
-            k, std::vector<double>(k, 0.0));
-        std::vector<double> atb(k, 0.0);
-        for (size_t f = 0; f < k; ++f)
-            ata[f][f] = lambda * double(observed.size());
+        std::fill(b.begin(), b.end(), 0.0);
         for (const auto &[c, v] : observed) {
             double y = v - mu_ - bu - col_bias_[c];
-            for (size_t f = 0; f < k; ++f) {
-                double pf = p_.at(c, f);
-                atb[f] += pf * y;
-                for (size_t g = 0; g < k; ++g)
-                    ata[f][g] += pf * p_.at(c, g);
+            for (size_t f = 0; f < k; ++f)
+                b[f] += p_.at(c, f) * y;
+        }
+        for (size_t i = 0; i < k; ++i) {
+            std::swap(b[i], b[pivot[i]]);
+            for (size_t r = i + 1; r < k; ++r) {
+                double f = mult[i * k + r];
+                if (f != 0.0)
+                    b[r] -= f * b[i];
             }
         }
-        qu = solveSmall(std::move(ata), std::move(atb));
+        for (size_t ii = k; ii-- > 0;) {
+            double x = b[ii];
+            for (size_t c = ii + 1; c < k; ++c)
+                x -= u[ii * k + c] * qu[c];
+            double d = u[ii * k + ii];
+            qu[ii] = std::fabs(d) < 1e-12 ? 0.0 : x / d;
+        }
     }
 
     std::vector<double> row(cols_);

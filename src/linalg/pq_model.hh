@@ -67,6 +67,14 @@ class PqModel
     foldInRow(const std::vector<std::pair<size_t, double>> &observed)
         const;
 
+    /** @name Fitted parameters a folded-in row is predicted from */
+    /// @{
+    double globalMean() const { return mu_; }
+    const std::vector<double> &columnBias() const { return col_bias_; }
+    /** Item (column) factors: cols x rank. */
+    const Matrix &columnFactors() const { return p_; }
+    /// @}
+
     /** RMSE over observed entries at the end of training. */
     double trainRmse() const { return train_rmse_; }
 

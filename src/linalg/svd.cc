@@ -42,31 +42,32 @@ namespace
 {
 
 /**
- * One-sided Jacobi on a tall matrix (rows >= cols): orthogonalize the
- * columns of W = A*V by plane rotations, accumulating V.
+ * One-sided Jacobi on a tall m x n matrix (m >= n) given column-major
+ * in w (its n columns of length m back to back): orthogonalize the
+ * columns of W = A*V by plane rotations, accumulating V. W and V stay
+ * column-major, so every rotation and norm walks contiguous memory.
  */
 SvdResult
-jacobiTall(const Matrix &a, size_t max_rank, double tol, size_t max_sweeps)
+jacobiTall(std::vector<double> w, size_t m, size_t n, size_t max_rank,
+           double tol, size_t max_sweeps)
 {
-    const size_t m = a.rows();
-    const size_t n = a.cols();
-    assert(m >= n);
+    assert(m >= n && w.size() == m * n);
 
-    Matrix w = a;                   // working copy, becomes U * diag(s)
-    Matrix v(n, n);
+    std::vector<double> v(n * n, 0.0); // column-major
     for (size_t i = 0; i < n; ++i)
-        v.at(i, i) = 1.0;
+        v[i * n + i] = 1.0;
 
     for (size_t sweep = 0; sweep < max_sweeps; ++sweep) {
         bool rotated = false;
         for (size_t p = 0; p + 1 < n; ++p) {
             for (size_t q = p + 1; q < n; ++q) {
+                double *wp = w.data() + p * m;
+                double *wq = w.data() + q * m;
                 double alpha = 0.0, beta = 0.0, gamma = 0.0;
                 for (size_t i = 0; i < m; ++i) {
-                    double wp = w.at(i, p), wq = w.at(i, q);
-                    alpha += wp * wp;
-                    beta += wq * wq;
-                    gamma += wp * wq;
+                    alpha += wp[i] * wp[i];
+                    beta += wq[i] * wq[i];
+                    gamma += wp[i] * wq[i];
                 }
                 if (std::fabs(gamma) <= tol * std::sqrt(alpha * beta) ||
                     gamma == 0.0) {
@@ -80,14 +81,16 @@ jacobiTall(const Matrix &a, size_t max_rank, double tol, size_t max_sweeps)
                 double c = 1.0 / std::sqrt(1.0 + t * t);
                 double s = c * t;
                 for (size_t i = 0; i < m; ++i) {
-                    double wp = w.at(i, p), wq = w.at(i, q);
-                    w.at(i, p) = c * wp - s * wq;
-                    w.at(i, q) = s * wp + c * wq;
+                    double xp = wp[i], xq = wq[i];
+                    wp[i] = c * xp - s * xq;
+                    wq[i] = s * xp + c * xq;
                 }
+                double *vp = v.data() + p * n;
+                double *vq = v.data() + q * n;
                 for (size_t i = 0; i < n; ++i) {
-                    double vp = v.at(i, p), vq = v.at(i, q);
-                    v.at(i, p) = c * vp - s * vq;
-                    v.at(i, q) = s * vp + c * vq;
+                    double xp = vp[i], xq = vq[i];
+                    vp[i] = c * xp - s * xq;
+                    vq[i] = s * xp + c * xq;
                 }
             }
         }
@@ -98,9 +101,10 @@ jacobiTall(const Matrix &a, size_t max_rank, double tol, size_t max_sweeps)
     // Singular values are column norms of W; sort descending.
     std::vector<double> norms(n);
     for (size_t j = 0; j < n; ++j) {
+        const double *wj = w.data() + j * m;
         double s = 0.0;
         for (size_t i = 0; i < m; ++i)
-            s += w.at(i, j) * w.at(i, j);
+            s += wj[i] * wj[i];
         norms[j] = std::sqrt(s);
     }
     std::vector<size_t> order(n);
@@ -120,9 +124,9 @@ jacobiTall(const Matrix &a, size_t max_rank, double tol, size_t max_sweeps)
         out.singular[k] = s;
         double inv = (s > 0.0) ? 1.0 / s : 0.0;
         for (size_t i = 0; i < m; ++i)
-            out.u.at(i, k) = w.at(i, j) * inv;
+            out.u.at(i, k) = w[j * m + i] * inv;
         for (size_t i = 0; i < n; ++i)
-            out.v.at(i, k) = v.at(i, j);
+            out.v.at(i, k) = v[j * n + i];
     }
     return out;
 }
@@ -198,11 +202,19 @@ randomizedSvd(const Matrix &a, size_t rank, size_t power_iters,
 SvdResult
 svd(const Matrix &a, size_t max_rank, double tol, size_t max_sweeps)
 {
-    if (a.rows() >= a.cols())
-        return jacobiTall(a, max_rank, tol, max_sweeps);
+    const size_t m = a.rows();
+    const size_t n = a.cols();
+    if (m >= n) {
+        std::vector<double> w(m * n);
+        for (size_t i = 0; i < m; ++i)
+            for (size_t j = 0; j < n; ++j)
+                w[j * m + i] = a.at(i, j);
+        return jacobiTall(std::move(w), m, n, max_rank, tol, max_sweeps);
+    }
 
-    // Wide matrix: decompose the transpose and swap U <-> V.
-    SvdResult t = jacobiTall(a.transpose(), max_rank, tol, max_sweeps);
+    // Wide matrix: decompose the transpose and swap U <-> V. A's
+    // row-major storage is exactly A^T column-major.
+    SvdResult t = jacobiTall(a.data(), n, m, max_rank, tol, max_sweeps);
     SvdResult out;
     out.u = std::move(t.v);
     out.v = std::move(t.u);

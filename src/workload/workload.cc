@@ -1,7 +1,12 @@
 #include "workload/workload.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#ifdef QUASAR_VERIFY
+#include <cstdio>
+#include <cstdlib>
+#endif
 
 #include "workload/queueing.hh"
 
@@ -116,8 +121,8 @@ WorkloadRegistry::all() const
     return out;
 }
 
-std::vector<double>
-PerfOracle::nodeRates(const Workload &w, double t) const
+double
+PerfOracle::computeRate(const Workload &w, double t) const
 {
     const GroundTruth &truth = w.truthAt(t);
     std::vector<double> rates;
@@ -140,22 +145,83 @@ PerfOracle::nodeRates(const Workload &w, double t) const
         rate *= srv.speedFactor();
         rates.push_back(rate);
     }
-    return rates;
-}
-
-double
-PerfOracle::currentRate(const Workload &w, double t) const
-{
-    std::vector<double> rates = nodeRates(w, t);
     if (rates.empty())
         return 0.0;
-    const GroundTruth &truth = w.truthAt(t);
     double degrade =
         (t < w.degraded_until) ? w.degraded_factor : 1.0;
     if (w.type == WorkloadType::SingleNode)
         return rates.front() * degrade;
     return truth.jobRate(rates) * degrade;
 }
+
+namespace
+{
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+#ifdef QUASAR_VERIFY
+uint64_t memo_checks = 0;
+#endif
+
+} // namespace
+
+bool
+PerfOracle::memoValid(const RateMemo &m, const Workload &w, double t,
+                      uint64_t journal_end) const
+{
+    return m.journal_end == journal_end && sameBits(m.t, t) &&
+           sameBits(m.degraded_until, w.degraded_until) &&
+           sameBits(m.degraded_factor, w.degraded_factor) &&
+           m.knobs.mappers_per_node == w.active_knobs.mappers_per_node &&
+           sameBits(m.knobs.heap_gb, w.active_knobs.heap_gb) &&
+           m.knobs.block_mb == w.active_knobs.block_mb &&
+           m.knobs.compression == w.active_knobs.compression &&
+           m.knobs.replication == w.active_knobs.replication;
+}
+
+double
+PerfOracle::currentRate(const Workload &w, double t) const
+{
+    // Only the registry's own object is memoized: a detached copy
+    // sharing its id may carry a different truth.
+    if (!registry_.contains(w.id) || &registry_.get(w.id) != &w)
+        return computeRate(w, t);
+    if (memo_.size() <= w.id)
+        memo_.resize(registry_.size());
+    RateMemo &m = memo_[w.id];
+    const uint64_t journal_end = cluster_.journal().end();
+    if (memoValid(m, w, t, journal_end)) {
+#ifdef QUASAR_VERIFY
+        double fresh = computeRate(w, t);
+        if (!sameBits(fresh, m.rate)) {
+            std::fprintf(stderr,
+                         "QUASAR_VERIFY: PerfOracle memo hit for "
+                         "workload %llu at t=%.17g returned %.17g, a "
+                         "recomputation gives %.17g\n",
+                         static_cast<unsigned long long>(w.id), t,
+                         m.rate, fresh);
+            std::abort();
+        }
+        ++memo_checks;
+#endif
+        return m.rate;
+    }
+    m = {journal_end, t, w.degraded_until, w.degraded_factor,
+         w.active_knobs, computeRate(w, t)};
+    return m.rate;
+}
+
+#ifdef QUASAR_VERIFY
+uint64_t
+PerfOracle::memoChecks()
+{
+    return memo_checks;
+}
+#endif
 
 double
 PerfOracle::serviceCapacityQps(const Workload &w, double t) const
@@ -190,8 +256,8 @@ PerfOracle::normalizedPerformance(const Workload &w, double t) const
 }
 
 double
-PerfOracle::usedCores(const Workload &w, const sim::TaskShare &share,
-                      double t) const
+PerfOracle::usedCores(const Workload &w, const sim::Server &srv,
+                      const sim::TaskShare &share, double t) const
 {
     const GroundTruth &truth = w.truthAt(t);
     double useful = std::min(double(share.cores), truth.parallelism);
@@ -205,15 +271,8 @@ PerfOracle::usedCores(const Workload &w, const sim::TaskShare &share,
     // Cores stalled on shared-resource contention are not doing
     // productive cycles; CPU utilization in the performance-counter
     // sense drops with interference.
-    for (ServerId sid : cluster_.serversHosting(w.id)) {
-        const sim::Server &srv = cluster_.server(sid);
-        if (srv.share(w.id) == &share) {
-            useful *= truth.sensitivity.multiplier(
-                srv.contentionFor(w.id));
-            break;
-        }
-    }
-    return useful;
+    return useful *
+           truth.sensitivity.multiplier(srv.contentionFor(w.id));
 }
 
 } // namespace quasar::workload

@@ -14,6 +14,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -175,6 +176,16 @@ class WorkloadRegistry
  * Computes true performance from the cluster's current placement.
  * Decision-making components must consume it only through profiling
  * and monitoring wrappers that add measurement noise.
+ *
+ * currentRate is memoized per workload id (DESIGN.md §9). Besides the
+ * workload's immutable truth, a rate reads only server state — which
+ * servers host w, their shares, contention and speed — and four
+ * values: t, active_knobs, degraded_until and degraded_factor. Every
+ * write to that server state bumps the cluster's ChangeJournal (the
+ * mutation-journaling lint and its death tests enforce it), so
+ * journal().end() plus those four values, compared bitwise, is a
+ * sound validity stamp: a hit returns exactly the double a
+ * recomputation would.
  */
 class PerfOracle
 {
@@ -203,18 +214,41 @@ class PerfOracle
     double normalizedPerformance(const Workload &w, double t) const;
 
     /**
-     * Cores the workload actually exercises on a server (for
-     * utilization accounting): limited by its useful parallelism, and
-     * scaled by load for services.
+     * Cores the workload actually exercises on srv, the server that
+     * holds share (for utilization accounting): limited by its useful
+     * parallelism, and scaled by load for services.
      */
-    double usedCores(const Workload &w, const sim::TaskShare &share,
-                     double t) const;
+    double usedCores(const Workload &w, const sim::Server &srv,
+                     const sim::TaskShare &share, double t) const;
+
+#ifdef QUASAR_VERIFY
+    /** Memo hits recomputed and bitwise-checked (process-wide). */
+    static uint64_t memoChecks();
+#endif
 
   private:
-    std::vector<double> nodeRates(const Workload &w, double t) const;
+    /** One workload's last rate and the stamp it is valid for. */
+    struct RateMemo
+    {
+        uint64_t journal_end = kNever;
+        double t = 0.0;
+        double degraded_until = 0.0;
+        double degraded_factor = 0.0;
+        FrameworkKnobs knobs;
+        double rate = 0.0;
+
+        /** journal_end of an empty slot: no journal reaches it. */
+        static constexpr uint64_t kNever = ~uint64_t{0};
+    };
+
+    double computeRate(const Workload &w, double t) const;
+    bool memoValid(const RateMemo &m, const Workload &w, double t,
+                   uint64_t journal_end) const;
 
     const sim::Cluster &cluster_;
     const WorkloadRegistry &registry_;
+    /** Indexed by workload id; grown on first use. */
+    mutable std::vector<RateMemo> memo_;
 };
 
 } // namespace quasar::workload

@@ -8,8 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "stats/rng.hh"
 
@@ -349,3 +354,338 @@ TEST_P(CompletionDensity, ErrorShrinksWithDensity)
 
 INSTANTIATE_TEST_SUITE_P(Densities, CompletionDensity,
                          ::testing::Values(0.25, 0.4, 0.6, 0.8));
+
+// ------------------------------------------- bit-exact reference checks
+//
+// foldInRow factors its ridge matrix once and replays the elimination
+// on each iteration's right-hand side, and jacobiTall keeps W and V
+// column-major. Both claim the same floating-point operations in the
+// same order as the straightforward versions below, which are kept
+// here as references: results must match bit for bit.
+
+namespace
+{
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+void
+expectSameBits(const std::vector<double> &got,
+               const std::vector<double> &want, const char *what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_TRUE(sameBits(got[i], want[i]))
+            << what << "[" << i << "]: " << got[i] << " vs " << want[i];
+}
+
+/** Which elimination branches a reference solve took. */
+struct SolveBranches
+{
+    size_t small_pivots = 0;
+    size_t zero_multipliers = 0;
+};
+
+/** Reference: Gaussian elimination with partial pivoting, afresh. */
+std::vector<double>
+solveSmall(std::vector<std::vector<double>> a, std::vector<double> b,
+           SolveBranches &branches)
+{
+    const size_t k = b.size();
+    for (size_t i = 0; i < k; ++i) {
+        size_t piv = i;
+        for (size_t r = i + 1; r < k; ++r)
+            if (std::fabs(a[r][i]) > std::fabs(a[piv][i]))
+                piv = r;
+        std::swap(a[i], a[piv]);
+        std::swap(b[i], b[piv]);
+        double d = a[i][i];
+        if (std::fabs(d) < 1e-12) {
+            ++branches.small_pivots;
+            continue;
+        }
+        for (size_t r = i + 1; r < k; ++r) {
+            double f = a[r][i] / d;
+            if (f == 0.0) {
+                ++branches.zero_multipliers;
+                continue;
+            }
+            for (size_t c = i; c < k; ++c)
+                a[r][c] -= f * a[i][c];
+            b[r] -= f * b[i];
+        }
+    }
+    std::vector<double> x(k, 0.0);
+    for (size_t ii = k; ii-- > 0;) {
+        double acc = b[ii];
+        for (size_t c = ii + 1; c < k; ++c)
+            acc -= a[ii][c] * x[c];
+        x[ii] = std::fabs(a[ii][ii]) < 1e-12 ? 0.0 : acc / a[ii][ii];
+    }
+    return x;
+}
+
+/** Reference fold-in: rebuild and re-eliminate every iteration. */
+std::vector<double>
+referenceFoldIn(const PqModel &model,
+                const std::vector<std::pair<size_t, double>> &observed,
+                SolveBranches &branches)
+{
+    const Matrix &p = model.columnFactors();
+    const std::vector<double> &col_bias = model.columnBias();
+    const double mu = model.globalMean();
+    const size_t k = p.cols();
+    std::vector<double> qu(k, 0.0);
+    double bu = 0.0;
+    const double lambda =
+        std::max(model.config().fold_in_regularization, 1e-4);
+    for (int iter = 0; iter < 20; ++iter) {
+        double acc = 0.0;
+        for (const auto &[c, v] : observed) {
+            double dot = 0.0;
+            for (size_t f = 0; f < k; ++f)
+                dot += qu[f] * p.at(c, f);
+            acc += v - mu - col_bias[c] - dot;
+        }
+        bu = acc / (double(observed.size()) + 1.0);
+        std::vector<std::vector<double>> ata(
+            k, std::vector<double>(k, 0.0));
+        std::vector<double> atb(k, 0.0);
+        for (size_t f = 0; f < k; ++f)
+            ata[f][f] = lambda * double(observed.size());
+        for (const auto &[c, v] : observed) {
+            double y = v - mu - bu - col_bias[c];
+            for (size_t f = 0; f < k; ++f) {
+                double pf = p.at(c, f);
+                atb[f] += pf * y;
+                for (size_t g = 0; g < k; ++g)
+                    ata[f][g] += pf * p.at(c, g);
+            }
+        }
+        qu = solveSmall(std::move(ata), std::move(atb), branches);
+    }
+    std::vector<double> row(p.rows());
+    for (size_t c = 0; c < p.rows(); ++c) {
+        double dot = 0.0;
+        for (size_t f = 0; f < k; ++f)
+            dot += qu[f] * p.at(c, f);
+        row[c] = mu + bu + col_bias[c] + dot;
+    }
+    for (const auto &[c, v] : observed)
+        row[c] = v;
+    return row;
+}
+
+/** A classifier-shaped history: dense head rows, sparse tail. */
+PqModel
+fittedModel(size_t rows, size_t cols, uint64_t seed)
+{
+    quasar::stats::Rng rng(seed);
+    MaskedMatrix m(rows, cols);
+    for (size_t r = 0; r < rows; ++r)
+        for (size_t c = 0; c < cols; ++c)
+            if (r < 20 || rng.chance(0.08))
+                m.set(r, c, rng.normal(1.0, 0.5));
+    PqConfig cfg;
+    cfg.max_epochs = 60;
+    PqModel model(cfg);
+    model.fit(m);
+    return model;
+}
+
+/** 2-4 distinct observed columns with random values. */
+std::vector<std::pair<size_t, double>>
+randomObserved(size_t cols, quasar::stats::Rng &rng)
+{
+    size_t n = 2 + size_t(rng.uniform(0.0, 3.0));
+    std::vector<size_t> perm = rng.permutation(cols);
+    std::vector<std::pair<size_t, double>> obs;
+    for (size_t i = 0; i < n && i < cols; ++i)
+        obs.emplace_back(perm[i], rng.normal(1.0, 0.5));
+    return obs;
+}
+
+/** Reference: one-sided Jacobi walking row-major W and V. */
+SvdResult
+referenceJacobiTall(const Matrix &a, size_t max_rank)
+{
+    const double tol = 1e-10;
+    const size_t m = a.rows();
+    const size_t n = a.cols();
+    Matrix w = a;
+    Matrix v(n, n);
+    for (size_t i = 0; i < n; ++i)
+        v.at(i, i) = 1.0;
+    for (size_t sweep = 0; sweep < 60; ++sweep) {
+        bool rotated = false;
+        for (size_t p = 0; p + 1 < n; ++p) {
+            for (size_t q = p + 1; q < n; ++q) {
+                double alpha = 0.0, beta = 0.0, gamma = 0.0;
+                for (size_t i = 0; i < m; ++i) {
+                    double wp = w.at(i, p), wq = w.at(i, q);
+                    alpha += wp * wp;
+                    beta += wq * wq;
+                    gamma += wp * wq;
+                }
+                if (std::fabs(gamma) <= tol * std::sqrt(alpha * beta) ||
+                    gamma == 0.0)
+                    continue;
+                rotated = true;
+                double zeta = (beta - alpha) / (2.0 * gamma);
+                double t = (zeta >= 0.0 ? 1.0 : -1.0) /
+                           (std::fabs(zeta) +
+                            std::sqrt(1.0 + zeta * zeta));
+                double c = 1.0 / std::sqrt(1.0 + t * t);
+                double s = c * t;
+                for (size_t i = 0; i < m; ++i) {
+                    double wp = w.at(i, p), wq = w.at(i, q);
+                    w.at(i, p) = c * wp - s * wq;
+                    w.at(i, q) = s * wp + c * wq;
+                }
+                for (size_t i = 0; i < n; ++i) {
+                    double vp = v.at(i, p), vq = v.at(i, q);
+                    v.at(i, p) = c * vp - s * vq;
+                    v.at(i, q) = s * vp + c * vq;
+                }
+            }
+        }
+        if (!rotated)
+            break;
+    }
+    std::vector<double> norms(n);
+    for (size_t j = 0; j < n; ++j) {
+        double s = 0.0;
+        for (size_t i = 0; i < m; ++i)
+            s += w.at(i, j) * w.at(i, j);
+        norms[j] = std::sqrt(s);
+    }
+    std::vector<size_t> order(n);
+    for (size_t j = 0; j < n; ++j)
+        order[j] = j;
+    std::sort(order.begin(), order.end(),
+              [&](size_t x, size_t y) { return norms[x] > norms[y]; });
+    size_t rank = (max_rank == 0) ? n : std::min(max_rank, n);
+    SvdResult out;
+    out.u = Matrix(m, rank);
+    out.v = Matrix(n, rank);
+    out.singular.resize(rank);
+    for (size_t k = 0; k < rank; ++k) {
+        size_t j = order[k];
+        out.singular[k] = norms[j];
+        double inv = (norms[j] > 0.0) ? 1.0 / norms[j] : 0.0;
+        for (size_t i = 0; i < m; ++i)
+            out.u.at(i, k) = w.at(i, j) * inv;
+        for (size_t i = 0; i < n; ++i)
+            out.v.at(i, k) = v.at(i, j);
+    }
+    return out;
+}
+
+/** Reference svd(): wide inputs go through the transpose. */
+SvdResult
+referenceSvd(const Matrix &a, size_t max_rank)
+{
+    if (a.rows() >= a.cols())
+        return referenceJacobiTall(a, max_rank);
+    SvdResult t = referenceJacobiTall(a.transpose(), max_rank);
+    SvdResult out;
+    out.u = std::move(t.v);
+    out.v = std::move(t.u);
+    out.singular = std::move(t.singular);
+    return out;
+}
+
+void
+expectSvdSameBits(const Matrix &a, size_t max_rank)
+{
+    SvdResult got = svd(a, max_rank);
+    SvdResult want = referenceSvd(a, max_rank);
+    ASSERT_EQ(got.u.rows(), want.u.rows());
+    ASSERT_EQ(got.u.cols(), want.u.cols());
+    ASSERT_EQ(got.v.rows(), want.v.rows());
+    ASSERT_EQ(got.v.cols(), want.v.cols());
+    expectSameBits(got.singular, want.singular, "singular");
+    expectSameBits(got.u.data(), want.u.data(), "u");
+    expectSameBits(got.v.data(), want.v.data(), "v");
+}
+
+} // namespace
+
+TEST(FoldInReference, RandomObservedSetsMatchBitwise)
+{
+    quasar::stats::Rng rng(2718);
+    for (auto [rows, cols] : {std::pair<size_t, size_t>{300, 16},
+                              {300, 25}, {280, 54}, {40, 10}}) {
+        PqModel model = fittedModel(rows, cols, rows * 131 + cols);
+        ASSERT_EQ(model.columnFactors().cols(), 8u);
+        for (int trial = 0; trial < 25; ++trial) {
+            auto obs = randomObserved(cols, rng);
+            SolveBranches branches;
+            expectSameBits(model.foldInRow(obs),
+                           referenceFoldIn(model, obs, branches),
+                           "fold-in row");
+        }
+    }
+}
+
+TEST(FoldInReference, SmallPivotBranchMatchesBitwise)
+{
+    // Nothing observed: the ridge matrix is all zeros, so every
+    // pivot is below 1e-12 and the solve returns the zero vector.
+    PqModel model = fittedModel(60, 12, 5);
+    SolveBranches branches;
+    std::vector<std::pair<size_t, double>> none;
+    expectSameBits(model.foldInRow(none),
+                   referenceFoldIn(model, none, branches), "row");
+    EXPECT_GT(branches.small_pivots, 0u);
+}
+
+TEST(FoldInReference, ZeroMultiplierBranchMatchesBitwise)
+{
+    // A model fit on nothing has all-zero factors, so the ridge
+    // matrix is diagonal and every multiplier is exactly zero.
+    PqModel model;
+    model.fit(MaskedMatrix(6, 6));
+    SolveBranches branches;
+    std::vector<std::pair<size_t, double>> obs = {{1, 0.7}, {4, 1.9}};
+    expectSameBits(model.foldInRow(obs),
+                   referenceFoldIn(model, obs, branches), "row");
+    EXPECT_GT(branches.zero_multipliers, 0u);
+    EXPECT_EQ(branches.small_pivots, 0u);
+}
+
+TEST(JacobiReference, TallMatchesRowMajorBitwise)
+{
+    expectSvdSameBits(lowRank(30, 8, 8, 61, 0.1), 0);
+    expectSvdSameBits(lowRank(300, 16, 8, 62, 0.05), 8);
+}
+
+TEST(JacobiReference, WideMatchesRowMajorBitwise)
+{
+    expectSvdSameBits(lowRank(6, 20, 6, 63, 0.1), 0);
+    expectSvdSameBits(lowRank(25, 54, 8, 64, 0.05), 8);
+}
+
+TEST(JacobiReference, RankDeficientMatchesRowMajorBitwise)
+{
+    expectSvdSameBits(lowRank(40, 12, 3, 65), 0);
+    expectSvdSameBits(lowRank(10, 30, 2, 66), 8);
+}
+
+TEST(JacobiReference, ZeroColumnMatchesRowMajorBitwise)
+{
+    Matrix a = lowRank(20, 7, 7, 67, 0.1);
+    for (size_t i = 0; i < a.rows(); ++i)
+        a.at(i, 3) = 0.0;
+    expectSvdSameBits(a, 0);
+    expectSvdSameBits(Matrix(5, 4), 0);
+}
+
+TEST(JacobiReference, OneByOneMatchesRowMajorBitwise)
+{
+    expectSvdSameBits(Matrix(1, 1, -2.5), 0);
+    expectSvdSameBits(Matrix(1, 1, 0.0), 1);
+}

@@ -93,6 +93,27 @@ TEST(Verify, ScenarioSoakExercisesSweepsAndShadowOracle)
     EXPECT_EQ(after.shadow_divergences, 0u);
 }
 
+TEST(Verify, PerfOracleMemoHitsAreRechecked)
+{
+    // Every tick reads each placed job's rate for progress and again
+    // for normalized performance, so a run takes memo hits; in this
+    // build each hit is recomputed and compared bitwise (a mismatch
+    // aborts inside PerfOracle::currentRate).
+    const uint64_t before = workload::PerfOracle::memoChecks();
+
+    World w;
+    for (int i = 0; i < 3; ++i) {
+        Workload job = w.factory.hadoopJob("job", 40.0 + 20.0 * i);
+        job.target = workload::WorkloadFactory::defaultAnalyticsTarget(
+            job, w.cluster.catalog()[9]);
+        w.drv.addArrival(w.registry.add(job), 5.0 + 30.0 * i);
+    }
+    w.drv.run(1500.0);
+
+    EXPECT_GT(workload::PerfOracle::memoChecks(), before)
+        << "no memo hit was re-checked";
+}
+
 TEST(Verify, FullRescanModeTakesNoShadowChecks)
 {
     // The oracle re-runs incremental decisions through full_rescan;

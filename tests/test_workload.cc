@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "workload/factory.hh"
 #include "workload/queueing.hh"
@@ -420,9 +422,213 @@ TEST(PerfOracle, UsedCoresRespectsParallelismAndLoad)
     Workload w = f.singleNodeJob("spec", "spec-int"); // parallelism 1
     WorkloadId id = world.place(w, 8, 4.0, {36});
     const sim::TaskShare *share = world.cluster.server(36).share(id);
-    double used = world.oracle.usedCores(world.registry.get(id),
-                                         *share, 0.0);
+    double used = world.oracle.usedCores(
+        world.registry.get(id), world.cluster.server(36), *share, 0.0);
     EXPECT_LE(used, 1.0 + 1e-9);
+}
+
+// --------------------------------------------------------- oracle memo
+//
+// PerfOracle memoizes currentRate per workload, valid while t, the
+// cluster journal's end, active_knobs, degraded_until and
+// degraded_factor are bitwise unchanged. Each test below primes the
+// memo, changes exactly one of those inputs in a way that moves the
+// rate, and demands the memo agree bitwise with a fresh oracle — so
+// dropping any key field from the validity check fails a test.
+
+namespace
+{
+
+/**
+ * Job A runs on servers 36 and 37. 36 also hosts co-runner B; 37 is
+ * degraded and carries injected pressure, so every journaled mutator
+ * has something to change. C is registered but not placed.
+ */
+struct MemoWorld
+{
+    OracleWorld world;
+    WorkloadId a = kInvalidWorkload;
+    WorkloadId c = kInvalidWorkload;
+
+    MemoWorld()
+    {
+        WorkloadFactory f{stats::Rng(11)};
+        Workload job = f.hadoopJob("a", 50.0);
+        job.truth.sensitivity.threshold.fill(0.05);
+        job.truth.sensitivity.slope.fill(0.3);
+        a = world.place(job, 8, 8.0, {36, 37});
+        Workload b = f.hadoopJob("b", 50.0);
+        b.truth.sensitivity.caused_per_core.fill(0.02);
+        world.place(b, 4, 4.0, {36});
+        Workload other = f.hadoopJob("c", 50.0);
+        other.truth.sensitivity.caused_per_core.fill(0.03);
+        c = world.registry.add(other);
+        interference::IVector push{};
+        push.fill(0.2);
+        world.cluster.server(37).injectPressure(push);
+        world.cluster.server(37).degrade(0.7);
+    }
+
+    Workload &job() { return world.registry.get(a); }
+    sim::Server &server(ServerId s) { return world.cluster.server(s); }
+
+    /**
+     * Prime the memo at t_prime, apply the change, then read at
+     * t_query: the memo must match a fresh oracle bit for bit, and the
+     * change must have moved the rate (else the check proves nothing).
+     */
+    template <typename Change>
+    void expectMemoTracks(Change change, double t_prime = 10.0,
+                          double t_query = 10.0)
+    {
+        double before = world.oracle.currentRate(job(), t_prime);
+        // A repeated read is a memo hit and must not move either.
+        ASSERT_EQ(std::bit_cast<uint64_t>(
+                      world.oracle.currentRate(job(), t_prime)),
+                  std::bit_cast<uint64_t>(before));
+        change();
+        double memo = world.oracle.currentRate(job(), t_query);
+        double fresh = PerfOracle(world.cluster, world.registry)
+                           .currentRate(job(), t_query);
+        EXPECT_EQ(std::bit_cast<uint64_t>(memo),
+                  std::bit_cast<uint64_t>(fresh))
+            << "memo " << memo << " vs fresh " << fresh;
+        EXPECT_NE(std::bit_cast<uint64_t>(before),
+                  std::bit_cast<uint64_t>(fresh))
+            << "the change left the rate at " << before;
+    }
+};
+
+void
+mutate_clearInjectedPressure(MemoWorld &m)
+{
+    m.server(37).clearInjectedPressure();
+}
+
+void
+mutate_degrade(MemoWorld &m)
+{
+    m.server(36).degrade(0.5);
+}
+
+void
+mutate_injectPressureAt(MemoWorld &m)
+{
+    interference::IVector push{};
+    push.fill(0.1);
+    m.server(36).injectPressureAt(0, push);
+}
+
+void
+mutate_markDown(MemoWorld &m)
+{
+    m.server(37).markDown();
+}
+
+void
+mutate_place(MemoWorld &m)
+{
+    sim::TaskShare share;
+    share.workload = m.c;
+    share.cores = 4;
+    share.memory_gb = 4.0;
+    share.caused = m.world.registry.get(m.c).causedPressure(0.0, 4);
+    m.server(36).place(share);
+}
+
+void
+mutate_recover(MemoWorld &m)
+{
+    m.server(37).recover();
+}
+
+void
+mutate_remove(MemoWorld &m)
+{
+    // Drop co-runner B (the only other tenant of server 36).
+    for (const sim::TaskShare &share : m.server(36).tasks())
+        if (share.workload != m.a) {
+            m.server(36).remove(share.workload);
+            return;
+        }
+}
+
+void
+mutate_resize(MemoWorld &m)
+{
+    m.server(36).resize(m.a, 4, 8.0);
+}
+
+void
+mutate_setIsolation(MemoWorld &m)
+{
+    m.server(36).setIsolation(m.a, interference::Source::MemoryBw,
+                              true);
+}
+
+} // namespace
+
+// One test per journaled Server mutator, generated from the same list
+// the lint and the verify death tests use: a mutator added there
+// needs a mutate_<name> above before this file compiles.
+#define QUASAR_JOURNALED_MUTATOR(name)                                  \
+    TEST(PerfOracleMemo, name)                                          \
+    {                                                                   \
+        MemoWorld m;                                                    \
+        m.expectMemoTracks([&m] { mutate_##name(m); });                 \
+    }
+#include "verify/journaled_mutators.def"
+#undef QUASAR_JOURNALED_MUTATOR
+
+TEST(PerfOracleMemo, KnobWritesInvalidate)
+{
+    MemoWorld m;
+    m.expectMemoTracks([&m] { m.job().active_knobs.mappers_per_node = 24; });
+    MemoWorld h;
+    h.expectMemoTracks([&h] { h.job().active_knobs.heap_gb = 4.0; });
+    MemoWorld c;
+    c.expectMemoTracks([&c] {
+        c.job().active_knobs.compression = Compression::None;
+    });
+}
+
+TEST(PerfOracleMemo, DegradedUntilWriteInvalidates)
+{
+    MemoWorld m;
+    m.job().degraded_factor = 0.5; // inert until the window opens
+    m.expectMemoTracks([&m] { m.job().degraded_until = 100.0; });
+}
+
+TEST(PerfOracleMemo, DegradedFactorWriteInvalidates)
+{
+    MemoWorld m;
+    m.job().degraded_until = 100.0;
+    m.job().degraded_factor = 0.5;
+    m.expectMemoTracks([&m] { m.job().degraded_factor = 0.25; });
+}
+
+TEST(PerfOracleMemo, NewTimeInvalidates)
+{
+    // Primed after the degradation window closes, read inside it.
+    MemoWorld m;
+    m.job().degraded_until = 100.0;
+    m.job().degraded_factor = 0.5;
+    m.expectMemoTracks([] {}, 150.0, 50.0);
+}
+
+TEST(PerfOracleMemo, DetachedCopyIsNotServedFromTheMemo)
+{
+    MemoWorld m;
+    double live = m.world.oracle.currentRate(m.job(), 10.0);
+    Workload copy = m.job();
+    copy.truth.base_rate *= 2.0;
+    double fresh = PerfOracle(m.world.cluster, m.world.registry)
+                       .currentRate(copy, 10.0);
+    EXPECT_EQ(std::bit_cast<uint64_t>(
+                  m.world.oracle.currentRate(copy, 10.0)),
+              std::bit_cast<uint64_t>(fresh));
+    EXPECT_NE(std::bit_cast<uint64_t>(fresh),
+              std::bit_cast<uint64_t>(live));
 }
 
 // -------------------------------------------------------------- factory
