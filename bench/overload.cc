@@ -12,11 +12,13 @@
  * the controller has sheddable work to sacrifice for the latency
  * services.
  *
- * Per leg the bench reports the four-way QoS outcome split (completed
- * / departed / shed / active, plus degraded-ever), shed fraction,
- * goodput, the latency services' QoS-violation rate, time-in-state of
- * the detector, controller counters, and both replay hashes: the
- * per-tick placement fold and the controller's own decision hash.
+ * Per leg the bench reports bench::runStream's report (the four-way
+ * outcome split completed / departed / shed / active plus
+ * degraded-ever, the latency services' QoS-violation rate, placements
+ * per wall second, the placement hash) and its own scores: shed
+ * fraction, goodput, the crowd-window QoS-violation rate,
+ * time-in-state of the detector, controller counters, and the
+ * controller's decision hash.
  *
  * Gates (exit 1):
  *  - replay: the controller-on leg re-replayed must reproduce both
@@ -25,9 +27,10 @@
  *    every leg (no arrival leaks out of the outcome split);
  *  - QoS: controller-on must violate strictly less than
  *    controller-off over the crowd-and-recovery window [450, 750),
- *    and (with --baseline) must stay within --max-regression
+ *    and (with --baseline) must stay within kMaxQosRegression
  *    (absolute) of the committed BENCH_overload.json's on-dirty
- *    crowd-window violation rate.
+ *    crowd-window violation rate. A missing or unreadable baseline
+ *    row fails the gate.
  *
  * `--smoke` is the CI variant: the 200-server legs only. The full
  * run adds 500-server off/on legs and google-trace-fitted synth
@@ -38,18 +41,13 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/common.hh"
-#include "churn/churn.hh"
-#include "core/manager.hh"
+#include "bench/report.hh"
 #include "core/overload.hh"
-#include "driver/scenario.hh"
 #include "trace/google.hh"
 #include "trace/mapper.hh"
 #include "trace/synth.hh"
@@ -60,21 +58,9 @@ using namespace quasar;
 namespace
 {
 
-/** The paper's testbeds, scaled up by replicating the EC2 mix. */
-sim::Cluster
-clusterOfSize(int servers)
-{
-    if (servers == 40)
-        return sim::Cluster::localCluster();
-    if (servers == 200)
-        return sim::Cluster::ec2Cluster();
-    auto catalog = sim::ec2Platforms();
-    std::vector<int> counts = {6, 6, 8, 14, 6, 8, 16, 30,
-                               8, 30, 8, 16, 30, 14};
-    for (int &c : counts)
-        c *= servers / 200;
-    return sim::Cluster(catalog, counts);
-}
+/** The on-dirty leg's crowd-window violation rate may rise at most
+ *  this much (absolute) above its committed row. */
+constexpr double kMaxQosRegression = 0.05;
 
 /** The flash crowd hits at 450 s; QoS is also scored over the crowd
  *  plus its recovery tail, where overload control earns its keep. */
@@ -141,18 +127,11 @@ controllerOn()
     return cfg;
 }
 
+/** A leg's stream report plus the overload-specific scores. */
 struct LegMetrics
 {
-    size_t arrivals = 0;
-    size_t completed = 0;
-    size_t departed = 0;
-    size_t shed = 0;
-    size_t active = 0;
-    size_t degraded = 0;
-    double shed_fraction = 0.0;
-    double goodput_fraction = 0.0;
-    double qos_violation_rate = 0.0;
-    /** Same, but over [kCrowdStart, kCrowdWindowEnd) only. */
+    bench::StreamReport stream;
+    /** QoS-violation rate over [kCrowdStart, kCrowdWindowEnd) only. */
     double qos_violation_crowd = 0.0;
     double frac_pressured = 0.0;
     double frac_overloaded = 0.0;
@@ -161,230 +140,117 @@ struct LegMetrics
     size_t restores = 0;
     size_t autoscale_updates = 0;
     size_t transitions = 0;
-    double decisions_per_s = 0.0;
-    double mean_admission_depth = 0.0;
-    size_t max_admission_depth = 0;
-    uint64_t placement_hash = 0;
     uint64_t decision_hash = 0;
-};
 
-/** Fold the cluster's full allocation state into a running FNV-1a. */
-void
-hashClusterState(const sim::Cluster &cluster, uint64_t &h)
-{
-    auto fold = [&h](uint64_t v) {
-        h ^= v;
-        h *= 0x100000001B3ULL;
-    };
-    for (size_t s = 0; s < cluster.size(); ++s) {
-        const sim::Server &srv = cluster.server(ServerId(s));
-        fold(uint64_t(s) << 32 | uint64_t(srv.coresAllocated()));
-        for (const sim::TaskShare &t : srv.tasks()) {
-            // Socket folded into the high bits of the workload
-            // word: ids stay far below 2^48, and socket 0 leaves the
-            // pre-topology hash untouched (flat bit-identity).
-            fold(uint64_t(t.workload) | uint64_t(t.socket) << 48);
-            fold(uint64_t(t.cores));
-        }
+    double shedFraction() const
+    {
+        return stream.arrivals
+                   ? double(stream.shed) / double(stream.arrivals)
+                   : 0.0;
     }
-}
+    double goodputFraction() const
+    {
+        return stream.arrivals ? double(stream.completed +
+                                        stream.departed) /
+                                     double(stream.arrivals)
+                               : 0.0;
+    }
+};
 
 LegMetrics
 runLeg(int servers, double horizon_s, const churn::ChurnConfig &ccfg,
        bool controller)
 {
-    sim::Cluster cluster = clusterOfSize(servers);
-    workload::WorkloadRegistry registry;
-
-    core::QuasarConfig qcfg;
-    qcfg.proactive_interval_s = horizon_s / 3.0;
+    core::QuasarConfig qcfg = bench::streamConfig(horizon_s);
     if (controller)
         qcfg.overload = controllerOn();
-    core::QuasarManager mgr(cluster, registry, qcfg);
-    workload::WorkloadFactory seeder{stats::Rng(4242)};
-    mgr.seedOffline(seeder, 16);
-
-    driver::ScenarioDriver drv(
-        cluster, registry, mgr,
-        driver::DriverConfig{.tick_s = 15.0, .record_every = 2});
-
     churn::ChurnEngine engine(ccfg);
-    engine.install(cluster, registry, drv);
-
     LegMetrics m;
-    double depth_sum = 0.0;
-    size_t depth_n = 0;
-    uint64_t hash = 0xCBF29CE484222325ULL;
-    drv.setTickHook([&](double) {
-        size_t d = mgr.admission().size();
-        depth_sum += double(d);
-        ++depth_n;
-        m.max_admission_depth = std::max(m.max_admission_depth, d);
-        hashClusterState(cluster, hash);
-    });
-
-    drv.run(horizon_s);
-
-    const core::QuasarStats &st = mgr.stats();
-    m.arrivals = engine.plan().size();
-    for (const churn::ChurnItem &item : engine.plan()) {
-        const workload::Workload &w = registry.get(item.id);
-        switch (driver::outcomeOf(w)) {
-        case driver::WorkloadOutcome::Completed:
-            ++m.completed;
-            break;
-        case driver::WorkloadOutcome::Departed:
-            ++m.departed;
-            break;
-        case driver::WorkloadOutcome::Shed:
-            ++m.shed;
-            break;
-        case driver::WorkloadOutcome::Active:
-            ++m.active;
-            break;
+    auto score = [&m](const core::QuasarManager &mgr,
+                      const driver::ScenarioDriver &drv,
+                      const std::vector<churn::ChurnItem> &plan) {
+        double crowd_sum = 0.0;
+        size_t crowd_n = 0;
+        for (const churn::ChurnItem &item : plan) {
+            if (item.cls != churn::ChurnClass::Service)
+                continue;
+            const driver::ServiceTrace *trace = drv.serviceTrace(item.id);
+            if (!trace)
+                continue;
+            // Crowd-window score only for services that were actually
+            // sampled inside the window (meanOver returns 0 when none
+            // were, which would misread absence as total violation).
+            const stats::TimeSeries &qf = trace->qos_fraction;
+            bool in_window = false;
+            for (size_t i = 0; i < qf.size() && !in_window; ++i)
+                in_window = qf.timeAt(i) >= kCrowdStart &&
+                            qf.timeAt(i) < kCrowdWindowEnd;
+            if (in_window) {
+                crowd_sum += qf.meanOver(kCrowdStart, kCrowdWindowEnd);
+                ++crowd_n;
+            }
         }
-        if (w.brownout_ever)
-            ++m.degraded;
-    }
-    m.shed_fraction =
-        m.arrivals ? double(m.shed) / double(m.arrivals) : 0.0;
-    m.goodput_fraction =
-        m.arrivals ? double(m.completed + m.departed) / double(m.arrivals)
-                   : 0.0;
-
-    double qos_sum = 0.0;
-    size_t qos_n = 0;
-    double crowd_sum = 0.0;
-    size_t crowd_n = 0;
-    for (const churn::ChurnItem &item : engine.plan()) {
-        if (item.cls != churn::ChurnClass::Service)
-            continue;
-        const driver::ServiceTrace *trace = drv.serviceTrace(item.id);
-        if (!trace || trace->qos_fraction.size() == 0)
-            continue;
-        qos_sum += trace->qos_fraction.mean();
-        ++qos_n;
-        // Crowd-window score only for services that were actually
-        // sampled inside the window (meanOver returns 0 when none
-        // were, which would misread absence as total violation).
-        const stats::TimeSeries &qf = trace->qos_fraction;
-        bool in_window = false;
-        for (size_t i = 0; i < qf.size() && !in_window; ++i)
-            in_window = qf.timeAt(i) >= kCrowdStart &&
-                        qf.timeAt(i) < kCrowdWindowEnd;
-        if (in_window) {
-            crowd_sum += qf.meanOver(kCrowdStart, kCrowdWindowEnd);
-            ++crowd_n;
-        }
-    }
-    m.qos_violation_rate = qos_n ? 1.0 - qos_sum / double(qos_n) : 0.0;
-    m.qos_violation_crowd =
-        crowd_n ? 1.0 - crowd_sum / double(crowd_n) : 0.0;
-
-    const core::OverloadController &ctl = mgr.overload();
-    m.frac_pressured = ctl.fractionIn(core::OverloadState::Pressured);
-    m.frac_overloaded = ctl.fractionIn(core::OverloadState::Overloaded);
-    m.deferred = st.overload_deferred;
-    m.brownouts = st.brownouts;
-    m.restores = st.brownout_restores;
-    m.autoscale_updates = st.autoscale_updates;
-    m.transitions = st.overload_transitions;
-    m.decisions_per_s = st.schedule_time.total_s > 0.0
-                            ? double(st.schedule_time.count) /
-                                  st.schedule_time.total_s
-                            : 0.0;
-    m.mean_admission_depth =
-        depth_n ? depth_sum / double(depth_n) : 0.0;
-    m.placement_hash = hash;
-    m.decision_hash = ctl.decisionHash();
+        m.qos_violation_crowd =
+            crowd_n ? 1.0 - crowd_sum / double(crowd_n) : 0.0;
+        const core::QuasarStats &st = mgr.stats();
+        const core::OverloadController &ctl = mgr.overload();
+        m.frac_pressured = ctl.fractionIn(core::OverloadState::Pressured);
+        m.frac_overloaded =
+            ctl.fractionIn(core::OverloadState::Overloaded);
+        m.deferred = st.overload_deferred;
+        m.brownouts = st.brownouts;
+        m.restores = st.brownout_restores;
+        m.autoscale_updates = st.autoscale_updates;
+        m.transitions = st.overload_transitions;
+        m.decision_hash = ctl.decisionHash();
+    };
+    m.stream = bench::runStream(bench::clusterOfSize(servers), engine,
+                                qcfg, horizon_s,
+                                bench::FoldWord::CoresAllocated, score);
     return m;
-}
-
-/** qos_violation_crowd of the named leg in a committed baseline. */
-double
-baselineQos(const std::string &path, const char *leg)
-{
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        return std::nan("");
-    char line[2048];
-    char want[64];
-    std::snprintf(want, sizeof(want), "\"leg\": \"%s\"", leg);
-    double qos = std::nan("");
-    while (std::fgets(line, sizeof(line), f)) {
-        if (!std::strstr(line, want))
-            continue;
-        const char *key =
-            std::strstr(line, "\"qos_violation_crowd\":");
-        if (key)
-            qos = std::atof(key +
-                            std::strlen("\"qos_violation_crowd\":"));
-        break;
-    }
-    std::fclose(f);
-    return qos;
 }
 
 void
 printLeg(const char *name, const LegMetrics &m)
 {
+    bench::printStream(name, m.stream);
     std::printf(
-        "  %-15s: qos-viol %.3f (crowd %.3f)  shed %.3f (%zu)  "
-        "goodput %.3f  done %zu dep %zu act %zu  degr %zu  "
-        "t-press %.2f t-over %.2f\n",
-        name, m.qos_violation_rate, m.qos_violation_crowd,
-        m.shed_fraction, m.shed, m.goodput_fraction, m.completed,
-        m.departed, m.active, m.degraded, m.frac_pressured,
-        m.frac_overloaded);
-    std::printf(
-        "        controller: defer %zu brownout %zu/%zu "
-        "autoscale %zu transitions %zu  depth %.1f/%zu  "
-        "%.0f decisions/s  place %016llx decide %016llx\n",
-        m.deferred, m.brownouts, m.restores, m.autoscale_updates,
-        m.transitions, m.mean_admission_depth, m.max_admission_depth,
-        m.decisions_per_s, (unsigned long long)m.placement_hash,
+        "        controller: crowd qos-viol %.3f  shed %.3f  goodput "
+        "%.3f  t-press %.2f t-over %.2f  defer %zu brownout %zu/%zu "
+        "autoscale %zu transitions %zu  decide %016llx\n",
+        m.qos_violation_crowd, m.shedFraction(), m.goodputFraction(),
+        m.frac_pressured, m.frac_overloaded, m.deferred, m.brownouts,
+        m.restores, m.autoscale_updates, m.transitions,
         (unsigned long long)m.decision_hash);
 }
 
-void
-writeLeg(std::FILE *out, const char *name, int servers,
-         bool controller, const LegMetrics &m,
-         bool identical, bool last)
+bench::JsonRow
+legRow(const char *name, int servers, bool controller,
+       const LegMetrics &m, bool identical)
 {
-    std::fprintf(
-        out,
-        "    {\"leg\": \"%s\", \"servers\": %d, "
-        "\"controller\": %s, "
-        "\"arrivals\": %zu, \"completed\": %zu, "
-        "\"departed\": %zu, \"shed\": %zu, \"active\": %zu, "
-        "\"degraded\": %zu, \"shed_fraction\": %.4f, "
-        "\"goodput_fraction\": %.4f, "
-        "\"qos_violation_rate\": %.4f, "
-        "\"qos_violation_crowd\": %.4f, "
-        "\"frac_pressured\": %.4f, \"frac_overloaded\": %.4f, "
-        "\"deferred\": %zu, \"brownouts\": %zu, "
-        "\"restores\": %zu, \"autoscale_updates\": %zu, "
-        "\"transitions\": %zu, \"decisions_per_s\": %.1f, "
-        "\"mean_admission_depth\": %.2f, "
-        "\"max_admission_depth\": %zu, "
-        "\"placement_hash\": \"%016llx\", "
-        "\"decision_hash\": \"%016llx\", \"identical\": %s}%s\n",
-        name, servers, controller ? "true" : "false",
-        m.arrivals, m.completed, m.departed, m.shed, m.active,
-        m.degraded, m.shed_fraction, m.goodput_fraction,
-        m.qos_violation_rate, m.qos_violation_crowd,
-        m.frac_pressured, m.frac_overloaded,
-        m.deferred, m.brownouts, m.restores, m.autoscale_updates,
-        m.transitions, m.decisions_per_s, m.mean_admission_depth,
-        m.max_admission_depth, (unsigned long long)m.placement_hash,
-        (unsigned long long)m.decision_hash,
-        identical ? "true" : "false", last ? "" : ",");
+    bench::JsonRow row;
+    row.str("leg", name)
+        .count("servers", uint64_t(servers))
+        .flag("controller", controller);
+    bench::streamColumns(row, m.stream)
+        .num("shed_fraction", m.shedFraction())
+        .num("goodput_fraction", m.goodputFraction())
+        .num("qos_violation_crowd", m.qos_violation_crowd)
+        .num("frac_pressured", m.frac_pressured)
+        .num("frac_overloaded", m.frac_overloaded)
+        .count("deferred", m.deferred)
+        .count("brownouts", m.brownouts)
+        .count("restores", m.restores)
+        .count("autoscale_updates", m.autoscale_updates)
+        .count("transitions", m.transitions)
+        .hash("decision_hash", m.decision_hash)
+        .flag("identical", identical);
+    return row;
 }
 
 int
 runOverloadBench(bool smoke, const std::string &out_path,
                  const std::string &baseline_path,
-                 double max_regression,
                  const std::string &traces_dir)
 {
     const double horizon = 900.0;
@@ -465,54 +331,40 @@ runOverloadBench(bool smoke, const std::string &out_path,
 
     // Replay gate: every controller-on leg at the gate scale must
     // reproduce the on-dirty leg's placement AND decision hashes
-    // across a full re-replay.
+    // across a full re-replay. Accounting gate: no leg leaks
+    // arrivals out of the outcome split.
     const LegMetrics &on = legs[1].m;
     bool replay_ok = true;
-    std::FILE *out = std::fopen(out_path.c_str(), "w");
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-    }
-    std::fprintf(out,
-                 "{\n  \"name\": \"overload\",\n  \"smoke\": %s,\n"
-                 "  \"horizon_s\": %.0f,\n  \"legs\": [\n",
-                 smoke ? "true" : "false", horizon);
-    for (size_t i = 0; i < legs.size(); ++i) {
-        const Leg &leg = legs[i];
+    bool accounted = true;
+    std::vector<bench::JsonRow> rows;
+    for (const Leg &leg : legs) {
         bool identical = true;
         if (leg.controller && leg.servers == gate_servers &&
-            std::strcmp(leg.name, "on-dirty") != 0)
-            identical = leg.m.placement_hash == on.placement_hash &&
+            std::string(leg.name) != "on-dirty")
+            identical = leg.m.stream.placement_hash ==
+                            on.stream.placement_hash &&
                         leg.m.decision_hash == on.decision_hash;
         replay_ok = replay_ok && identical;
+        accounted = bench::checkAccounted(leg.name, leg.m.stream) &&
+                    accounted;
         printLeg(leg.name, leg.m);
         if (!identical)
             std::printf("        ^^ DIVERGED from on-dirty\n");
-        writeLeg(out, leg.name, leg.servers, leg.controller, leg.m,
-                 identical, i + 1 == legs.size());
+        rows.push_back(legRow(leg.name, leg.servers, leg.controller,
+                              leg.m, identical));
     }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", out_path.c_str());
+    bench::JsonRow header;
+    header.str("name", "overload").flag("smoke", smoke).num("horizon_s",
+                                                            horizon, 0);
+    if (!bench::writeReport(out_path, header, {{"legs", rows}}))
+        return 1;
 
-    int rc = 0;
+    int rc = accounted ? 0 : 1;
     if (!replay_ok) {
         std::fprintf(stderr,
                      "FAIL: overload decisions diverged across a "
                      "re-replay\n");
         rc = 1;
-    }
-    for (const Leg &leg : legs) {
-        size_t sum = leg.m.completed + leg.m.departed + leg.m.shed +
-                     leg.m.active;
-        if (sum != leg.m.arrivals) {
-            std::fprintf(stderr,
-                         "FAIL: leg %s leaks arrivals: "
-                         "%zu + %zu + %zu + %zu != %zu\n",
-                         leg.name, leg.m.completed, leg.m.departed,
-                         leg.m.shed, leg.m.active, leg.m.arrivals);
-            rc = 1;
-        }
     }
     const LegMetrics &off = legs[0].m;
     if (!(on.qos_violation_crowd < off.qos_violation_crowd)) {
@@ -525,26 +377,27 @@ runOverloadBench(bool smoke, const std::string &out_path,
         std::printf("qos gate ok: crowd-window violation on %.4f < "
                     "off %.4f (shed %.3f of arrivals for it)\n",
                     on.qos_violation_crowd, off.qos_violation_crowd,
-                    on.shed_fraction);
+                    on.shedFraction());
     }
     if (!baseline_path.empty()) {
-        double base = baselineQos(baseline_path, "on-dirty");
-        if (std::isnan(base)) {
-            std::printf("no usable baseline at %s; skipping the "
-                        "regression gate\n",
-                        baseline_path.c_str());
-        } else if (on.qos_violation_crowd > base + max_regression) {
+        auto row = bench::findRow(baseline_path, {{"leg", "on-dirty"}});
+        auto base = row ? bench::numberField(*row, "qos_violation_crowd")
+                        : std::nullopt;
+        if (!base) {
+            rc = 1;
+        } else if (on.qos_violation_crowd > *base + kMaxQosRegression) {
             std::fprintf(stderr,
                          "FAIL: on-dirty crowd-window qos violation "
                          "%.4f regressed more than %.2f above the "
                          "committed baseline %.4f\n",
-                         on.qos_violation_crowd, max_regression,
-                         base);
+                         on.qos_violation_crowd, kMaxQosRegression,
+                         *base);
             rc = 1;
         } else {
             std::printf("baseline gate ok: %.4f vs committed %.4f "
                         "(+%.2f allowed)\n",
-                        on.qos_violation_crowd, base, max_regression);
+                        on.qos_violation_crowd, *base,
+                        kMaxQosRegression);
         }
     }
     return rc;
@@ -559,7 +412,6 @@ main(int argc, char **argv)
     std::string out_path = "BENCH_overload.json";
     std::string baseline_path;
     std::string traces_dir = "tests/traces";
-    double max_regression = 0.05;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--smoke")
@@ -568,11 +420,8 @@ main(int argc, char **argv)
             out_path = arg.substr(6);
         else if (arg.rfind("--baseline=", 0) == 0)
             baseline_path = arg.substr(11);
-        else if (arg.rfind("--max-regression=", 0) == 0)
-            max_regression = std::atof(arg.c_str() + 17);
         else if (arg.rfind("--traces=", 0) == 0)
             traces_dir = arg.substr(9);
     }
-    return runOverloadBench(smoke, out_path, baseline_path,
-                            max_regression, traces_dir);
+    return runOverloadBench(smoke, out_path, baseline_path, traces_dir);
 }

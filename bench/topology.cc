@@ -31,23 +31,21 @@
  *  - QoS: socket-aware must violate strictly less than topology-blind
  *    on the thrash scenario;
  *  - baseline (with --baseline): the aware thrash leg must stay
- *    within --max-regression (absolute) of the committed
- *    BENCH_topology.json's qos_violation_rate.
+ *    within kMaxQosRegression (absolute) of the committed
+ *    BENCH_topology.json's qos_violation_rate. A missing or
+ *    unreadable baseline row fails the gate.
  *
  * `--smoke` is the CI variant: the thrash scenario only. The full run
  * adds the bandwidth scenario legs.
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/common.hh"
-#include "core/manager.hh"
-#include "driver/scenario.hh"
+#include "bench/report.hh"
 
 using namespace quasar;
 
@@ -55,6 +53,9 @@ namespace
 {
 
 constexpr double kHorizon = 600.0;
+/** The aware thrash leg's violation rate may rise at most this much
+ *  (absolute) above its committed row. */
+constexpr double kMaxQosRegression = 0.05;
 
 /** Cluster of the 2-socket preset (16 cores, 8 per socket). */
 sim::Cluster
@@ -91,27 +92,6 @@ struct LegMetrics
     int be_cores_final = 0;
     uint64_t placement_hash = 0;
 };
-
-/** Fold the cluster's full allocation state into a running FNV-1a. */
-void
-hashClusterState(const sim::Cluster &cluster, uint64_t &h)
-{
-    auto fold = [&h](uint64_t v) {
-        h ^= v;
-        h *= 0x100000001B3ULL;
-    };
-    for (size_t s = 0; s < cluster.size(); ++s) {
-        const sim::Server &srv = cluster.server(ServerId(s));
-        fold(uint64_t(s) << 32 | uint64_t(srv.coresAllocated()));
-        for (const sim::TaskShare &t : srv.tasks()) {
-            // Socket folded into the high bits of the workload
-            // word: ids stay far below 2^48, and socket 0 leaves the
-            // pre-topology hash untouched (flat bit-identity).
-            fold(uint64_t(t.workload) | uint64_t(t.socket) << 48);
-            fold(uint64_t(t.cores));
-        }
-    }
-}
 
 LegMetrics
 runThrashLeg(int servers, bool aware)
@@ -178,11 +158,12 @@ runThrashLeg(int servers, bool aware)
 
     LegMetrics m;
     m.services = services.size();
-    uint64_t hash = 0xCBF29CE484222325ULL;
+    uint64_t hash = bench::kFnvBasis;
     double frac_sum = 0.0;
     size_t frac_n = 0;
     drv.setTickHook([&](double) {
-        hashClusterState(cluster, hash);
+        bench::foldPlacements(cluster, bench::FoldWord::CoresAllocated,
+                              hash);
         int lc_cores = 0, lc_socket0 = 0, be_cores = 0;
         for (size_t s = 0; s < cluster.size(); ++s) {
             for (const sim::TaskShare &t :
@@ -292,11 +273,12 @@ runBandwidthLeg(int servers, bool aware)
 
     LegMetrics m;
     m.services = services.size();
-    uint64_t hash = 0xCBF29CE484222325ULL;
+    uint64_t hash = bench::kFnvBasis;
     double frac_sum = 0.0;
     size_t frac_n = 0;
     drv.setTickHook([&](double) {
-        hashClusterState(cluster, hash);
+        bench::foldPlacements(cluster, bench::FoldWord::CoresAllocated,
+                              hash);
         int lc_cores = 0, lc_socket0 = 0;
         for (size_t s = 0; s < cluster.size(); ++s) {
             for (const sim::TaskShare &t :
@@ -335,31 +317,6 @@ runBandwidthLeg(int servers, bool aware)
     return m;
 }
 
-/** qos_violation_rate of the named leg in a committed baseline. */
-double
-baselineQos(const std::string &path, const char *leg)
-{
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        return std::nan("");
-    char line[2048];
-    char want[64];
-    std::snprintf(want, sizeof(want), "\"leg\": \"%s\"", leg);
-    double qos = std::nan("");
-    while (std::fgets(line, sizeof(line), f)) {
-        if (!std::strstr(line, want))
-            continue;
-        const char *key =
-            std::strstr(line, "\"qos_violation_rate\":");
-        if (key)
-            qos = std::atof(key +
-                            std::strlen("\"qos_violation_rate\":"));
-        break;
-    }
-    std::fclose(f);
-    return qos;
-}
-
 void
 printLeg(const char *name, const LegMetrics &m)
 {
@@ -372,8 +329,7 @@ printLeg(const char *name, const LegMetrics &m)
 
 int
 runTopologyBench(bool smoke, const std::string &out_path,
-                 const std::string &baseline_path,
-                 double max_regression)
+                 const std::string &baseline_path)
 {
     const int servers = 8;
 
@@ -403,7 +359,7 @@ runTopologyBench(bool smoke, const std::string &out_path,
     for (Leg &leg : legs) {
         std::printf("  running %s...\n", leg.name);
         std::fflush(stdout);
-        leg.m = std::strcmp(leg.scenario, "thrash") == 0
+        leg.m = std::string(leg.scenario) == "thrash"
                     ? runThrashLeg(servers, leg.aware)
                     : runBandwidthLeg(servers, leg.aware);
     }
@@ -412,45 +368,35 @@ runTopologyBench(bool smoke, const std::string &out_path,
     // bit-identically across a full re-run.
     const LegMetrics &aware = legs[0].m;
     bool replay_ok = true;
-    std::FILE *out = std::fopen(out_path.c_str(), "w");
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-    }
-    std::fprintf(out,
-                 "{\n  \"name\": \"topology\",\n  \"smoke\": %s,\n"
-                 "  \"servers\": %d,\n  \"horizon_s\": %.0f,\n"
-                 "  \"legs\": [\n",
-                 smoke ? "true" : "false", servers, kHorizon);
-    for (size_t i = 0; i < legs.size(); ++i) {
-        const Leg &leg = legs[i];
+    std::vector<bench::JsonRow> rows;
+    for (const Leg &leg : legs) {
         bool identical = true;
-        if (leg.aware && std::strcmp(leg.scenario, "thrash") == 0 &&
-            std::strcmp(leg.name, "thrash-aware") != 0)
+        if (std::string(leg.name) == "thrash-aware-replay")
             identical = leg.m.placement_hash == aware.placement_hash;
         replay_ok = replay_ok && identical;
         printLeg(leg.name, leg.m);
         if (!identical)
             std::printf("        ^^ DIVERGED from thrash-aware\n");
-        std::fprintf(
-            out,
-            "    {\"leg\": \"%s\", \"scenario\": \"%s\", "
-            "\"servers\": %d, \"aware\": %s, "
-            "\"services\": %zu, \"qos_violation_rate\": %.4f, "
-            "\"lc_socket0_core_frac\": %.4f, \"be_completed\": %zu, "
-            "\"placement_hash\": \"%016llx\", "
-            "\"identical\": %s}%s\n",
-            leg.name, leg.scenario, servers,
-            leg.aware ? "true" : "false", leg.m.services,
-            leg.m.qos_violation_rate, leg.m.lc_socket0_core_frac,
-            leg.m.be_completed,
-            (unsigned long long)leg.m.placement_hash,
-            identical ? "true" : "false",
-            i + 1 == legs.size() ? "" : ",");
+        bench::JsonRow row;
+        row.str("leg", leg.name)
+            .str("scenario", leg.scenario)
+            .count("servers", uint64_t(servers))
+            .flag("aware", leg.aware)
+            .count("services", leg.m.services)
+            .num("qos_violation_rate", leg.m.qos_violation_rate)
+            .num("lc_socket0_core_frac", leg.m.lc_socket0_core_frac)
+            .count("be_completed", leg.m.be_completed)
+            .hash("placement_hash", leg.m.placement_hash)
+            .flag("identical", identical);
+        rows.push_back(row);
     }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", out_path.c_str());
+    bench::JsonRow header;
+    header.str("name", "topology")
+        .flag("smoke", smoke)
+        .count("servers", uint64_t(servers))
+        .num("horizon_s", kHorizon, 0);
+    if (!bench::writeReport(out_path, header, {{"legs", rows}}))
+        return 1;
 
     int rc = 0;
     if (!replay_ok) {
@@ -475,24 +421,25 @@ runTopologyBench(bool smoke, const std::string &out_path,
             aware.lc_socket0_core_frac, blind.lc_socket0_core_frac);
     }
     if (!baseline_path.empty()) {
-        double base = baselineQos(baseline_path, "thrash-aware");
-        if (std::isnan(base)) {
-            std::printf("no usable baseline at %s; skipping the "
-                        "regression gate\n",
-                        baseline_path.c_str());
-        } else if (aware.qos_violation_rate > base + max_regression) {
+        auto row =
+            bench::findRow(baseline_path, {{"leg", "thrash-aware"}});
+        auto base = row ? bench::numberField(*row, "qos_violation_rate")
+                        : std::nullopt;
+        if (!base) {
+            rc = 1;
+        } else if (aware.qos_violation_rate > *base + kMaxQosRegression) {
             std::fprintf(stderr,
                          "FAIL: thrash-aware qos violation %.4f "
                          "regressed more than %.2f above the "
                          "committed baseline %.4f\n",
-                         aware.qos_violation_rate, max_regression,
-                         base);
+                         aware.qos_violation_rate, kMaxQosRegression,
+                         *base);
             rc = 1;
         } else {
             std::printf("baseline gate ok: %.4f vs committed %.4f "
                         "(+%.2f allowed)\n",
-                        aware.qos_violation_rate, base,
-                        max_regression);
+                        aware.qos_violation_rate, *base,
+                        kMaxQosRegression);
         }
     }
     return rc;
@@ -506,7 +453,6 @@ main(int argc, char **argv)
     bool smoke = false;
     std::string out_path = "BENCH_topology.json";
     std::string baseline_path;
-    double max_regression = 0.05;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--smoke")
@@ -515,9 +461,6 @@ main(int argc, char **argv)
             out_path = arg.substr(6);
         else if (arg.rfind("--baseline=", 0) == 0)
             baseline_path = arg.substr(11);
-        else if (arg.rfind("--max-regression=", 0) == 0)
-            max_regression = std::atof(arg.c_str() + 17);
     }
-    return runTopologyBench(smoke, out_path, baseline_path,
-                            max_regression);
+    return runTopologyBench(smoke, out_path, baseline_path);
 }

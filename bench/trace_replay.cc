@@ -14,9 +14,13 @@
  *      must produce the identical placement hash (FNV-1a fold of the
  *      full allocation state every tick).
  *
- * Reports decisions/s, admission depth, QoS-violation rate, the
- * placement hash, and the wall-clock breakdown per (fixture, run),
- * to BENCH_trace_replay.json. The full run adds a synthesizer leg:
+ *   3. Accounting: completed + departed + shed + active == arrivals
+ *      in every run (no arrival leaks out of the outcome split).
+ *
+ * Writes bench::runStream's report per (fixture, run) to
+ * BENCH_trace_replay.json: placements per wall second, the outcome
+ * split, admission depth, QoS-violation rate, the placement hash and
+ * the wall-clock breakdown. The full run adds a synthesizer leg:
  * a ChurnConfig fitted to the mapped Google fixture driving a
  * 2000-server stream — the "small fixture, big cluster" path.
  *
@@ -31,16 +35,12 @@
  * of real data. Gate 2 (re-replay stability) still applies.
  */
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench/common.hh"
-#include "churn/churn.hh"
-#include "core/manager.hh"
-#include "driver/scenario.hh"
+#include "bench/report.hh"
 #include "trace/azure.hh"
 #include "trace/google.hh"
 #include "trace/mapper.hh"
@@ -52,181 +52,14 @@ using namespace quasar;
 namespace
 {
 
-/** The paper's testbeds, scaled up by replicating the EC2 mix. */
-sim::Cluster
-clusterOfSize(int servers)
+/** One replay (or synth) run of `source`'s plan. */
+template <typename PlanSource>
+bench::StreamReport
+runSource(int servers, double horizon_s, PlanSource &source)
 {
-    if (servers == 40)
-        return sim::Cluster::localCluster();
-    if (servers == 200)
-        return sim::Cluster::ec2Cluster();
-    auto catalog = sim::ec2Platforms();
-    std::vector<int> counts = {6, 6, 8, 14, 6, 8, 16, 30,
-                               8, 30, 8, 16, 30, 14};
-    for (int &c : counts)
-        c *= servers / 200;
-    return sim::Cluster(catalog, counts);
-}
-
-struct ModeMetrics
-{
-    double decisions_per_s = 0.0;
-    uint64_t schedule_calls = 0;
-    /** Retries the failure memo proved futile (no scheduler call). */
-    size_t retries_skipped = 0;
-    /** Successful placements (QuasarStats::scheduled). */
-    size_t placements_ok = 0;
-    /** The greedy walk's candidate accounting. */
-    core::WalkCounts walk;
-    /** Failure-memo proof attempts: count and mean, milliseconds. */
-    uint64_t proofs = 0;
-    double proof_ms = 0.0;
-    double mean_admission_depth = 0.0;
-    size_t max_admission_depth = 0;
-    double qos_violation_rate = 0.0;
-    uint64_t placement_hash = 0;
-    size_t arrivals = 0;
-    /** Split QoS-outcome accounting (driver::outcomeOf): departed =
-     *  churn departures/cancellations, shed = overload-control drops,
-     *  degraded = completed-or-departed after a brownout episode. */
-    size_t completed = 0;
-    size_t departed = 0;
-    size_t shed = 0;
-    size_t degraded = 0;
-    /** Wall-clock means, milliseconds. */
-    double classify_ms = 0.0;
-    double profile_ms = 0.0;
-    double schedule_ms = 0.0;
-    double adapt_ms = 0.0;
-    double rank_ms = 0.0;
-    double place_ms = 0.0;
-    double tick_ms = 0.0;
-};
-
-/** Fold the cluster's full allocation state into a running FNV-1a. */
-void
-hashClusterState(const sim::Cluster &cluster, uint64_t &h)
-{
-    auto fold = [&h](uint64_t v) {
-        h ^= v;
-        h *= 0x100000001B3ULL;
-    };
-    for (size_t s = 0; s < cluster.size(); ++s) {
-        const sim::Server &srv = cluster.server(ServerId(s));
-        fold(uint64_t(s) << 32 | uint64_t(srv.available()));
-        for (const sim::TaskShare &t : srv.tasks()) {
-            // Socket folded into the high bits of the workload
-            // word: ids stay far below 2^48, and socket 0 leaves the
-            // pre-topology hash untouched (flat bit-identity).
-            fold(uint64_t(t.workload) | uint64_t(t.socket) << 48);
-            fold(uint64_t(t.cores));
-        }
-    }
-}
-
-/** One replay (or synth) run. */
-ModeMetrics
-runStream(int servers, double horizon_s,
-          const trace::MappedTrace *mapped,
-          const churn::ChurnConfig *synth_cfg)
-{
-    sim::Cluster cluster = clusterOfSize(servers);
-    workload::WorkloadRegistry registry;
-
-    core::QuasarConfig qcfg;
-    qcfg.proactive_interval_s = horizon_s / 3.0;
-    core::QuasarManager mgr(cluster, registry, qcfg);
-    workload::WorkloadFactory seeder{stats::Rng(4242)};
-    mgr.seedOffline(seeder, 16);
-
-    driver::ScenarioDriver drv(
-        cluster, registry, mgr,
-        driver::DriverConfig{.tick_s = 15.0, .record_every = 2});
-
-    // Exactly one stream source: a mapped trace or a fitted config.
-    trace::TraceReplayer replayer(mapped ? *mapped
-                                         : trace::MappedTrace{});
-    churn::ChurnEngine synth(synth_cfg ? *synth_cfg
-                                       : churn::ChurnConfig{});
-    const std::vector<churn::ChurnItem> *plan = nullptr;
-    if (mapped) {
-        replayer.install(cluster, registry, drv);
-        plan = &replayer.plan();
-    } else {
-        synth.install(cluster, registry, drv);
-        plan = &synth.plan();
-    }
-
-    ModeMetrics m;
-    double depth_sum = 0.0;
-    size_t depth_n = 0;
-    uint64_t hash = 0xCBF29CE484222325ULL;
-    drv.setTickHook([&](double) {
-        size_t d = mgr.admission().size();
-        depth_sum += double(d);
-        ++depth_n;
-        m.max_admission_depth = std::max(m.max_admission_depth, d);
-        hashClusterState(cluster, hash);
-    });
-
-    drv.run(horizon_s);
-
-    const core::QuasarStats &st = mgr.stats();
-    m.schedule_calls = st.schedule_time.count;
-    m.retries_skipped = st.retries_skipped;
-    m.placements_ok = st.scheduled;
-    m.walk = mgr.scheduler().walkCounts();
-    m.proofs = st.retry_proof_time.count;
-    m.proof_ms = st.retry_proof_time.meanSeconds() * 1e3;
-    m.decisions_per_s = st.schedule_time.total_s > 0.0
-                            ? double(st.schedule_time.count) /
-                                  st.schedule_time.total_s
-                            : 0.0;
-    m.mean_admission_depth =
-        depth_n ? depth_sum / double(depth_n) : 0.0;
-    m.placement_hash = hash;
-    m.arrivals = plan->size();
-
-    double qos_sum = 0.0;
-    size_t qos_n = 0;
-    for (const churn::ChurnItem &item : *plan) {
-        if (item.cls != churn::ChurnClass::Service)
-            continue;
-        const driver::ServiceTrace *trace = drv.serviceTrace(item.id);
-        if (!trace || trace->qos_fraction.size() == 0)
-            continue;
-        qos_sum += trace->qos_fraction.mean();
-        ++qos_n;
-    }
-    m.qos_violation_rate = qos_n ? 1.0 - qos_sum / double(qos_n) : 0.0;
-
-    for (const churn::ChurnItem &item : *plan) {
-        const workload::Workload &w = registry.get(item.id);
-        switch (driver::outcomeOf(w)) {
-        case driver::WorkloadOutcome::Completed:
-            ++m.completed;
-            break;
-        case driver::WorkloadOutcome::Departed:
-            ++m.departed;
-            break;
-        case driver::WorkloadOutcome::Shed:
-            ++m.shed;
-            break;
-        case driver::WorkloadOutcome::Active:
-            break;
-        }
-        if (w.brownout_ever)
-            ++m.degraded;
-    }
-
-    m.classify_ms = st.classify_time.meanSeconds() * 1e3;
-    m.profile_ms = st.profile_time.meanSeconds() * 1e3;
-    m.schedule_ms = st.schedule_time.meanSeconds() * 1e3;
-    m.adapt_ms = st.adapt_time.meanSeconds() * 1e3;
-    m.rank_ms = mgr.scheduler().timing().rank.meanSeconds() * 1e3;
-    m.place_ms = mgr.scheduler().timing().place.meanSeconds() * 1e3;
-    m.tick_ms = drv.tickTiming().meanSeconds() * 1e3;
-    return m;
+    return bench::runStream(bench::clusterOfSize(servers), source,
+                            bench::streamConfig(horizon_s), horizon_s,
+                            bench::FoldWord::Available);
 }
 
 struct Fixture
@@ -311,115 +144,45 @@ runTraceReplayBench(bool smoke, const std::string &out_path,
             fx.mapped.population_scale, fx.mapped.time_scale);
     }
 
-    std::FILE *out = std::fopen(out_path.c_str(), "w");
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-    }
-    std::fprintf(out,
-                 "{\n  \"name\": \"trace_replay\",\n"
-                 "  \"smoke\": %s,\n  \"servers\": %d,\n"
-                 "  \"horizon_s\": %.0f,\n  \"fixtures\": [\n",
-                 smoke ? "true" : "false", servers, horizon);
-    for (size_t i = 0; i < 2; ++i) {
-        const Fixture &fx = fixtures[i];
-        std::fprintf(
-            out,
-            "    {\"name\": \"%s\", \"rows_total\": %zu, "
-            "\"rows_ok\": %zu, \"rows_ignored\": %zu, "
-            "\"rows_rejected\": %zu, \"events\": %zu, "
-            "\"mapped_instances\": %zu, \"population_scale\": %.4f, "
-            "\"time_scale\": %.6f}%s\n",
-            fx.name, fx.stream.rows_total, fx.stream.rows_ok,
-            fx.stream.rows_ignored, fx.stream.rows_rejected,
-            fx.stream.events.size(), fx.mapped.items.size(),
-            fx.mapped.population_scale, fx.mapped.time_scale,
-            i == 0 ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"runs\": [\n");
-
-    struct Run
-    {
-        const Fixture *fx;
-        bool replay_check; ///< second run: stability gate.
-    };
-    std::vector<Run> runs;
+    std::vector<bench::JsonRow> fixture_rows;
     for (const Fixture &fx : fixtures) {
-        runs.push_back({&fx, false});
-        runs.push_back({&fx, true});
+        bench::JsonRow row;
+        row.str("name", fx.name)
+            .count("rows_total", fx.stream.rows_total)
+            .count("rows_ok", fx.stream.rows_ok)
+            .count("rows_ignored", fx.stream.rows_ignored)
+            .count("rows_rejected", fx.stream.rows_rejected)
+            .count("events", fx.stream.events.size())
+            .count("mapped_instances", fx.mapped.items.size())
+            .num("population_scale", fx.mapped.population_scale)
+            .num("time_scale", fx.mapped.time_scale, 6);
+        fixture_rows.push_back(row);
     }
 
-    bool all_stable = true;
-    std::vector<std::pair<const Fixture *, uint64_t>> dirty_hashes;
-    bool wrote_run = false;
-    for (const Run &r : runs) {
-        ModeMetrics m =
-            runStream(servers, horizon, &r.fx->mapped, nullptr);
-        bool identical = true;
-        if (!r.replay_check) {
-            dirty_hashes.emplace_back(r.fx, m.placement_hash);
-        } else {
-            for (const auto &[fx, h] : dirty_hashes)
-                if (fx == r.fx)
-                    identical = m.placement_hash == h;
-            all_stable = all_stable && identical;
-        }
-        const char *label = r.replay_check ? "re-replay" : "dirty";
-        std::printf(
-            "  %-6s %-11s: %8.0f decisions/s  (%llu calls)  "
-            "depth %.1f/%zu  qos-viol %.3f  done %zu, departed %zu, "
-            "shed %zu, degraded %zu  %s\n",
-            r.fx->name, label, m.decisions_per_s,
-            (unsigned long long)m.schedule_calls,
-            m.mean_admission_depth, m.max_admission_depth,
-            m.qos_violation_rate, m.completed, m.departed, m.shed,
-            m.degraded, identical ? "identical" : "DIVERGED");
-        std::printf(
-            "         breakdown ms: classify %.3f (profile %.3f)  "
-            "schedule %.4f (rank %.4f place %.4f)  adapt %.4f  "
-            "tick %.3f\n",
-            m.classify_ms, m.profile_ms, m.schedule_ms, m.rank_ms,
-            m.place_ms, m.adapt_ms, m.tick_ms);
-        std::printf(
-            "         admission: %zu placed, %zu of %llu memo proofs "
-            "skipped a retry (%.4f ms each); walk: %llu candidates -> "
-            "%llu nodes (unfit %llu, intolerant %llu, evict %llu, cost "
-            "%llu, hosted %llu)\n",
-            m.placements_ok, m.retries_skipped,
-            (unsigned long long)m.proofs, m.proof_ms,
-            (unsigned long long)m.walk.candidates,
-            (unsigned long long)m.walk.nodes,
-            (unsigned long long)m.walk[core::NodeReject::Unfit],
-            (unsigned long long)m.walk[core::NodeReject::Intolerant],
-            (unsigned long long)m.walk[core::NodeReject::Evict],
-            (unsigned long long)m.walk[core::NodeReject::Cost],
-            (unsigned long long)m.walk[core::NodeReject::Hosted]);
-        std::fprintf(
-            out,
-            "%s    {\"fixture\": \"%s\", \"mode\": \"%s\", "
-            "\"arrivals\": %zu, \"decisions_per_s\": %.1f, "
-            "\"schedule_calls\": %llu, \"retries_skipped\": %zu, "
-            "\"placements_ok\": %zu, "
-            "\"mean_admission_depth\": %.2f, "
-            "\"max_admission_depth\": %zu, "
-            "\"qos_violation_rate\": %.4f, "
-            "\"completed\": %zu, \"departed\": %zu, \"shed\": %zu, "
-            "\"degraded\": %zu, "
-            "\"placement_hash\": \"%016llx\", \"identical\": %s, "
-            "\"classify_ms\": %.4f, \"profile_ms\": %.4f, "
-            "\"schedule_ms\": %.5f, \"adapt_ms\": %.5f, "
-            "\"rank_ms\": %.5f, \"place_ms\": %.5f, "
-            "\"tick_ms\": %.4f}",
-            wrote_run ? ",\n" : "", r.fx->name, label, m.arrivals,
-            m.decisions_per_s, (unsigned long long)m.schedule_calls,
-            m.retries_skipped, m.placements_ok, m.mean_admission_depth, m.max_admission_depth,
-            m.qos_violation_rate, m.completed, m.departed, m.shed,
-            m.degraded,
-            (unsigned long long)m.placement_hash,
-            identical ? "true" : "false", m.classify_ms, m.profile_ms,
-            m.schedule_ms, m.adapt_ms, m.rank_ms, m.place_ms,
-            m.tick_ms);
-        wrote_run = true;
+    bool ok = true;
+    std::vector<bench::JsonRow> rows;
+    auto report = [&](const char *fixture, const char *mode,
+                      const bench::StreamReport &r, bool identical) {
+        const std::string label = std::string(fixture) + " " + mode;
+        bench::printStream(label, r);
+        if (!identical)
+            std::printf("        ^^ DIVERGED from dirty\n");
+        ok = bench::checkAccounted(label, r) && identical && ok;
+        bench::JsonRow row;
+        row.str("fixture", fixture).str("mode", mode);
+        bench::streamColumns(row, r).flag("identical", identical);
+        rows.push_back(row);
+    };
+    // Each fixture replays twice: the second run is the stability
+    // gate against the first.
+    for (const Fixture &fx : fixtures) {
+        trace::TraceReplayer first_src(fx.mapped);
+        bench::StreamReport first = runSource(servers, horizon, first_src);
+        report(fx.name, "dirty", first, true);
+        trace::TraceReplayer again_src(fx.mapped);
+        bench::StreamReport again = runSource(servers, horizon, again_src);
+        report(fx.name, "re-replay", again,
+               again.placement_hash == first.placement_hash);
     }
 
     // Synthesizer leg (full run only): fit the generator to the
@@ -441,45 +204,24 @@ runTraceReplayBench(bool smoke, const std::string &out_path,
                     fit.config.mix.analytics, fit.config.mix.service,
                     fit.config.mix.best_effort,
                     fit.config.phase_change_fraction);
-        ModeMetrics m = runStream(2000, horizon, nullptr, &fit.config);
-        std::printf(
-            "  synth  2000 dirty  : %8.0f decisions/s  (%llu calls) "
-            " depth %.1f/%zu  qos-viol %.3f  tick %.3f ms\n",
-            m.decisions_per_s, (unsigned long long)m.schedule_calls,
-            m.mean_admission_depth, m.max_admission_depth,
-            m.qos_violation_rate, m.tick_ms);
-        std::fprintf(
-            out,
-            ",\n    {\"fixture\": \"google\", \"mode\": "
-            "\"synth_2000_dirty\", \"arrivals\": %zu, "
-            "\"decisions_per_s\": %.1f, \"schedule_calls\": %llu, "
-            "\"mean_admission_depth\": %.2f, "
-            "\"max_admission_depth\": %zu, "
-            "\"qos_violation_rate\": %.4f, "
-            "\"completed\": %zu, \"departed\": %zu, \"shed\": %zu, "
-            "\"degraded\": %zu, "
-            "\"placement_hash\": \"%016llx\", \"identical\": true, "
-            "\"classify_ms\": %.4f, \"profile_ms\": %.4f, "
-            "\"schedule_ms\": %.5f, \"adapt_ms\": %.5f, "
-            "\"rank_ms\": %.5f, \"place_ms\": %.5f, "
-            "\"tick_ms\": %.4f}",
-            m.arrivals, m.decisions_per_s,
-            (unsigned long long)m.schedule_calls,
-            m.mean_admission_depth, m.max_admission_depth,
-            m.qos_violation_rate, m.completed, m.departed, m.shed,
-            m.degraded,
-            (unsigned long long)m.placement_hash, m.classify_ms,
-            m.profile_ms, m.schedule_ms, m.adapt_ms, m.rank_ms,
-            m.place_ms, m.tick_ms);
+        churn::ChurnEngine synth(fit.config);
+        report("google", "synth_2000_dirty",
+               runSource(2000, horizon, synth), true);
     }
 
-    std::fprintf(out, "\n  ]\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", out_path.c_str());
+    bench::JsonRow header;
+    header.str("name", "trace_replay")
+        .flag("smoke", smoke)
+        .count("servers", uint64_t(servers))
+        .num("horizon_s", horizon, 0);
+    if (!bench::writeReport(out_path, header,
+                            {{"fixtures", fixture_rows}, {"runs", rows}}))
+        return 1;
 
-    if (!all_stable) {
+    if (!ok) {
         std::fprintf(stderr, "FAIL: re-replaying the same mapped "
-                             "trace changed placements\n");
+                             "trace changed placements, or a run "
+                             "leaked arrivals\n");
         return 1;
     }
     return 0;

@@ -9,48 +9,46 @@
 #      all three (the analyzer runs its fixture self-test); any
 #      sanitizer report fails the script. The library starts no
 #      threads, so there is no TSan stage.
-#   3. Build Release and run the decision-path benchmark: proves the
-#      incremental scheduler picks identical placements to the
-#      full-rescan path and fails if the 200-server schedule-call
-#      mean regresses more than 25% against the committed
-#      BENCH_decision_path.json baseline. The fresh numbers go to
-#      build-release/decision_path.json; copy them over the baseline
-#      by hand when an improvement should be committed.
-#   4. Run the churn-stream smoke (Release): a seeded open-loop
+#   3. Run the churn-stream smoke (Release): a seeded open-loop
 #      arrival/departure/fault stream through the dirty-set decision
 #      path — a 1000-server leg, its dirty-rerun referee, and a
 #      10000-server leg. Fails if the rerun's placement hash differs
-#      from the first run's, if a dirty leg's decisions/sec drops
-#      more than 25% below the committed BENCH_churn.json baseline,
-#      or if its placement hash diverges from the committed one (the
-#      stream is seeded and the decision path deterministic, so the
-#      hash must reproduce on any host; refresh the file with
-#      `bench/churn` — no --smoke — when a change is intentional).
-#   5. Run the trace-replay smoke (Release): both checked-in trace
+#      from the first run's, if a leg's completed + departed + shed +
+#      active does not equal its arrivals, if a dirty leg's successful
+#      placements per drv.run wall second drop more than 25% below
+#      the committed BENCH_churn.json row, or if its placement hash
+#      diverges from the committed one (the stream is seeded and the
+#      decision path deterministic, so the hash must reproduce on any
+#      host; refresh the file with `bench/churn` — no --smoke — when a
+#      change is intentional).
+#   4. Run the trace-replay smoke (Release): both checked-in trace
 #      fixtures (Google task-events, Azure vmtable) parsed, mapped,
 #      and replayed twice. Fails on an unstable re-replay (placement
-#      hash divergence), or if either parser's
-#      diagnostic counts drift from the fixtures' known malformed-row
-#      counts (9 google / 7 azure — see tools/gen_trace_fixtures.py).
-#   6. Run the overload-control smoke (Release): diurnal + flash-
+#      hash divergence), on a run that leaks arrivals out of the
+#      outcome split, or if either parser's diagnostic counts drift
+#      from the fixtures' known malformed-row counts (9 google /
+#      7 azure — see tools/gen_trace_fixtures.py).
+#   5. Run the overload-control smoke (Release): diurnal + flash-
 #      crowd traffic at 200 servers, controller off vs on. Fails if
 #      the controller's shedding/scaling decisions diverge across a
-#      re-replay (placement AND decision hashes), if any leg's completed + departed + shed + active
-#      does not equal its arrivals, if controller-on does not beat
-#      controller-off on the crowd-window QoS-violation rate, or if
-#      that rate regresses more than 0.05 (absolute) above the
-#      committed BENCH_overload.json (refresh with `bench/overload`
-#      — no --smoke — when a shift is intentional).
-#   7. Run the topology smoke (Release): the cache-thrashed-socket
+#      re-replay (placement AND decision hashes), if any leg's
+#      completed + departed + shed + active does not equal its
+#      arrivals, if controller-on does not beat controller-off on the
+#      crowd-window QoS-violation rate, or if that rate regresses
+#      more than 0.05 (absolute) above the committed
+#      BENCH_overload.json (refresh with `bench/overload` — no
+#      --smoke — when a shift is intentional).
+#   6. Run the topology smoke (Release): the cache-thrashed-socket
 #      scenario on 2-socket machines, socket-aware vs topology-blind
 #      homing (DESIGN.md §13). Fails if the aware leg's placement
 #      hash is not reproduced bit-identically by the replay leg, if
-#      socket-aware does not beat topology-blind on
-#      the services' QoS-violation rate, or if that rate regresses
-#      more than 0.05 (absolute) above the committed
-#      BENCH_topology.json (refresh with `bench/topology --smoke`
-#      when a shift is intentional).
-#   8. Static analysis + verification soak:
+#      socket-aware does not beat topology-blind on the services'
+#      QoS-violation rate, or if that rate regresses more than 0.05
+#      (absolute) above the committed BENCH_topology.json (refresh
+#      with `bench/topology --smoke` when a shift is intentional).
+#      Stages 3-6 read their committed baselines with
+#      bench/report.hh's reader: a missing row fails, never skips.
+#   7. Static analysis + verification soak:
 #      a. tools/quasar-lint (the structure-aware analyzer: token
 #         rules plus mutation-journaling, decision-purity and
 #         layering/include-cycle — see DESIGN.md §10) over src/
@@ -72,7 +70,7 @@
 #         every listed mutator provably trips the index audit when
 #         unjournaled, every PerfOracle memo hit is recomputed and
 #         compared bitwise, and any warning is an error.
-#   9. Fail if the run modified any tracked file: every stage writes
+#   8. Fail if the run modified any tracked file: every stage writes
 #      its outputs under build trees, so the checkout stays clean.
 #
 # Usage: ci/check.sh [jobs]   (defaults to nproc)
@@ -103,26 +101,11 @@ cmake --build build-asan -j "$JOBS" \
 ./build-asan/tools/quasar_lint --self-test \
     --fixture=tools/quasar-lint/fixture
 
-echo "== decision-path: Release bench + regression gate =="
+echo "== churn smoke: re-replay referee, placements/s + hash gates (1k + 10k) =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build-release -j "$JOBS" --target micro_overheads
-BASELINE_ARGS=()
-if [ -f BENCH_decision_path.json ]; then
-    BASELINE_ARGS=(--baseline=BENCH_decision_path.json
-                   --max-regression=0.25)
-fi
-./build-release/bench/micro_overheads --decision-path \
-    --out=build-release/decision_path.json "${BASELINE_ARGS[@]}"
-
-echo "== churn smoke: re-replay referee, throughput/hash gates (1k + 10k) =="
 cmake --build build-release -j "$JOBS" --target churn
-CHURN_BASELINE_ARGS=()
-if [ -f BENCH_churn.json ]; then
-    CHURN_BASELINE_ARGS=(--baseline=BENCH_churn.json
-                         --max-regression=0.25)
-fi
 ./build-release/bench/churn --smoke --out=build-release/churn_smoke.json \
-    "${CHURN_BASELINE_ARGS[@]}"
+    --baseline=BENCH_churn.json
 
 echo "== trace-replay smoke: fixture ingest + re-replay stability =="
 cmake --build build-release -j "$JOBS" --target trace_replay
@@ -131,25 +114,13 @@ cmake --build build-release -j "$JOBS" --target trace_replay
 
 echo "== overload smoke: controller replay + QoS gates =="
 cmake --build build-release -j "$JOBS" --target overload
-OVERLOAD_BASELINE_ARGS=()
-if [ -f BENCH_overload.json ]; then
-    OVERLOAD_BASELINE_ARGS=(--baseline=BENCH_overload.json
-                            --max-regression=0.05)
-fi
 ./build-release/bench/overload --smoke \
-    --out=build-release/overload_smoke.json \
-    "${OVERLOAD_BASELINE_ARGS[@]}"
+    --out=build-release/overload_smoke.json --baseline=BENCH_overload.json
 
 echo "== topology smoke: socket-aware QoS + replay-hash gates =="
 cmake --build build-release -j "$JOBS" --target topology
-TOPOLOGY_BASELINE_ARGS=()
-if [ -f BENCH_topology.json ]; then
-    TOPOLOGY_BASELINE_ARGS=(--baseline=BENCH_topology.json
-                            --max-regression=0.05)
-fi
 ./build-release/bench/topology --smoke \
-    --out=build-release/topology_smoke.json \
-    "${TOPOLOGY_BASELINE_ARGS[@]}"
+    --out=build-release/topology_smoke.json --baseline=BENCH_topology.json
 
 echo "== lint: structure-aware analyzer vs committed baseline =="
 cmake --build build -j "$JOBS" --target quasar_lint lint_analyzer_tests

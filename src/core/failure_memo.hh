@@ -16,10 +16,10 @@
  *    failure are bitwise unchanged and still reject; if every noted
  *    server rejects too, the retry fails again.
  *  - A single-node allocation too weak to admit (best-effort below
- *    admit_fraction): the allocation is the best-ranked server that
- *    admits. If that server (the anchor) was not noted, and no noted
- *    server admits, the walk lands on the same anchor with the same
- *    pick and fails again.
+ *    the manager's kAdmitFraction of its requirement): the allocation
+ *    is the best-ranked server that admits. If that server (the
+ *    anchor) was not noted, and no noted server admits, the walk
+ *    lands on the same anchor with the same pick and fails again.
  *
  * Everything else the decision reads must be unchanged too. The owner
  * forgets a record whenever the workload's estimate changes, and the

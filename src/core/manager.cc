@@ -19,6 +19,46 @@ using workload::TargetKind;
 using workload::Workload;
 using workload::WorkloadType;
 
+namespace
+{
+
+/** Share of active workloads sampled per proactive pass (Sec. 4.1). */
+constexpr double kProactiveFraction = 0.2;
+/** Feedback when |measured/predicted - 1| exceeds this. */
+constexpr double kFeedbackDeviation = 0.15;
+/** Reclassify+reschedule after this many failed adjustments. */
+constexpr int kUnderperfStrikes = 3;
+/** Minimum time between growth adjustments of one workload, seconds
+ *  (conservative adaptation; prevents scale-out churn). */
+constexpr double kAdjustCooldownS = 30.0;
+/** Minimum time between shrinks (lazier than growth so the allocation
+ *  does not oscillate around the target). */
+constexpr double kShrinkCooldownS = 180.0;
+/** A fresh placement must beat the current one by this factor before
+ *  a reschedule abandons held resources. */
+constexpr double kRescheduleHysteresis = 1.10;
+/** Minimum time between reclassify+reschedule attempts for one
+ *  workload (each costs a fresh profiling pass). */
+constexpr double kRescheduleCooldownS = 300.0;
+/** Fraction of required perf below which a best-effort workload
+ *  queues instead of admitting. */
+constexpr double kAdmitFraction = 0.5;
+/** Migration bandwidth for stateful scale-out, GB/s. */
+constexpr double kMigrationGbps = 1.0;
+/** Capacity multiplier during a migration window. */
+constexpr double kMigrationFactor = 0.9;
+/** Retry backoff for workloads displaced by machine failures that
+ *  cannot be re-placed immediately (capacity temporarily gone): first
+ *  retry after kFailureBackoffS, doubling up to the max. */
+constexpr double kFailureBackoffS = 20.0;
+constexpr double kFailureBackoffMaxS = 160.0;
+/** On re-placement after a failure, spread latency-critical replicas
+ *  across fault zones (Sec. 4.4) so a repeat outage of the same
+ *  rack/PDU cannot take the whole service down again. */
+constexpr bool kSpreadZonesOnRecovery = true;
+
+} // namespace
+
 QuasarManager::QuasarManager(sim::Cluster &cluster,
                              workload::WorkloadRegistry &registry,
                              QuasarConfig cfg)
@@ -184,7 +224,7 @@ QuasarManager::trySchedule(WorkloadId id, double t, bool requeue_on_fail)
     // Re-placement after a failure spreads latency-critical replicas
     // across fault zones so one rack/PDU cannot hold the whole
     // service again (Sec. 4.4).
-    const bool spread = cfg_.spread_zones_on_recovery &&
+    const bool spread = kSpreadZonesOnRecovery &&
                         displaced_at_.contains(id) &&
                         workload::isLatencyCritical(w.type);
     SchedulerConfig sched_cfg = scheduler_.config();
@@ -252,7 +292,7 @@ QuasarManager::admits(const Workload &w,
     // a useful rate.
     return alloc.has_value() &&
            (!w.best_effort ||
-            alloc->predicted_perf >= cfg_.admit_fraction * required);
+            alloc->predicted_perf >= kAdmitFraction * required);
 }
 
 bool
@@ -499,12 +539,12 @@ QuasarManager::tryScaleOut(Workload &w, const WorkloadEstimate &est,
         double moved_fraction = double(filtered.nodes.size()) /
                                 double(std::max<size_t>(new_nodes, 1));
         double moved_gb = w.state_gb * moved_fraction;
-        double duration = moved_gb / cfg_.migration_gbps;
+        double duration = moved_gb / kMigrationGbps;
         w.degraded_until = t + duration;
         // Only the moving shards are unavailable: the penalty scales
         // with the fraction of state in flight.
         w.degraded_factor =
-            1.0 - (1.0 - cfg_.migration_factor) * moved_fraction;
+            1.0 - (1.0 - kMigrationFactor) * moved_fraction;
     }
     return true;
 }
@@ -618,7 +658,7 @@ QuasarManager::adjust(Workload &w, double t)
         double measured = monitor_.measureAbsolute(w, t);
         if (predicted > 0.0 &&
             std::fabs(measured / predicted - 1.0) >
-                cfg_.feedback_deviation) {
+                kFeedbackDeviation) {
             // Damped correction: transient interference shows up in
             // the measurement, so only half the (log) deviation is
             // attributed to misclassification.
@@ -674,11 +714,11 @@ QuasarManager::adjust(Workload &w, double t)
     if (tryScaleOut(w, est, required, t))
         return;
 
-    if (strikes >= cfg_.underperf_strikes) {
+    if (strikes >= kUnderperfStrikes) {
         strikes = 0;
         auto last = last_reschedule_.find(w.id);
         if (last == last_reschedule_.end() ||
-            t - last->second >= cfg_.reschedule_cooldown_s) {
+            t - last->second >= kRescheduleCooldownS) {
             last_reschedule_[w.id] = t;
             reclassifyAndReschedule(w, t);
         }
@@ -731,7 +771,7 @@ QuasarManager::reclassifyAndReschedule(Workload &w, double t)
                                      estimateLookup(), !w.best_effort);
     bool better = alloc.has_value() &&
                   (alloc->predicted_perf >=
-                       cfg_.reschedule_hysteresis * old_predicted ||
+                       kRescheduleHysteresis * old_predicted ||
                    old_shares.empty());
     if (better) {
         applyAllocation(w, *alloc, t);
@@ -949,14 +989,14 @@ QuasarManager::onTick(double t)
         if (alert == Alert::Underperforming && !w.best_effort) {
             auto last = last_adjust_.find(id);
             if (last == last_adjust_.end() ||
-                t - last->second >= cfg_.adjust_cooldown_s) {
+                t - last->second >= kAdjustCooldownS) {
                 last_adjust_[id] = t;
                 adjust(w, t);
             }
         } else if (alert == Alert::Overprovisioned) {
             auto last = last_adjust_.find(id);
             if (last == last_adjust_.end() ||
-                t - last->second >= cfg_.shrink_cooldown_s) {
+                t - last->second >= kShrinkCooldownS) {
                 last_adjust_[id] = t;
                 auto est_it = estimates_.find(id);
                 if (est_it != estimates_.end())
@@ -974,7 +1014,7 @@ QuasarManager::onTick(double t)
         t - last_proactive_ >= cfg_.proactive_interval_s) {
         last_proactive_ = t;
         for (WorkloadId id : registry_.active()) {
-            if (!rng_.chance(cfg_.proactive_fraction))
+            if (!rng_.chance(kProactiveFraction))
                 continue;
             Workload &w = registry_.get(id);
             if (cluster_.serversHosting(id).empty())
@@ -1059,8 +1099,8 @@ QuasarManager::replaceDisplaced(WorkloadId id, double t)
         return;
     // Capacity is temporarily gone (e.g. mid zone outage): park with
     // exponential backoff instead of hammering the scheduler.
-    admission_.enqueueWithBackoff(id, t, cfg_.failure_backoff_s,
-                                  cfg_.failure_backoff_max_s);
+    admission_.enqueueWithBackoff(id, t, kFailureBackoffS,
+                                  kFailureBackoffMaxS);
     ++stats_.queued;
 }
 

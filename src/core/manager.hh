@@ -42,7 +42,6 @@ struct QuasarConfig
     /** Enable proactive phase sampling (paper Sec. 4.1). */
     bool proactive_detection = true;
     double proactive_interval_s = 600.0;
-    double proactive_fraction = 0.2;
 
     /** Enable the misclassification feedback loop (Sec. 3.2). */
     bool feedback_loop = true;
@@ -52,25 +51,6 @@ struct QuasarConfig
      * 0 disables predictive sizing.
      */
     double predict_lead_s = 120.0;
-    /** Feedback when |measured/predicted - 1| exceeds this. */
-    double feedback_deviation = 0.15;
-
-    /** Reclassify+reschedule after this many failed adjustments. */
-    int underperf_strikes = 3;
-    /** Minimum time between growth adjustments of one workload,
-     *  seconds (conservative adaptation; prevents scale-out churn). */
-    double adjust_cooldown_s = 30.0;
-    /** Minimum time between shrinks (lazier than growth so the
-     *  allocation does not oscillate around the target). */
-    double shrink_cooldown_s = 180.0;
-    /** A fresh placement must beat the current one by this factor
-     *  before a reschedule abandons held resources. */
-    double reschedule_hysteresis = 1.10;
-    /** Minimum time between reclassify+reschedule attempts for one
-     *  workload (each costs a fresh profiling pass). */
-    double reschedule_cooldown_s = 300.0;
-    /** Fraction of required perf below which a workload queues. */
-    double admit_fraction = 0.5;
     /**
      * Skip admission retries the failure memo proves futile
      * (core/failure_memo.hh). Placements are identical either way:
@@ -84,24 +64,6 @@ struct QuasarConfig
      * resorting to scaling or migration.
      */
     bool resource_partitioning = true;
-    /** Migration bandwidth for stateful scale-out, GB/s. */
-    double migration_gbps = 1.0;
-    /** Capacity multiplier during a migration window. */
-    double migration_factor = 0.9;
-
-    /**
-     * Retry backoff for workloads displaced by machine failures that
-     * cannot be re-placed immediately (capacity temporarily gone):
-     * first retry after failure_backoff_s, doubling up to the max.
-     */
-    double failure_backoff_s = 20.0;
-    double failure_backoff_max_s = 160.0;
-    /**
-     * On re-placement after a failure, spread latency-critical
-     * replicas across fault zones (Sec. 4.4) so a repeat outage of
-     * the same rack/PDU cannot take the whole service down again.
-     */
-    bool spread_zones_on_recovery = true;
 
     uint64_t seed = 99;
 };

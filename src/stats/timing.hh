@@ -3,8 +3,8 @@
  * Lightweight wall-clock instrumentation for the decision path:
  * streaming timer statistics plus an RAII scoped timer. Used to
  * aggregate classify / rank / place / adapt latencies into
- * QuasarStats and the decision-path benchmark without measurable
- * overhead when a section is never entered.
+ * QuasarStats and the bench reports without measurable overhead when
+ * a section is never entered.
  *
  * All accumulation is O(1) and allocation-free; a TimerStat is a POD
  * that can live inside hot objects (scheduler, classifier, manager
