@@ -273,7 +273,7 @@ printStream(const std::string &label, const StreamReport &r)
     std::printf(
         "        walk: %llu candidates -> %llu nodes (unfit %llu, "
         "intolerant %llu, knob %llu, evict %llu, cost %llu, hosted "
-        "%llu)\n",
+        "%llu), %llu skipped by bucket drops\n",
         (unsigned long long)r.walk.candidates,
         (unsigned long long)r.walk.nodes,
         (unsigned long long)r.walk[core::NodeReject::Unfit],
@@ -281,7 +281,8 @@ printStream(const std::string &label, const StreamReport &r)
         (unsigned long long)r.walk[core::NodeReject::Knob],
         (unsigned long long)r.walk[core::NodeReject::Evict],
         (unsigned long long)r.walk[core::NodeReject::Cost],
-        (unsigned long long)r.walk[core::NodeReject::Hosted]);
+        (unsigned long long)r.walk[core::NodeReject::Hosted],
+        (unsigned long long)r.walk.skipped);
 }
 
 /** The arrival-accounting gate: no arrival leaks out of the outcome

@@ -203,16 +203,19 @@ GreedyScheduler::refreshEntry(const sim::Server &srv,
     // frees ≥ 1 core for workload w exactly when this key is strictly
     // below w.priority (core shares are non-negative integers), so
     // the drain can skip whole priority classes without walking the
-    // resident ledger.
+    // resident ledger. prio_any takes the same minimum over 0-core
+    // residents too: priorityEvictable() adds nothing at all (not even
+    // memory or storage) unless it is strictly below w.priority.
     e.prio_key = kNoPrio;
+    e.prio_any = kNoPrio;
     if (registry_) {
         for (const sim::TaskShare &t : srv.tasks()) {
-            if (t.best_effort || t.cores < 1)
+            if (t.best_effort || !registry_->contains(t.workload))
                 continue;
-            if (!registry_->contains(t.workload))
-                continue;
-            e.prio_key = std::min(e.prio_key,
-                                  registry_->get(t.workload).priority);
+            int prio = registry_->get(t.workload).priority;
+            e.prio_any = std::min(e.prio_any, prio);
+            if (t.cores >= 1)
+                e.prio_key = std::min(e.prio_key, prio);
         }
     }
     e.version = srv.version();
@@ -285,8 +288,8 @@ GreedyScheduler::refreshEntryIndexed(const sim::Server &srv,
     orderPlace(srv.id(), e);
 }
 
-void
-GreedyScheduler::orderPlace(ServerId id, const ServerCacheEntry &e) const
+GreedyScheduler::OrderSig
+GreedyScheduler::orderSig(const ServerCacheEntry &e)
 {
     // Socket count rides in the platform word: a flat server with
     // contention v and a 2-socket server with [v, 0] must never share
@@ -294,20 +297,38 @@ GreedyScheduler::orderPlace(ServerId id, const ServerCacheEntry &e) const
     // multiplier). Absent sockets stay zero-padded, so the flat
     // partition is exactly the pre-topology one.
     OrderSig sig{};
-    sig[0] = uint64_t(e.platform_idx) | uint64_t(e.sockets) << 56;
-    sig[1] = std::bit_cast<uint64_t>(e.speed);
+    size_t k = 0;
+    sig[k++] = uint64_t(e.platform_idx) | uint64_t(e.sockets) << 56;
+    sig[k++] = std::bit_cast<uint64_t>(e.speed);
     for (size_t s = 0; s < size_t(topology::kMaxSockets); ++s)
         for (size_t i = 0; i < interference::kNumSources; ++i)
-            sig[2 + s * interference::kNumSources + i] =
-                std::bit_cast<uint64_t>(e.socket_contention[s][i]);
-    // The feasibility class rides in the signature, so a mutation
-    // that leaves the contention vector untouched but opens or closes
-    // the server (a zero-pressure placement consuming the last free
-    // core, an eviction freeing one) still migrates it between class
-    // lists — the early-out below stays correct.
+            sig[k++] = std::bit_cast<uint64_t>(e.socket_contention[s][i]);
+    // The rest of the walk's Unfit/Knob verdict inputs: with these
+    // equal, pickNodeConfig and the knob re-scan compute the same
+    // pick for every member (priorityEvictable aside, which the drop
+    // guards with prio_any).
+    sig[k++] = uint64_t(uint32_t(e.free_cores));
+    sig[k++] = std::bit_cast<uint64_t>(e.free_mem);
+    sig[k++] = std::bit_cast<uint64_t>(e.free_storage);
+    sig[k++] = uint64_t(uint32_t(e.be_cores));
+    sig[k++] = std::bit_cast<uint64_t>(e.be_mem);
+    sig[k++] = std::bit_cast<uint64_t>(e.be_storage);
+    sig[k++] = uint64_t(uint32_t(e.prio_any));
+    for (size_t s = 0; s < size_t(topology::kMaxSockets); ++s)
+        sig[k++] = uint64_t(uint32_t(e.socket_cores[s]));
+    // The feasibility class rides in the signature, so the level
+    // structure can file the bucket under its class list.
     auto [cls, prio_key] = feasibilityClass(e);
-    sig[sig.size() - 1] =
-        uint64_t(uint32_t(prio_key)) | uint64_t(cls) << 62;
+    sig[k++] = uint64_t(uint32_t(prio_key)) | uint64_t(cls) << 62;
+    assert(k == sig.size());
+    return sig;
+}
+
+void
+GreedyScheduler::orderPlace(ServerId id, const ServerCacheEntry &e) const
+{
+    const OrderSig sig = orderSig(e);
+    auto [cls, prio_key] = feasibilityClass(e);
 
     if (server_bucket_.size() < cache_.size())
         server_bucket_.resize(cache_.size(), kNoBucket);
@@ -337,7 +358,9 @@ GreedyScheduler::orderPlace(ServerId id, const ServerCacheEntry &e) const
         b.sockets = e.sockets;
         b.cls = cls;
         b.prio_key = prio_key;
+        b.prio_any = e.prio_any;
         b.ids.clear();
+        b.dropped_epoch = 0;
         if (platform_order_.size() <= e.platform_idx)
             platform_order_.resize(e.platform_idx + 1);
         OrderLevel &lvl = platform_order_[e.platform_idx][e.speed];
@@ -401,6 +424,8 @@ GreedyScheduler::beginOrderedCandidates(OrderStream &s,
     s.exact.clear();
     s.pending.clear();
     s.filter = filter;
+    s.epoch = ++walk_epoch_;
+    s.suspended.clear();
     for (size_t p = 0; p < platform_order_.size(); ++p) {
         const LevelMap &levels = platform_order_[p];
         if (levels.empty())
@@ -430,8 +455,15 @@ GreedyScheduler::nextOrderedCandidate(OrderStream &s,
             std::pop_heap(s.exact.begin(), s.exact.end(), cursorLess);
             OrderCursor c = s.exact.back();
             s.exact.pop_back();
+            if (c.bucket->dropped_epoch == s.epoch) {
+                // Dropped this epoch: park the cursor at its next
+                // member, exactly where the stream reached it.
+                s.suspended.push_back(c);
+                continue;
+            }
             std::pair<double, ServerId> out{c.quality, c.id};
             ++c.it;
+            ++c.pos;
             if (c.it != c.bucket->ids.end()) {
                 c.id = *c.it;
                 s.exact.push_back(c);
@@ -468,6 +500,7 @@ GreedyScheduler::nextOrderedCandidate(OrderStream &s,
                 c.bucket = &b;
                 c.it = b.ids.begin();
                 c.id = *c.it;
+                c.pos = 0;
                 s.exact.push_back(c);
                 std::push_heap(s.exact.begin(), s.exact.end(),
                                cursorLess);
@@ -499,6 +532,41 @@ GreedyScheduler::nextOrderedCandidate(OrderStream &s,
                            levelLess);
         }
     }
+}
+
+uint64_t
+GreedyScheduler::settleDropped(OrderStream &s,
+                               const std::pair<double, ServerId> *at,
+                               bool resume) const
+{
+    // A suspended cursor was parked when the stream reached it, so
+    // every member it still holds lies at or after that point and
+    // before `at` is emitted: a cursor of better quality than `at`
+    // precedes it entirely; one of equal quality (under the order's
+    // own comparison) precedes it up to at's id, and the members
+    // after that id are still ahead of the walk.
+    uint64_t skipped = 0;
+    for (OrderCursor &c : s.suspended) {
+        const std::set<ServerId> &ids = c.bucket->ids;
+        if (!at || c.quality != at->first) {
+            skipped += ids.size() - c.pos;
+            continue;
+        }
+        auto next = ids.upper_bound(at->second);
+        size_t passed = size_t(std::distance(c.it, next));
+        skipped += passed;
+        if (!resume || next == ids.end())
+            continue;
+        c.it = next;
+        c.pos += passed;
+        c.id = *next;
+        s.exact.push_back(c);
+        std::push_heap(s.exact.begin(), s.exact.end(), cursorLess);
+    }
+    s.suspended.clear();
+    if (resume)
+        s.epoch = ++walk_epoch_;
+    return skipped;
 }
 
 const GreedyScheduler::ServerCacheEntry &
@@ -591,7 +659,8 @@ GreedyScheduler::auditIndexCoherence() const
             fresh.be_mem != cached.be_mem ||
             fresh.be_storage != cached.be_storage ||
             fresh.platform_idx != cached.platform_idx ||
-            fresh.prio_key != cached.prio_key) {
+            fresh.prio_key != cached.prio_key ||
+            fresh.prio_any != cached.prio_any) {
             std::fprintf(stderr,
                          "QUASAR_VERIFY: index entry for server %zu "
                          "matches the server's change epoch but not "
@@ -624,6 +693,8 @@ GreedyScheduler::auditIndexCoherence() const
                 b.sockets != fresh.sockets ||
                 b.socket_contention != fresh.socket_contention ||
                 b.cls != fresh_cls || b.prio_key != fresh_key ||
+                b.prio_any != fresh.prio_any ||
+                b.sig != orderSig(fresh) ||
                 b.ids.count(ServerId(i)) == 0) {
                 std::fprintf(stderr,
                              "QUASAR_VERIFY: order bucket for server "
@@ -1156,6 +1227,24 @@ GreedyScheduler::allocateImpl(const Workload &w,
         return ranked[i];
     };
 
+    // Bucket drop (dirty path, single pass): between two taken nodes
+    // perf_needed and the knob filter are fixed, and every member of
+    // a bucket shares the rest of the Unfit/Knob verdict's inputs
+    // (OrderSig) — except priorityEvictable()'s ledger walk, which
+    // adds capacity only when a resident ranks below w (prio_any).
+    // So one Unfit/Knob rejection stands for the whole bucket. The
+    // fault-zone passes rewind `ranked`, so they walk without drops.
+    const bool may_drop = dirty && !cfg_.spread_fault_zones;
+    auto dropBucketOf = [&](ServerId sid) {
+        if (!may_drop)
+            return;
+        OrderBucket &b = order_buckets_[server_bucket_[size_t(sid)]];
+        if (may_evict && registry_ && b.prio_any < w.priority)
+            return;
+        b.dropped_epoch = stream.epoch;
+    };
+    std::optional<std::pair<double, ServerId>> last_drawn;
+
     stats::ScopedTimer timer(timing_.place);
     Allocation alloc;
     std::vector<double> node_perfs;
@@ -1185,8 +1274,11 @@ GreedyScheduler::allocateImpl(const Workload &w,
             }
 
             auto cand = nth(i);
-            if (!cand)
+            if (!cand) {
+                last_drawn.reset();
                 break; // candidates exhausted; maybe relax zones
+            }
+            last_drawn = cand;
             ++walk_.candidates;
             const auto [quality, sid] = *cand;
             (void)quality;
@@ -1208,6 +1300,7 @@ GreedyScheduler::allocateImpl(const Workload &w,
                 srv, w, est, may_evict, nodeNeed(est, target, node_perfs));
             if (!pick.valid) {
                 ++walk_.rejected[size_t(NodeReject::Unfit)];
+                dropBucketOf(sid);
                 continue;
             }
             if (knob_filter &&
@@ -1215,9 +1308,10 @@ GreedyScheduler::allocateImpl(const Workload &w,
                 // Keep one knob setting across the job: re-scan
                 // restricted to matching columns by rejecting
                 // mismatches.
-                size_t p_idx = platformIndexOf(srv);
+                size_t p_idx;
                 double interf;
                 if (cfg_.full_rescan) {
+                    p_idx = platformIndexOf(srv);
                     sim::Server::SocketSnapshot snap =
                         srv.socketSnapshot();
                     interf = est.interferenceMultiplier(
@@ -1226,6 +1320,7 @@ GreedyScheduler::allocateImpl(const Workload &w,
                              srv.speedFactor();
                 } else {
                     const ServerCacheEntry &e = cachedState(srv);
+                    p_idx = e.platform_idx;
                     interf =
                         est.interferenceMultiplier(
                             e.socket_contention[size_t(pick.socket)],
@@ -1247,6 +1342,7 @@ GreedyScheduler::allocateImpl(const Workload &w,
                 }
                 if (!fixed) {
                     ++walk_.rejected[size_t(NodeReject::Knob)];
+                    dropBucketOf(sid);
                     continue;
                 }
             }
@@ -1262,10 +1358,10 @@ GreedyScheduler::allocateImpl(const Workload &w,
             // servers are wasted (checked before planning evictions so
             // no one is evicted for a node that is never placed).
             if (!node_perfs.empty() && pick.perf > 0.0) {
-                std::vector<double> with_node = node_perfs;
-                with_node.push_back(pick.perf);
-                double gain =
-                    est.jobPerf(with_node) - est.jobPerf(node_perfs);
+                node_perfs.push_back(pick.perf);
+                double with_node = est.jobPerf(node_perfs);
+                node_perfs.pop_back();
+                double gain = with_node - est.jobPerf(node_perfs);
                 if (gain < cfg_.min_marginal_efficiency * pick.perf) {
                     ++walk_.rejected[size_t(NodeReject::Knee)];
                     done = true;
@@ -1298,6 +1394,9 @@ GreedyScheduler::allocateImpl(const Workload &w,
             }
 
             ++walk_.nodes;
+            // A new node moves perf_needed: close the drop epoch.
+            if (may_drop)
+                walk_.skipped += settleDropped(stream, &*cand, true);
             if (alloc.nodes.empty()) {
                 chosen_knobs = est.scale_up_grid[pick.col].knobs;
                 if (w.type == workload::WorkloadType::Analytics)
@@ -1312,6 +1411,12 @@ GreedyScheduler::allocateImpl(const Workload &w,
             zone_used[size_t(srv.faultZone())] = 1;
         }
     }
+
+    // Members still suspended that precede where the walk stopped
+    // were passed over (all of them when the stream ran dry).
+    if (may_drop)
+        walk_.skipped += settleDropped(
+            stream, last_drawn ? &*last_drawn : nullptr, false);
 
     if (alloc.nodes.empty())
         return std::nullopt;

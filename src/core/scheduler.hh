@@ -34,7 +34,10 @@
  *    multiplier never exceeds 1). An allocate that settles after k
  *    servers costs O(dirty + E + k log B) where E is the buckets in
  *    the few expanded top levels and B ≤ N the live bucket count —
- *    never an O(N) scoring walk or heapify.
+ *    never an O(N) scoring walk or heapify. The signature also keys
+ *    free capacity, so every member of a bucket gets the same Unfit /
+ *    Knob verdict: one rejection drops the whole bucket from the
+ *    walk until the next node is taken (DESIGN.md §9).
  *  - full_rescan: the legacy recompute-everything path (full ledger
  *    walks, eager sort), kept as the tests-only shadow oracle: the
  *    QUASAR_VERIFY layer and the equivalence tests re-run decisions
@@ -162,13 +165,18 @@ enum class NodeReject : uint8_t
  * Candidate accounting of the greedy walk since construction:
  * candidates drawn from the ranking, nodes taken, and a histogram of
  * why the rest were passed over (indexed by NodeReject; the drain
- * never emits Closed servers, so that bucket stays 0 here).
+ * never emits Closed servers, so that bucket stays 0 here). Servers
+ * passed over by a bucket drop are never drawn: they count in
+ * `skipped` only, so candidates + skipped is what a walk without the
+ * drop (full_rescan) draws.
  */
 struct WalkCounts
 {
     uint64_t candidates = 0;
     uint64_t nodes = 0;
     std::array<uint64_t, size_t(NodeReject::Count)> rejected{};
+    /** Servers a bucket drop passed over without drawing them. */
+    uint64_t skipped = 0;
 
     uint64_t operator[](NodeReject r) const
     {
@@ -345,14 +353,18 @@ class GreedyScheduler
      * platform index + socket count, speed factor, the per-socket
      * newcomer-contention vectors (zero-padded to kMaxSockets so the
      * flat single-socket partition is unchanged) — exactly the inputs
-     * of the quality expression, compared bitwise — plus the
-     * feasibility class word, so the level structure partitions
-     * members by drain eligibility and a filtered drain skips whole
-     * classes without touching their members.
+     * of the quality expression, compared bitwise — then the rest of
+     * the walk's Unfit/Knob verdict inputs (free cores/memory/storage,
+     * best-effort totals, per-socket homed cores, prio_any), so every
+     * member of a bucket gets the same verdict; plus the feasibility
+     * class word, so the level structure partitions members by drain
+     * eligibility and a filtered drain skips whole classes without
+     * touching their members. Words: platform|sockets, speed, S×K
+     * contention, 7 capacity/priority, S homed-core, 1 class.
      */
     using OrderSig =
-        std::array<uint64_t, 3 + size_t(topology::kMaxSockets) *
-                                     interference::kNumSources>;
+        std::array<uint64_t, 10 + size_t(topology::kMaxSockets) *
+                                      (interference::kNumSources + 1)>;
 
     /**
      * Per-server cached decision state, revalidated lazily against
@@ -384,6 +396,11 @@ class GreedyScheduler
          *  least one core and known to the registry (kNoPrio when
          *  none, or without a registry) — the Prio class key. */
         int prio_key = kNoPrio;
+        /** The same minimum over every non-best-effort resident known
+         *  to the registry, 0-core ones included: priorityEvictable()
+         *  adds nothing for a workload whose priority is at most
+         *  this, so the bucket drop needs no per-member ledger walk. */
+        int prio_any = kNoPrio;
     };
 
     /**
@@ -408,10 +425,14 @@ class GreedyScheduler
         FeasClass cls = FeasClass::Open;
         /** Prio-class key (kNoPrio outside FeasClass::Prio). */
         int prio_key = kNoPrio;
+        /** Every member's prio_any (part of the sig). */
+        int prio_any = kNoPrio;
         /** Members, ascending (the rankedBefore tie-break order). */
         std::set<ServerId> ids;
         /** Position inside its level's class list (swap-removal). */
         uint32_t level_pos = 0;
+        /** Walk epoch the bucket was dropped in (0: never). */
+        uint64_t dropped_epoch = 0;
     };
 
     /**
@@ -446,6 +467,8 @@ class GreedyScheduler
         ServerId id = 0;
         const OrderBucket *bucket = nullptr;
         std::set<ServerId>::const_iterator it;
+        /** Index of `it` within the bucket's members. */
+        size_t pos = 0;
     };
 
     /** An unexpanded (platform, speed) level with its quality bound. */
@@ -485,12 +508,18 @@ class GreedyScheduler
      * bound (quality ≤ platform_factor × speed since the interference
      * multiplier never exceeds 1), so a candidate is emitted only once
      * no unexpanded level can beat it.
+     *
+     * Bucket drop: a bucket stamped with the stream's current `epoch`
+     * is not emitted; its cursor moves to `suspended` when it reaches
+     * the top, until settleDropped() closes the epoch.
      */
     struct OrderStream
     {
         std::vector<OrderCursor> exact;
         std::vector<LevelCursor> pending;
         OrderFilter filter;
+        uint64_t epoch = 0;
+        std::vector<OrderCursor> suspended;
     };
 
     /** Recompute e from srv's current state (the verify audit and
@@ -510,6 +539,9 @@ class GreedyScheduler
     {
         return !cfg_.full_rescan;
     }
+
+    /** The order signature of a cache entry (see OrderSig). */
+    static OrderSig orderSig(const ServerCacheEntry &e);
 
     /** Move id into the bucket matching e (no-op when unchanged). */
     void orderPlace(ServerId id, const ServerCacheEntry &e) const;
@@ -543,10 +575,24 @@ class GreedyScheduler
                                 const WorkloadEstimate &est,
                                 const OrderFilter &filter) const;
 
-    /** Next candidate in (quality desc, id asc) order, or nullopt. */
+    /** Next candidate in (quality desc, id asc) order, or nullopt.
+     *  Members of buckets dropped in the current epoch are skipped. */
     std::optional<std::pair<double, ServerId>>
     nextOrderedCandidate(OrderStream &s,
                          const WorkloadEstimate &est) const;
+
+    /**
+     * Close the stream's drop epoch at candidate `at` — the node just
+     * taken, or the one the walk stopped on (nullptr: the stream ran
+     * dry). Members of suspended buckets that precede `at` in the
+     * order are counted as skipped; with `resume`, a cursor whose
+     * quality equals at's re-enters the stream at its first member
+     * after `at`, and the stream starts a new epoch. Returns the
+     * number of skipped members.
+     */
+    uint64_t settleDropped(OrderStream &s,
+                           const std::pair<double, ServerId> *at,
+                           bool resume) const;
 
     /**
      * Bring the whole index up to date by replaying the cluster's
@@ -670,6 +716,8 @@ class GreedyScheduler
     mutable std::vector<LevelMap> platform_order_;
     /** Each server's current bucket slot (kNoBucket when absent). */
     mutable std::vector<uint32_t> server_bucket_;
+    /** Last walk epoch handed out (bucket drop stamps). */
+    mutable uint64_t walk_epoch_ = 0;
 #ifdef QUASAR_VERIFY
     /** Per-scheduler sampling counter for auditIndexCoherence(). */
     mutable uint64_t audit_refreshes_ = 0;
