@@ -49,7 +49,6 @@ ParagonManager::tryPlace(WorkloadId id, double t)
 
     // Rank servers: platform affinity x interference fit for the
     // newcomer, skipping servers whose residents would suffer.
-    const auto &catalog = cluster_.catalog();
     std::vector<std::pair<double, ServerId>> ranked;
     for (size_t i = 0; i < cluster_.size(); ++i) {
         const sim::Server &srv = cluster_.server(ServerId(i));
@@ -58,11 +57,7 @@ ParagonManager::tryPlace(WorkloadId id, double t)
         if (!srv.canFit(res.cores_per_node, res.memory_per_node_gb,
                         w.storage_gb_per_node))
             continue;
-        size_t p_idx = 0;
-        for (size_t p = 0; p < catalog.size(); ++p)
-            if (catalog[p].name == srv.platform().name)
-                p_idx = p;
-        double q = est.platform_factor[p_idx] *
+        double q = est.platform_factor[srv.platformIndex()] *
                    est.interferenceMultiplier(
                        srv.contentionForNewcomer());
         // Residents must tolerate the newcomer's caused pressure.

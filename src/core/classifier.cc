@@ -267,7 +267,6 @@ Classifier::classify(const Workload &w, const ProfilingData &data)
     auto end = std::chrono::steady_clock::now();
     est.classification_seconds =
         std::chrono::duration<double>(end - start).count();
-    classify_time_.add(est.classification_seconds);
     est.profiling_seconds = data.profiling_seconds;
     return est;
 }

@@ -32,7 +32,6 @@
 #include "linalg/completion.hh"
 #include "profiling/profiler.hh"
 #include "stats/rng.hh"
-#include "stats/timing.hh"
 #include "workload/workload.hh"
 
 namespace quasar::core
@@ -91,11 +90,6 @@ class Classifier
     size_t onlineRows() const;
     size_t seedRows() const;
     const ClassifierConfig &config() const { return cfg_; }
-    /** Aggregate wall-clock spent inside classify(). */
-    const stats::TimerStat &classifyTime() const
-    {
-        return classify_time_;
-    }
     /// @}
 
   private:
@@ -146,7 +140,6 @@ class Classifier
     ClassifierConfig cfg_;
     linalg::MatrixCompletion completion_;
     stats::Rng rng_;
-    stats::TimerStat classify_time_;
 
     /** Grids (fixed at construction from the profiler's catalog). */
     std::vector<workload::ScaleUpConfig> grid_analytics_;

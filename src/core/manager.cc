@@ -57,6 +57,25 @@ constexpr double kFailureBackoffMaxS = 160.0;
  *  rack/PDU cannot take the whole service down again. */
 constexpr bool kSpreadZonesOnRecovery = true;
 
+/** The scale-up grid column nearest to a share's size (cores, then a
+ *  tenth of the memory difference; the first column wins ties). */
+size_t
+nearestColumn(const WorkloadEstimate &est, const sim::TaskShare &share)
+{
+    size_t best_col = 0;
+    double best_score = 1e18;
+    for (size_t c = 0; c < est.scale_up_grid.size(); ++c) {
+        const auto &cfg = est.scale_up_grid[c];
+        double score = std::fabs(double(cfg.cores - share.cores)) +
+                       0.1 * std::fabs(cfg.memory_gb - share.memory_gb);
+        if (score < best_score) {
+            best_score = score;
+            best_col = c;
+        }
+    }
+    return best_col;
+}
+
 } // namespace
 
 QuasarManager::QuasarManager(sim::Cluster &cluster,
@@ -178,20 +197,7 @@ void
 QuasarManager::onSubmit(WorkloadId id, double t)
 {
     Workload &w = registry_.get(id);
-    // Profile in sandboxed copies and classify.
-    profiling::ProfilingData data;
-    WorkloadEstimate est;
-    {
-        stats::ScopedTimer timer(stats_.classify_time);
-        {
-            stats::ScopedTimer profile_timer(stats_.profile_time);
-            data = profiler_.profile(w, t, rng_);
-        }
-        est = classifier_.classify(w, data);
-    }
-    overhead_s_[id] +=
-        data.profiling_seconds + est.classification_seconds;
-    estimates_[id] = std::move(est);
+    estimates_[id] = profileAndClassify(w, t);
     memo_.forget(id); // a recorded failure was against the old estimate
 
     // Backpressure at the door: while the cluster is pressured,
@@ -335,18 +341,41 @@ QuasarManager::noteRecovered(WorkloadId id, double t)
     ++stats_.recoveries;
 }
 
+WorkloadEstimate
+QuasarManager::profileAndClassify(Workload &w, double t)
+{
+    profiling::ProfilingData data;
+    WorkloadEstimate est;
+    {
+        stats::ScopedTimer timer(stats_.classify_time);
+        {
+            stats::ScopedTimer profile_timer(stats_.profile_time);
+            data = profiler_.profile(w, t, rng_);
+        }
+        est = classifier_.classify(w, data);
+    }
+    overhead_s_[w.id] +=
+        data.profiling_seconds + est.classification_seconds;
+    return est;
+}
+
+void
+QuasarManager::evictAndRequeue(sim::Server &srv, WorkloadId victim,
+                               double t)
+{
+    srv.remove(victim);
+    ++stats_.evictions;
+    if (!registry_.get(victim).completed && !admission_.contains(victim))
+        admission_.enqueue(victim, t);
+}
+
 void
 QuasarManager::applyAllocation(Workload &w, const Allocation &alloc,
                                double t)
 {
     // Evict best-effort residents first; they go back to the queue.
-    for (const auto &[sid, victim] : alloc.evictions) {
-        cluster_.server(sid).remove(victim);
-        ++stats_.evictions;
-        if (!registry_.get(victim).completed &&
-            !admission_.contains(victim))
-            admission_.enqueue(victim, t);
-    }
+    for (const auto &[sid, victim] : alloc.evictions)
+        evictAndRequeue(cluster_.server(sid), victim, t);
     w.active_knobs = alloc.knobs;
     for (const AllocationNode &node : alloc.nodes) {
         sim::TaskShare share;
@@ -375,25 +404,11 @@ QuasarManager::predictCurrent(const Workload &w,
     std::vector<double> node_perfs;
     for (ServerId sid : cluster_.serversHosting(w.id)) {
         const sim::Server &srv = cluster_.server(sid);
-        const sim::TaskShare *share = srv.share(w.id);
-        size_t p_idx = scheduler_.platformIndexOf(srv);
-        // Nearest grid column for the current share.
-        size_t best_col = 0;
-        double best_score = 1e18;
-        for (size_t c = 0; c < est.scale_up_grid.size(); ++c) {
-            const auto &cfg = est.scale_up_grid[c];
-            double score =
-                std::fabs(double(cfg.cores - share->cores)) +
-                0.1 * std::fabs(cfg.memory_gb - share->memory_gb);
-            if (score < best_score) {
-                best_score = score;
-                best_col = c;
-            }
-        }
+        size_t col = nearestColumn(est, *srv.share(w.id));
         double interf = est.interferenceMultiplier(
             srv.contentionFor(w.id), scheduler_.config().slope_guess);
-        node_perfs.push_back(est.nodePerf(p_idx, best_col) * interf *
-                             srv.speedFactor());
+        node_perfs.push_back(est.nodePerf(srv.platformIndex(), col) *
+                             interf * srv.speedFactor());
     }
     return est.jobPerf(node_perfs);
 }
@@ -431,7 +446,7 @@ QuasarManager::tryScaleUp(Workload &w, const WorkloadEstimate &est,
             break;
         sim::Server &srv = cluster_.server(sid);
         const sim::TaskShare *share = srv.share(w.id);
-        size_t p_idx = scheduler_.platformIndexOf(srv);
+        const size_t p_idx = srv.platformIndex();
 
         int budget_cores = share->cores + srv.coresFree();
         double budget_mem = share->memory_gb + srv.memoryFree();
@@ -480,11 +495,7 @@ QuasarManager::tryScaleUp(Workload &w, const WorkloadEstimate &est,
                     best_mem - share->memory_gb <=
                         srv.memoryFree() + 1e-9)
                     break;
-                srv.remove(victim);
-                ++stats_.evictions;
-                if (!registry_.get(victim).completed &&
-                    !admission_.contains(victim))
-                    admission_.enqueue(victim, t);
+                evictAndRequeue(srv, victim, t);
             }
             if (srv.resize(w.id, best_cores, best_mem)) {
                 changed = true;
@@ -602,7 +613,7 @@ QuasarManager::shrinkAllocation(Workload &w, const WorkloadEstimate &est,
     // size by value for the undo below.
     const int old_cores = share->cores;
     const double old_mem = share->memory_gb;
-    size_t p_idx = scheduler_.platformIndexOf(srv);
+    const size_t p_idx = srv.platformIndex();
     double interf = est.interferenceMultiplier(
         srv.contentionFor(w.id), scheduler_.config().slope_guess);
     // Smallest config that still meets the per-node requirement.
@@ -669,23 +680,9 @@ QuasarManager::adjust(Workload &w, double t)
                 v *= scale;
             auto hosting = cluster_.serversHosting(w.id);
             if (!hosting.empty()) {
-                const sim::TaskShare *share =
-                    cluster_.server(hosting.front()).share(w.id);
                 // Push the corrected column into history.
-                size_t col = 0;
-                double score = 1e18;
-                for (size_t c = 0; c < est.scale_up_grid.size(); ++c) {
-                    double s =
-                        std::fabs(double(est.scale_up_grid[c].cores -
-                                         share->cores)) +
-                        0.1 * std::fabs(
-                                  est.scale_up_grid[c].memory_gb -
-                                  share->memory_gb);
-                    if (s < score) {
-                        score = s;
-                        col = c;
-                    }
-                }
+                size_t col = nearestColumn(
+                    est, *cluster_.server(hosting.front()).share(w.id));
                 classifier_.feedbackScaleUp(est, col,
                                             est.scale_up_perf[col]);
             }
@@ -742,18 +739,7 @@ QuasarManager::reclassifyAndReschedule(Workload &w, double t)
         old_shares.push_back({sid, *cluster_.server(sid).share(w.id)});
 
     releaseWorkload(w.id);
-    profiling::ProfilingData data;
-    WorkloadEstimate est;
-    {
-        stats::ScopedTimer timer(stats_.classify_time);
-        {
-            stats::ScopedTimer profile_timer(stats_.profile_time);
-            data = profiler_.profile(w, t, rng_);
-        }
-        est = classifier_.classify(w, data);
-    }
-    overhead_s_[w.id] +=
-        data.profiling_seconds + est.classification_seconds;
+    WorkloadEstimate est = profileAndClassify(w, t);
     double old_predicted = 0.0;
     {
         // Predict the old placement under the fresh estimate.

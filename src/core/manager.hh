@@ -189,6 +189,11 @@ class QuasarManager : public driver::ClusterManager
     void noteRecovered(WorkloadId id, double t);
     void applyAllocation(workload::Workload &w, const Allocation &alloc,
                          double t);
+    /** Profile w in sandboxed copies, classify it and charge both to
+     *  its overhead (timed as classify, profile nested inside). */
+    WorkloadEstimate profileAndClassify(workload::Workload &w, double t);
+    /** Evict victim from srv; re-queue it unless completed or queued. */
+    void evictAndRequeue(sim::Server &srv, WorkloadId victim, double t);
     void releaseWorkload(WorkloadId id);
     /** Predicted absolute perf of the current placement. */
     double predictCurrent(const workload::Workload &w,

@@ -1,7 +1,6 @@
 #include "core/overload.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 namespace quasar::core
@@ -83,50 +82,25 @@ OverloadDetector::update(double t, double util, size_t depth)
 }
 
 double
-ReactiveStepPolicy::update(double error, double, double current)
+PiPolicy::update(const OverloadConfig &cfg, double error, double dt)
 {
-    if (error > -cfg_.deadband && error < cfg_.deadband)
-        return current;
-    double next =
-        current + (error > 0.0 ? cfg_.reactive_step : -cfg_.reactive_step);
-    return std::clamp(next, cfg_.boost_min, cfg_.boost_max);
-}
-
-double
-PiPolicy::update(double error, double dt, double current)
-{
-    (void)current;
-    if (error > -cfg_.deadband && error < cfg_.deadband)
+    if (error > -cfg.deadband && error < cfg.deadband)
         error = 0.0; // deadband: no action, no integration
     // Conditional integration (anti-windup): freeze the integral
     // while the unsaturated output is already past the rail in the
     // error's direction, so a long overload episode cannot wind it
     // up; integration resumes the moment the error reverses.
-    double unsat = 1.0 + cfg_.kp * error + integral_;
-    bool winding_hi = unsat > cfg_.boost_max && error > 0.0;
-    bool winding_lo = unsat < cfg_.boost_min && error < 0.0;
+    double unsat = 1.0 + cfg.kp * error + integral;
+    bool winding_hi = unsat > cfg.boost_max && error > 0.0;
+    bool winding_lo = unsat < cfg.boost_min && error < 0.0;
     if (!winding_hi && !winding_lo)
-        integral_ += cfg_.ki * error * dt;
+        integral += cfg.ki * error * dt;
     // Belt and braces: the integral alone can never demand an output
     // outside the reachable range.
-    integral_ = std::clamp(integral_, cfg_.boost_min - 1.0,
-                           cfg_.boost_max - 1.0);
-    double out = 1.0 + cfg_.kp * error + integral_;
-    return std::clamp(out, cfg_.boost_min, cfg_.boost_max);
-}
-
-std::unique_ptr<ScalingPolicy>
-makeScalingPolicy(const OverloadConfig &cfg)
-{
-    switch (cfg.policy) {
-    case ScalingPolicyKind::None:
-        return nullptr;
-    case ScalingPolicyKind::Reactive:
-        return std::make_unique<ReactiveStepPolicy>(cfg);
-    case ScalingPolicyKind::Pi:
-        break;
-    }
-    return std::make_unique<PiPolicy>(cfg);
+    integral =
+        std::clamp(integral, cfg.boost_min - 1.0, cfg.boost_max - 1.0);
+    double out = 1.0 + cfg.kp * error + integral;
+    return std::clamp(out, cfg.boost_min, cfg.boost_max);
 }
 
 OverloadController::OverloadController(const OverloadConfig &cfg)
@@ -254,14 +228,10 @@ OverloadController::updateBoost(WorkloadId id, double measured_norm,
     if (!cfg_.enabled || cfg_.policy == ScalingPolicyKind::None)
         return 1.0;
     ServiceControl &sc = services_[id];
-    if (!sc.policy) {
-        sc.policy = makeScalingPolicy(cfg_);
-        assert(sc.policy);
-    }
     double dt = sc.last_update >= 0.0 ? t - sc.last_update
                                       : cfg_.scale_interval_s;
     double error = cfg_.slo_setpoint - measured_norm;
-    sc.boost = sc.policy->update(error, dt, sc.boost);
+    sc.boost = sc.pi.update(cfg_, error, dt);
     sc.last_update = t;
     ++counters_.autoscale_updates;
     fold(0x5CA1EULL);

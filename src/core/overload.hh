@@ -30,11 +30,11 @@
  *     restored by the controller once the cluster returns to Normal.
  *
  *  4. A PerfEnforce-style autoscaler on the service model: per
- *     service, a pluggable scaling policy (reactive step, or PI with
- *     conditional-integration anti-windup) tracks an SLO setpoint on
- *     the monitored normalized performance and outputs a demand boost
- *     multiplier applied to the service's required performance, which
- *     the existing adapt loop (scale up / out / shrink) then enacts.
+ *     service, a PI controller with conditional-integration
+ *     anti-windup tracks an SLO setpoint on the monitored normalized
+ *     performance and outputs a demand boost multiplier applied to
+ *     the service's required performance, which the existing adapt
+ *     loop (scale up / out / shrink) then enacts.
  *
  * Replay contract: every decision here is a pure function of (config,
  * placements, monitor readings), all of which are bit-identical
@@ -49,7 +49,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 
 #include "common/types.hh"
 #include "stats/summary.hh"
@@ -68,12 +67,11 @@ enum class OverloadState
 
 const char *overloadStateName(OverloadState s);
 
-/** Which scaling policy drives the service autoscaler. */
+/** Whether the service autoscaler runs. */
 enum class ScalingPolicyKind
 {
-    None,     ///< autoscaler disabled (boost is always 1).
-    Reactive, ///< fixed step toward the setpoint per update.
-    Pi,       ///< PI control with anti-windup (PerfEnforce-style).
+    None, ///< autoscaler disabled (boost is always 1).
+    Pi,   ///< PI control with anti-windup (PerfEnforce-style).
 };
 
 /** All overload-control knobs (QuasarConfig::overload). */
@@ -138,8 +136,6 @@ struct OverloadConfig
     double deadband = 0.05;
     double kp = 0.8;
     double ki = 0.05;
-    /** Reactive policy: boost step per update, in boost units. */
-    double reactive_step = 0.25;
     /** Output clamp: boost multiplier on required performance. */
     double boost_min = 1.0;
     double boost_max = 3.0;
@@ -186,65 +182,26 @@ class OverloadDetector
 };
 
 /**
- * One service's scaling policy: maps the SLO tracking error to a new
- * demand-boost multiplier. Stateful (each service owns an instance);
- * the interface is the hook for learned policies later.
+ * One service's PI controller with anti-windup: boost = clamp(1 +
+ * kp*e + I), where the integral term I accumulates ki*e*dt only while
+ * the output is unsaturated or the error drives it back off the rail
+ * (conditional integration), and is itself clamped to the reachable
+ * output range — a long saturation episode therefore cannot wind the
+ * integral up, and recovery off the rail starts immediately.
  */
-class ScalingPolicy
+struct PiPolicy
 {
-  public:
-    virtual ~ScalingPolicy() = default;
+    double integral = 0.0;
 
     /**
      * One control step.
      * @param error setpoint - measured normalized performance
      *        (positive = underperforming).
      * @param dt seconds since the previous update.
-     * @param current the boost currently in effect.
-     * @return the new boost, already clamped to the config's range.
+     * @return the new boost, clamped to the config's range.
      */
-    virtual double update(double error, double dt, double current) = 0;
-
-    virtual void reset() = 0;
+    double update(const OverloadConfig &cfg, double error, double dt);
 };
-
-/** Fixed-step reactive policy: +/- reactive_step toward the target. */
-class ReactiveStepPolicy : public ScalingPolicy
-{
-  public:
-    explicit ReactiveStepPolicy(const OverloadConfig &cfg) : cfg_(cfg) {}
-    double update(double error, double dt, double current) override;
-    void reset() override {}
-
-  private:
-    OverloadConfig cfg_;
-};
-
-/**
- * PI controller with anti-windup: boost = clamp(1 + kp*e + I), where
- * the integral term I accumulates ki*e*dt only while the output is
- * unsaturated or the error drives it back off the rail (conditional
- * integration), and is itself clamped to the reachable output range —
- * a long saturation episode therefore cannot wind the integral up,
- * and recovery off the rail starts immediately.
- */
-class PiPolicy : public ScalingPolicy
-{
-  public:
-    explicit PiPolicy(const OverloadConfig &cfg) : cfg_(cfg) {}
-    double update(double error, double dt, double current) override;
-    void reset() override { integral_ = 0.0; }
-
-    double integral() const { return integral_; }
-
-  private:
-    OverloadConfig cfg_;
-    double integral_ = 0.0;
-};
-
-/** Factory (the pluggable-policy seam); null for Kind::None. */
-std::unique_ptr<ScalingPolicy>
-makeScalingPolicy(const OverloadConfig &cfg);
 
 /** Counters the controller keeps (mirrored into QuasarStats). */
 struct OverloadCounters
@@ -315,9 +272,9 @@ class OverloadController
     bool beginScaleRound(double t);
 
     /**
-     * One control step for a service: runs its policy on the measured
-     * normalized performance and returns the new boost. Folds the
-     * output into the decision hash.
+     * One control step for a service: runs its PI controller on the
+     * measured normalized performance and returns the new boost.
+     * Folds the output into the decision hash.
      */
     double updateBoost(WorkloadId id, double measured_norm, double t);
 
@@ -348,11 +305,11 @@ class OverloadController
 
     OverloadConfig cfg_;
     OverloadDetector detector_;
-    /** Per-service policy instances + current boost. std::map keeps
+    /** Per-service controller state + current boost. std::map keeps
      *  every iteration (and hash fold order) deterministic. */
     struct ServiceControl
     {
-        std::unique_ptr<ScalingPolicy> policy;
+        PiPolicy pi;
         double boost = 1.0;
         double last_update = -1.0;
     };

@@ -156,31 +156,6 @@ chooseSocket(
 } // namespace
 
 void
-GreedyScheduler::rebuildPlatformIndex() const
-{
-    platform_idx_.clear();
-    const auto &catalog = cluster_.catalog();
-    for (size_t i = 0; i < catalog.size(); ++i)
-        platform_idx_[catalog[i].name] = i;
-    indexed_catalog_size_ = catalog.size();
-}
-
-size_t
-GreedyScheduler::platformIndexOf(const sim::Server &srv) const
-{
-    if (cluster_.catalog().size() != indexed_catalog_size_)
-        rebuildPlatformIndex();
-    auto it = platform_idx_.find(srv.platform().name);
-    if (it == platform_idx_.end()) {
-        // Catalog mutated without a size change; rebuild once.
-        rebuildPlatformIndex();
-        it = platform_idx_.find(srv.platform().name);
-        assert(it != platform_idx_.end());
-    }
-    return it->second;
-}
-
-void
 GreedyScheduler::refreshEntry(const sim::Server &srv,
                               ServerCacheEntry &e) const
 {
@@ -197,7 +172,7 @@ GreedyScheduler::refreshEntry(const sim::Server &srv,
     e.be_cores = be.cores;
     e.be_mem = be.memory_gb;
     e.be_storage = be.storage_gb;
-    e.platform_idx = platformIndexOf(srv);
+    e.platform_idx = srv.platformIndex();
     // Prio-class key: the lowest registry priority among non-best-
     // effort residents holding at least one core. priorityEvictable()
     // frees ≥ 1 core for workload w exactly when this key is strictly
@@ -583,19 +558,18 @@ GreedyScheduler::cachedState(const sim::Server &srv) const
 void
 GreedyScheduler::refreshIndex() const
 {
+    if (!orderMaintained())
+        return; // the oracle reads fresh entries and keeps no index
     const sim::ChangeJournal &journal = cluster_.journal();
     if (cache_.size() < cluster_.size())
         cache_.resize(cluster_.size());
-    bool force = cluster_.catalog().size() != indexed_catalog_size_;
-    if (force)
-        rebuildPlatformIndex(); // platform indices may have moved
-    if (force || !index_primed_ || journal_cursor_ < journal.base()) {
-        // First use, a cursor compacted out of the journal, or a
-        // catalog change: fall back to a full epoch-check scan, once.
+    if (!index_primed_ || journal_cursor_ < journal.base()) {
+        // First use, or a cursor compacted out of the journal: fall
+        // back to a full epoch-check scan, once.
         for (size_t i = 0; i < cluster_.size(); ++i) {
             const sim::Server &srv = cluster_.server(ServerId(i));
             ServerCacheEntry &e = cache_[i];
-            if (force || e.version != srv.version())
+            if (e.version != srv.version())
                 refreshEntryIndexed(srv, e);
         }
         index_primed_ = true;
@@ -823,20 +797,12 @@ GreedyScheduler::nodeNeed(const WorkloadEstimate &est, double target,
 
 bool
 GreedyScheduler::planEvictions(
-    const sim::Server &srv, const Workload &w, const NodePick &pick,
-    bool may_evict,
+    const sim::Server &srv, const ServerCacheEntry &e, const Workload &w,
+    const NodePick &pick, bool may_evict,
     std::vector<std::pair<ServerId, WorkloadId>> &planned) const
 {
-    int base_free_cores;
-    double base_free_mem;
-    if (cfg_.full_rescan) {
-        base_free_cores = srv.coresFree();
-        base_free_mem = srv.memoryFree();
-    } else {
-        const ServerCacheEntry &e = cachedState(srv);
-        base_free_cores = e.free_cores;
-        base_free_mem = e.free_mem;
-    }
+    const int base_free_cores = e.free_cores;
+    const double base_free_mem = e.free_mem;
     if (!(may_evict && (pick.cores > base_free_cores ||
                         pick.memory_gb > base_free_mem + 1e-9)))
         return true; // fits the raw free capacity (or may not evict)
@@ -882,23 +848,16 @@ GreedyScheduler::serverQuality(const sim::Server &srv,
 {
     // Quality = platform speedup x predicted interference multiplier.
     // Degraded machines rank (and predict) proportionally lower; a
-    // down machine is worth nothing.
-    if (cfg_.full_rescan) {
-        double pf = est.platform_factor[platformIndexOf(srv)];
-        sim::Server::SocketSnapshot snap = srv.socketSnapshot();
-        double im = bestSocketMultiplier(est, snap.contention,
-                                         snap.sockets,
-                                         cfg_.slope_guess);
-        return pf * im * srv.speedFactor();
-    }
-    // Public entry point (the manager scores live placements with it
-    // between decisions): replay the journal first so the entry
-    // reflects any mutation since the last refresh.
+    // down machine is worth nothing. Public entry point (the manager
+    // scores live placements with it between decisions): replay the
+    // journal first so the entry reflects any mutation since the last
+    // refresh.
     refreshIndex();
-    const ServerCacheEntry &e = cache_[size_t(srv.id())];
+    ServerCacheEntry scratch;
+    const ServerCacheEntry &e = serverView(srv, scratch);
     double pf = est.platform_factor[e.platform_idx];
-    double im = bestSocketMultiplier(est, e.socket_contention,
-                                     e.sockets, cfg_.slope_guess);
+    double im = bestSocketMultiplier(est, e.socket_contention, e.sockets,
+                                     cfg_.slope_guess);
     return pf * im * e.speed;
 }
 
@@ -927,60 +886,34 @@ GreedyScheduler::rankedCandidates(const WorkloadEstimate &est) const
 }
 
 GreedyScheduler::NodePick
-GreedyScheduler::pickNodeConfig(const sim::Server &srv, const Workload &w,
+GreedyScheduler::pickNodeConfig(const sim::Server &srv,
+                                const ServerCacheEntry &e,
+                                const Workload &w,
                                 const WorkloadEstimate &est,
                                 bool count_evictable,
                                 double perf_needed) const
 {
     NodePick pick;
-    size_t p_idx;
-    int free_cores;
-    double free_mem, free_storage, interf;
+    const size_t p_idx = e.platform_idx;
+    int free_cores = e.free_cores;
+    double free_mem = e.free_mem;
+    double free_storage = e.free_storage;
     // The socket-selection step: the greedy walk picks (server,
     // socket), predicting node perf from the chosen socket's view.
     // Flat servers always choose socket 0, reproducing the
     // pre-topology multiplier bit for bit.
-    if (cfg_.full_rescan) {
-        p_idx = platformIndexOf(srv);
-        free_cores = srv.coresFree();
-        free_mem = srv.memoryFree();
-        free_storage = srv.storageFree();
-        sim::Server::SocketSnapshot snap = srv.socketSnapshot();
-        pick.socket =
-            chooseSocket(est, snap.contention, snap.cores_homed,
-                         snap.sockets, cfg_.socket_aware,
-                         cfg_.slope_guess);
-        interf = est.interferenceMultiplier(
-                     snap.contention[size_t(pick.socket)],
-                     cfg_.slope_guess) *
-                 srv.speedFactor();
-        if (count_evictable) {
-            Evictable be = bestEffortTotals(srv);
-            free_cores += be.cores;
-            free_mem += be.memory_gb;
-            free_storage += be.storage_gb;
-        }
-    } else {
-        const ServerCacheEntry &e = cachedState(srv);
-        p_idx = e.platform_idx;
-        free_cores = e.free_cores;
-        free_mem = e.free_mem;
-        free_storage = e.free_storage;
-        pick.socket =
-            chooseSocket(est, e.socket_contention, e.socket_cores,
-                         e.sockets, cfg_.socket_aware,
-                         cfg_.slope_guess);
-        interf = est.interferenceMultiplier(
-                     e.socket_contention[size_t(pick.socket)],
-                     cfg_.slope_guess) *
-                 e.speed;
-        if (count_evictable) {
-            free_cores += e.be_cores;
-            free_mem += e.be_mem;
-            free_storage += e.be_storage;
-        }
-    }
+    pick.socket = chooseSocket(est, e.socket_contention, e.socket_cores,
+                               e.sockets, cfg_.socket_aware,
+                               cfg_.slope_guess);
+    pick.interf = est.interferenceMultiplier(
+                      e.socket_contention[size_t(pick.socket)],
+                      cfg_.slope_guess) *
+                  e.speed;
+    const double interf = pick.interf;
     if (count_evictable) {
+        free_cores += e.be_cores;
+        free_mem += e.be_mem;
+        free_storage += e.be_storage;
         priorityEvictable(srv, w, free_cores, free_mem, free_storage);
     }
     if (free_cores < 1 || free_storage < w.storage_gb_per_node)
@@ -1104,6 +1037,83 @@ GreedyScheduler::allocate(const Workload &w, const WorkloadEstimate &est,
     return decision;
 }
 
+const GreedyScheduler::ServerCacheEntry &
+GreedyScheduler::serverView(const sim::Server &srv,
+                            ServerCacheEntry &scratch) const
+{
+    // The decision path's only state-read fork. The oracle recomputes
+    // every value with the calls the index refresh makes, so the two
+    // modes read bitwise-identical state.
+    if (cfg_.full_rescan) {
+        refreshEntry(srv, scratch);
+        return scratch;
+    }
+    return cachedState(srv);
+}
+
+NodeReject
+GreedyScheduler::nodeVerdict(
+    const sim::Server &srv, const ServerCacheEntry &e, const Workload &w,
+    const WorkloadEstimate &est, WalkState &so_far,
+    const EstimateLookup &estimates, bool may_evict, NodePick &pick,
+    std::vector<std::pair<ServerId, WorkloadId>> &planned) const
+{
+    pick = pickNodeConfig(srv, e, w, est, may_evict,
+                          nodeNeed(est, so_far.target, so_far.node_perfs));
+    if (!pick.valid)
+        return NodeReject::Unfit;
+    if (so_far.knob_filter &&
+        !(est.scale_up_grid[pick.col].knobs == *so_far.knob_filter)) {
+        // Keep one knob setting across the job: re-scan restricted to
+        // matching columns by rejecting mismatches.
+        bool fixed = false;
+        for (size_t c = 0; c < est.scale_up_grid.size(); ++c) {
+            const auto &cfg = est.scale_up_grid[c];
+            if (!(cfg.knobs == *so_far.knob_filter))
+                continue;
+            if (cfg.cores != pick.cores || cfg.memory_gb != pick.memory_gb)
+                continue;
+            pick.col = c;
+            pick.perf = est.nodePerf(e.platform_idx, c) * pick.interf;
+            fixed = true;
+            break;
+        }
+        if (!fixed)
+            return NodeReject::Knob;
+    }
+    if (!residentsTolerate(srv, est, pick.cores, pick.socket, estimates))
+        return NodeReject::Intolerant;
+
+    // Diminishing returns: when this node's marginal contribution
+    // falls well below what it would deliver standalone, the
+    // scale-out knee has passed and further servers are wasted
+    // (checked before planning evictions so no one is evicted for a
+    // node that is never placed).
+    std::vector<double> &perfs = so_far.node_perfs;
+    if (!perfs.empty() && pick.perf > 0.0) {
+        perfs.push_back(pick.perf);
+        double with_node = est.jobPerf(perfs);
+        perfs.pop_back();
+        double gain = with_node - est.jobPerf(perfs);
+        if (gain < cfg_.min_marginal_efficiency * pick.perf)
+            return NodeReject::Knee;
+    }
+
+    // Evictions go to the caller's list, committed only once the node
+    // clears every check: nothing may land in the allocation for a
+    // node rejected later (cost cap) or for a server revisited by the
+    // relaxed spreading pass, or the same share would be consumed
+    // twice in one schedule call.
+    if (!planEvictions(srv, e, w, pick, may_evict, planned))
+        return NodeReject::Evict;
+
+    // Cost target (Sec. 4.4): never exceed the spending cap.
+    if (w.cost_cap_per_hour > 0.0 &&
+        so_far.cost + nodeCost(srv, pick) > w.cost_cap_per_hour)
+        return NodeReject::Cost;
+    return NodeReject::None;
+}
+
 NodeReject
 GreedyScheduler::firstNodeVerdict(const sim::Server &srv,
                                   const Workload &w,
@@ -1112,35 +1122,23 @@ GreedyScheduler::firstNodeVerdict(const sim::Server &srv,
                                   const EstimateLookup &estimates,
                                   bool may_evict) const
 {
-    // allocateImpl's candidate test with no node chosen yet: no knob
-    // filter, no cost spent, no fault zone used, no marginal-gain
-    // knee. The rank-time filter reads the same cached entry (and
-    // class factorization) the dirty drain partitions on.
-    ServerCacheEntry fresh;
-    const ServerCacheEntry *e = &fresh;
-    if (cfg_.full_rescan)
-        refreshEntry(srv, fresh);
-    else
-        e = &cachedState(srv);
-    auto [cls, prio_key] = feasibilityClass(*e);
+    // allocateImpl's candidate test with no node chosen yet: the
+    // rank-time filter (the class factorization the dirty drain
+    // partitions on), the hosting check, then the walk's own
+    // nodeVerdict with no nodes, no knob filter and nothing spent.
+    ServerCacheEntry scratch;
+    const ServerCacheEntry &e = serverView(srv, scratch);
+    auto [cls, prio_key] = feasibilityClass(e);
     if (!filterAdmits(candidateFilter(w, may_evict), cls, prio_key))
         return NodeReject::Closed;
     if (srv.hosts(w.id))
         return NodeReject::Hosted;
-    const double target = std::max(required_perf, 1e-9) * cfg_.headroom;
-    NodePick pick =
-        pickNodeConfig(srv, w, est, may_evict, nodeNeed(est, target, {}));
-    if (!pick.valid)
-        return NodeReject::Unfit;
-    if (!residentsTolerate(srv, est, pick.cores, pick.socket, estimates))
-        return NodeReject::Intolerant;
+    WalkState first;
+    first.target = std::max(required_perf, 1e-9) * cfg_.headroom;
+    NodePick pick;
     std::vector<std::pair<ServerId, WorkloadId>> planned;
-    if (!planEvictions(srv, w, pick, may_evict, planned))
-        return NodeReject::Evict;
-    if (w.cost_cap_per_hour > 0.0 &&
-        nodeCost(srv, pick) > w.cost_cap_per_hour)
-        return NodeReject::Cost;
-    return NodeReject::None;
+    return nodeVerdict(srv, e, w, est, first, estimates, may_evict, pick,
+                       planned);
 }
 
 std::optional<Allocation>
@@ -1151,7 +1149,8 @@ GreedyScheduler::allocateImpl(const Workload &w,
                               bool may_evict) const
 {
     assert(est.scale_up_grid.size() == est.scale_up_perf.size());
-    const double target = std::max(required_perf, 1e-9) * cfg_.headroom;
+    WalkState so_far;
+    so_far.target = std::max(required_perf, 1e-9) * cfg_.headroom;
     const int max_nodes =
         workload::isDistributed(w.type)
             ? std::min<int>(cfg_.max_nodes, int(cluster_.size()))
@@ -1247,10 +1246,8 @@ GreedyScheduler::allocateImpl(const Workload &w,
 
     stats::ScopedTimer timer(timing_.place);
     Allocation alloc;
-    std::vector<double> node_perfs;
-    const FrameworkKnobs *knob_filter = nullptr;
     FrameworkKnobs chosen_knobs;
-    double cost_so_far = 0.0;
+    ServerCacheEntry scratch;
     std::vector<char> zone_used(
         size_t(std::max(cluster_.numFaultZones(), 1)), 0);
 
@@ -1267,8 +1264,8 @@ GreedyScheduler::allocateImpl(const Workload &w,
                 done = true;
                 break;
             }
-            double predicted = est.jobPerf(node_perfs);
-            if (predicted >= target) {
+            double predicted = est.jobPerf(so_far.node_perfs);
+            if (predicted >= so_far.target) {
                 done = true;
                 break;
             }
@@ -1296,102 +1293,23 @@ GreedyScheduler::allocateImpl(const Workload &w,
                 ++walk_.rejected[size_t(NodeReject::Zone)];
                 continue;
             }
-            NodePick pick = pickNodeConfig(
-                srv, w, est, may_evict, nodeNeed(est, target, node_perfs));
-            if (!pick.valid) {
-                ++walk_.rejected[size_t(NodeReject::Unfit)];
-                dropBucketOf(sid);
-                continue;
-            }
-            if (knob_filter &&
-                !(est.scale_up_grid[pick.col].knobs == *knob_filter)) {
-                // Keep one knob setting across the job: re-scan
-                // restricted to matching columns by rejecting
-                // mismatches.
-                size_t p_idx;
-                double interf;
-                if (cfg_.full_rescan) {
-                    p_idx = platformIndexOf(srv);
-                    sim::Server::SocketSnapshot snap =
-                        srv.socketSnapshot();
-                    interf = est.interferenceMultiplier(
-                                 snap.contention[size_t(pick.socket)],
-                                 cfg_.slope_guess) *
-                             srv.speedFactor();
-                } else {
-                    const ServerCacheEntry &e = cachedState(srv);
-                    p_idx = e.platform_idx;
-                    interf =
-                        est.interferenceMultiplier(
-                            e.socket_contention[size_t(pick.socket)],
-                            cfg_.slope_guess) *
-                        e.speed;
-                }
-                bool fixed = false;
-                for (size_t c = 0; c < est.scale_up_grid.size(); ++c) {
-                    const auto &cfg = est.scale_up_grid[c];
-                    if (!(cfg.knobs == *knob_filter))
-                        continue;
-                    if (cfg.cores != pick.cores ||
-                        cfg.memory_gb != pick.memory_gb)
-                        continue;
-                    pick.col = c;
-                    pick.perf = est.nodePerf(p_idx, c) * interf;
-                    fixed = true;
-                    break;
-                }
-                if (!fixed) {
-                    ++walk_.rejected[size_t(NodeReject::Knob)];
+            const ServerCacheEntry &e = serverView(srv, scratch);
+            NodePick pick;
+            std::vector<std::pair<ServerId, WorkloadId>> planned;
+            NodeReject r = nodeVerdict(srv, e, w, est, so_far, estimates,
+                                       may_evict, pick, planned);
+            if (r != NodeReject::None) {
+                ++walk_.rejected[size_t(r)];
+                if (r == NodeReject::Unfit || r == NodeReject::Knob)
                     dropBucketOf(sid);
-                    continue;
-                }
-            }
-            if (!residentsTolerate(srv, est, pick.cores, pick.socket,
-                                   estimates)) {
-                ++walk_.rejected[size_t(NodeReject::Intolerant)];
-                continue;
-            }
-
-            // Diminishing returns: when this node's marginal
-            // contribution falls well below what it would deliver
-            // standalone, the scale-out knee has passed and further
-            // servers are wasted (checked before planning evictions so
-            // no one is evicted for a node that is never placed).
-            if (!node_perfs.empty() && pick.perf > 0.0) {
-                node_perfs.push_back(pick.perf);
-                double with_node = est.jobPerf(node_perfs);
-                node_perfs.pop_back();
-                double gain = with_node - est.jobPerf(node_perfs);
-                if (gain < cfg_.min_marginal_efficiency * pick.perf) {
-                    ++walk_.rejected[size_t(NodeReject::Knee)];
+                if (r == NodeReject::Knee) {
                     done = true;
                     break;
                 }
-            }
-
-            // Plan evictions into a local list, committed only once
-            // the node clears every remaining check. Nothing may land
-            // in alloc.evictions for a node that is rejected later
-            // (cost cap) or for a server revisited by the relaxed
-            // spreading pass, or the same share would be consumed
-            // twice in one schedule call.
-            std::vector<std::pair<ServerId, WorkloadId>> planned;
-            if (!planEvictions(srv, w, pick, may_evict, planned)) {
-                ++walk_.rejected[size_t(NodeReject::Evict)];
                 continue;
             }
-
-            // Cost target (Sec. 4.4): never exceed the spending cap.
-            // Checked before anything is committed so a rejection
-            // leaves no trace.
-            if (w.cost_cap_per_hour > 0.0) {
-                double node_cost = nodeCost(srv, pick);
-                if (cost_so_far + node_cost > w.cost_cap_per_hour) {
-                    ++walk_.rejected[size_t(NodeReject::Cost)];
-                    continue;
-                }
-                cost_so_far += node_cost;
-            }
+            if (w.cost_cap_per_hour > 0.0)
+                so_far.cost += nodeCost(srv, pick);
 
             ++walk_.nodes;
             // A new node moves perf_needed: close the drop epoch.
@@ -1400,14 +1318,14 @@ GreedyScheduler::allocateImpl(const Workload &w,
             if (alloc.nodes.empty()) {
                 chosen_knobs = est.scale_up_grid[pick.col].knobs;
                 if (w.type == workload::WorkloadType::Analytics)
-                    knob_filter = &chosen_knobs;
+                    so_far.knob_filter = &chosen_knobs;
             }
             alloc.evictions.insert(alloc.evictions.end(),
                                    planned.begin(), planned.end());
             alloc.nodes.push_back({sid, pick.col, pick.cores,
                                    pick.memory_gb, pick.perf,
                                    pick.socket});
-            node_perfs.push_back(pick.perf);
+            so_far.node_perfs.push_back(pick.perf);
             zone_used[size_t(srv.faultZone())] = 1;
         }
     }
@@ -1422,7 +1340,7 @@ GreedyScheduler::allocateImpl(const Workload &w,
         return std::nullopt;
 
     alloc.knobs = chosen_knobs;
-    alloc.predicted_perf = est.jobPerf(node_perfs);
+    alloc.predicted_perf = est.jobPerf(so_far.node_perfs);
     alloc.degraded = alloc.predicted_perf + 1e-9 <
                      required_perf * cfg_.headroom * cfg_.node_perf_slack;
     return alloc;

@@ -13,11 +13,17 @@
  * Best-effort residents may be marked for eviction to make room for
  * primary workloads.
  *
- * Decision-path performance: the platform-name→catalog-index map is
- * built once per cluster, and each server's newcomer-contention
- * ledger summary, free capacity, and health are kept in a per-server
- * index revalidated against the server's change epoch
- * (sim::Server::version()) instead of being recomputed per placement.
+ * One per-candidate test: nodeVerdict() holds the checks the walk
+ * applies to every candidate (fit, knob, residents' tolerance, knee,
+ * evictions, cost), and firstNodeVerdict() — the admission failure
+ * memo's proof — calls the same function with no node chosen yet.
+ *
+ * One server view: every state reader takes a ServerCacheEntry (the
+ * platform index the server carries, its newcomer-contention ledger
+ * summary, free capacity, best-effort totals and health). The dirty
+ * path keeps one per server, revalidated against the server's change
+ * epoch (sim::Server::version()); full_rescan builds a fresh one per
+ * read with the same calls.
  *
  * Two ranking modes, both picking bit-identical placements:
  *  - dirty-set (production): the per-server index is kept fresh by
@@ -38,10 +44,12 @@
  *    free capacity, so every member of a bucket gets the same Unfit /
  *    Knob verdict: one rejection drops the whole bucket from the
  *    walk until the next node is taken (DESIGN.md §9).
- *  - full_rescan: the legacy recompute-everything path (full ledger
- *    walks, eager sort), kept as the tests-only shadow oracle: the
- *    QUASAR_VERIFY layer and the equivalence tests re-run decisions
- *    through it. Benches and production configs must not set it.
+ *  - full_rescan: the recompute-everything path (fresh server views,
+ *    eager scoring and sort, its own rank-time filter), kept as the
+ *    tests-only shadow oracle: the QUASAR_VERIFY layer and the
+ *    equivalence tests re-run decisions through it, checking the
+ *    maintained order and the class filter against it. Benches and
+ *    production configs must not set it.
  */
 
 #pragma once
@@ -53,7 +61,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -213,7 +220,6 @@ class GreedyScheduler
                     const workload::WorkloadRegistry *registry = nullptr)
         : cluster_(cluster), cfg_(cfg), registry_(registry)
     {
-        rebuildPlatformIndex();
     }
 
     /**
@@ -236,10 +242,10 @@ class GreedyScheduler
 
     /**
      * Whether srv would take w's first node right now, and if not,
-     * why: exactly the per-candidate test allocate() applies while no
-     * node has been chosen yet (the rank-time feasibility filter,
-     * pickNodeConfig, residents' tolerance, eviction planning, the
-     * cost cap). It reads only srv's own state, so allocate() returns
+     * why: the rank-time feasibility filter and the hosting check,
+     * then the very nodeVerdict() the walk applies to every candidate,
+     * with no node chosen yet (no knob filter, nothing spent). It
+     * reads only srv's own state, so allocate() returns
      * nullopt iff no server answers None, and a single-node
      * allocation lands on the best-ranked server that does — the two
      * facts the admission failure memo (core/failure_memo.hh) proves
@@ -271,12 +277,6 @@ class GreedyScheduler
      */
     double serverQuality(const sim::Server &srv,
                          const WorkloadEstimate &est) const;
-
-    /**
-     * Catalog index of the server's platform from the cached
-     * name→index map (rebuilt automatically if the catalog changed).
-     */
-    size_t platformIndexOf(const sim::Server &srv) const;
 
     const SchedulerConfig &config() const { return cfg_; }
 
@@ -315,7 +315,24 @@ class GreedyScheduler
         double memory_gb = 0.0;
         double perf = 0.0;
         int socket = 0;
+        /** Interference multiplier on the picked socket x speed
+         *  factor: the per-column perf is nodePerf x interf. */
+        double interf = 0.0;
         bool valid = false;
+    };
+
+    /** The walk's state between taken nodes: all a candidate's
+     *  verdict depends on besides the server and the call's inputs. */
+    struct WalkState
+    {
+        /** required_perf x headroom. */
+        double target = 0.0;
+        /** Predicted perf of each node taken so far. */
+        std::vector<double> node_perfs;
+        /** The job's knob setting, once its first node fixed it. */
+        const workload::FrameworkKnobs *knob_filter = nullptr;
+        /** Hourly cost of the nodes taken so far. */
+        double cost = 0.0;
     };
 
     /**
@@ -389,8 +406,8 @@ class GreedyScheduler
         int be_cores = 0;
         double be_mem = 0.0;
         double be_storage = 0.0;
-        /** Catalog index of the server's platform (fixed per server;
-         *  cached so the dirty-set walk never hashes a name). */
+        /** Catalog index of the server's platform
+         *  (Server::platformIndex()). */
         size_t platform_idx = 0;
         /** Minimum priority over non-best-effort residents holding at
          *  least one core and known to the registry (kNoPrio when
@@ -523,8 +540,8 @@ class GreedyScheduler
     };
 
     /** Recompute e from srv's current state (the verify audit and
-     *  firstNodeVerdict's full_rescan branch share it with the index,
-     *  so every reader sees bitwise-identical values). */
+     *  the full_rescan view share it with the index, so every reader
+     *  sees bitwise-identical values). */
     void refreshEntry(const sim::Server &srv, ServerCacheEntry &e) const;
 
     /** refreshEntry + incremental-order maintenance. */
@@ -533,6 +550,14 @@ class GreedyScheduler
 
     /** Cached state for srv, refreshed if its epoch moved. */
     const ServerCacheEntry &cachedState(const sim::Server &srv) const;
+
+    /**
+     * The server view every state reader takes: cachedState(srv) on
+     * the dirty path, a fresh refreshEntry into `scratch` under
+     * full_rescan (the decision path's only state-read fork).
+     */
+    const ServerCacheEntry &serverView(const sim::Server &srv,
+                                       ServerCacheEntry &scratch) const;
 
     /** True when this scheduler maintains the incremental order. */
     bool orderMaintained() const
@@ -598,7 +623,7 @@ class GreedyScheduler
      * Bring the whole index up to date by replaying the cluster's
      * change journal from this scheduler's cursor (falling back to a
      * full epoch-check scan when the journal was compacted past it or
-     * the index is unprimed).
+     * the index is unprimed). A no-op under full_rescan.
      */
     void refreshIndex() const;
 
@@ -619,9 +644,6 @@ class GreedyScheduler
     void auditIndexCoherence() const;
 #endif
 
-    /** Rebuild the platform-name→index map from the catalog. */
-    void rebuildPlatformIndex() const;
-
     /**
      * Extra evictable capacity from priority preemption (residents of
      * strictly lower priority than w, excluding best-effort tasks,
@@ -636,6 +658,7 @@ class GreedyScheduler
      * (optionally counting evictable best-effort shares as free).
      */
     NodePick pickNodeConfig(const sim::Server &srv,
+                            const ServerCacheEntry &e,
                             const workload::Workload &w,
                             const WorkloadEstimate &est,
                             bool count_evictable,
@@ -669,11 +692,30 @@ class GreedyScheduler
      * (best-effort first, then ascending priority, larger shares
      * first) into `planned`. False when even that does not fit.
      */
-    bool planEvictions(const sim::Server &srv,
+    bool planEvictions(const sim::Server &srv, const ServerCacheEntry &e,
                        const workload::Workload &w, const NodePick &pick,
                        bool may_evict,
                        std::vector<std::pair<ServerId, WorkloadId>>
                            &planned) const;
+
+    /**
+     * The greedy walk's per-candidate test (Sec. 3.3), in order: fit a
+     * scale-up pick (Unfit), hold the job's knob setting (Knob),
+     * residents' tolerance (Intolerant), the scale-out knee (Knee),
+     * eviction planning (Evict), the cost cap (Cost). Returns the
+     * first failing check, or None with the node in `pick` and its
+     * evictions in `planned`. e is serverView(srv). The walk and
+     * firstNodeVerdict both call it, so the failure memo's proof
+     * applies the walk's own test.
+     */
+    NodeReject nodeVerdict(const sim::Server &srv,
+                           const ServerCacheEntry &e,
+                           const workload::Workload &w,
+                           const WorkloadEstimate &est, WalkState &so_far,
+                           const EstimateLookup &estimates, bool may_evict,
+                           NodePick &pick,
+                           std::vector<std::pair<ServerId, WorkloadId>>
+                               &planned) const;
 
     /** Hourly cost of the pick's cores on srv (Sec. 4.4 cost cap). */
     static double nodeCost(const sim::Server &srv, const NodePick &pick);
@@ -682,9 +724,6 @@ class GreedyScheduler
     SchedulerConfig cfg_;
     const workload::WorkloadRegistry *registry_;
 
-    /** Platform-name→catalog-index map, built once per catalog. */
-    mutable std::unordered_map<std::string, size_t> platform_idx_;
-    mutable size_t indexed_catalog_size_ = 0;
     /** The incremental per-server ranking index. */
     mutable std::vector<ServerCacheEntry> cache_;
     /** Dirty-set journal cursor (next journal offset to replay). */

@@ -33,9 +33,7 @@ ScenarioDriver::ScenarioDriver(sim::Cluster &cluster,
                                workload::WorkloadRegistry &registry,
                                ClusterManager &manager, DriverConfig cfg)
     : cluster_(cluster), registry_(registry), manager_(manager),
-      cfg_(cfg), oracle_(cluster, registry), cpu_used_(cluster.size()),
-      cpu_reserved_(cluster.size()), mem_used_(cluster.size()),
-      storage_used_(cluster.size())
+      cfg_(cfg), oracle_(cluster, registry), cpu_used_(cluster.size())
 {
     assert(cfg_.tick_s > 0.0);
 }
@@ -226,13 +224,9 @@ ScenarioDriver::tick()
 
     // 3. Record utilization series.
     if (ticks_ % cfg_.record_every == 0) {
-        for (size_t s = 0; s < cluster_.size(); ++s) {
-            const sim::Server &srv = cluster_.server(ServerId(s));
-            cpu_used_.record(s, t, srv.cpuUtilization());
-            cpu_reserved_.record(s, t, srv.cpuReservedFraction());
-            mem_used_.record(s, t, srv.memoryUtilization());
-            storage_used_.record(s, t, srv.storageUtilization());
-        }
+        for (size_t s = 0; s < cluster_.size(); ++s)
+            cpu_used_.record(s, t,
+                             cluster_.server(ServerId(s)).cpuUtilization());
         sim::ClusterSnapshot snap = cluster_.snapshot();
         agg_cpu_used_.record(t, snap.cpu_used);
         agg_cpu_reserved_.record(t, snap.cpu_reserved);

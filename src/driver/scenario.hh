@@ -135,15 +135,6 @@ class ScenarioDriver : public sim::FaultListener
     {
         return cpu_used_;
     }
-    const stats::UtilizationGrid &cpuReservedGrid() const
-    {
-        return cpu_reserved_;
-    }
-    const stats::UtilizationGrid &memGrid() const { return mem_used_; }
-    const stats::UtilizationGrid &storageGrid() const
-    {
-        return storage_used_;
-    }
     const stats::TimeSeries &aggCpuUsed() const { return agg_cpu_used_; }
     const stats::TimeSeries &aggCpuReserved() const
     {
@@ -175,9 +166,6 @@ class ScenarioDriver : public sim::FaultListener
     workload::PerfOracle oracle_;
 
     stats::UtilizationGrid cpu_used_;
-    stats::UtilizationGrid cpu_reserved_;
-    stats::UtilizationGrid mem_used_;
-    stats::UtilizationGrid storage_used_;
     stats::TimeSeries agg_cpu_used_;
     stats::TimeSeries agg_cpu_reserved_;
     stats::TimeSeries agg_mem_used_;

@@ -17,7 +17,7 @@ Cluster::Cluster(const std::vector<Platform> &catalog,
         for (int k = 0; k < counts[i]; ++k) {
             int zone = int(next) % num_fault_zones_;
             servers_.push_back(
-                std::make_unique<Server>(next++, catalog[i], zone));
+                std::make_unique<Server>(next++, catalog[i], zone, i));
             total_cores_ += catalog[i].cores;
             total_memory_ += catalog[i].memory_gb;
             total_storage_ += catalog[i].storage_gb;

@@ -34,8 +34,9 @@ class Cluster
 {
   public:
     /**
-     * Build with counts[i] servers of catalog[i]; servers are dealt
-     * round-robin across num_fault_zones failure domains.
+     * Build with counts[i] servers of catalog[i] (each records i as
+     * its Server::platformIndex()); servers are dealt round-robin
+     * across num_fault_zones failure domains.
      */
     Cluster(const std::vector<Platform> &catalog,
             const std::vector<int> &counts, int num_fault_zones = 4);

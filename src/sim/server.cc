@@ -10,8 +10,10 @@ namespace quasar::sim
 using interference::IVector;
 using interference::kNumSources;
 
-Server::Server(ServerId id, const Platform &platform, int fault_zone)
-    : id_(id), platform_(platform), fault_zone_(fault_zone)
+Server::Server(ServerId id, const Platform &platform, int fault_zone,
+               size_t platform_index)
+    : id_(id), platform_(platform), platform_index_(platform_index),
+      fault_zone_(fault_zone)
 {
     assert(platform_.topology.valid(platform_.cores));
     num_sockets_ = platform_.topology.numSockets();

@@ -79,10 +79,18 @@ struct TaskShare
 class Server
 {
   public:
-    Server(ServerId id, const Platform &platform, int fault_zone = 0);
+    /**
+     * @param platform_index position of `platform` in the owning
+     *        cluster's catalog (0 for a standalone server).
+     */
+    Server(ServerId id, const Platform &platform, int fault_zone = 0,
+           size_t platform_index = 0);
 
     ServerId id() const { return id_; }
     const Platform &platform() const { return platform_; }
+    /** Catalog index of the platform: the column of the estimates'
+     *  per-platform tables (fixed for the server's lifetime). */
+    size_t platformIndex() const { return platform_index_; }
     /** Failure-domain id (rack/PDU); Sec. 4.4 fault zones. */
     int faultZone() const { return fault_zone_; }
 
@@ -323,6 +331,7 @@ class Server
 
     ServerId id_;
     Platform platform_;
+    size_t platform_index_ = 0;
     int fault_zone_ = 0;
     ServerState state_ = ServerState::Up;
     double speed_factor_ = 1.0;

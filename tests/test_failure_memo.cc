@@ -348,6 +348,90 @@ TEST(FirstNodeVerdict, MonotoneRejectionsHoldAtLargerRequirements)
     EXPECT_GT(lifted_smaller, 0u);
 }
 
+TEST(FirstNodeVerdict, ClosedIsExactlyTheRankTimeFilter)
+{
+    // Closed marks the servers allocate() never draws: down, or no
+    // core free even after counting what w may evict (best-effort
+    // shares, and with a registry lower-priority residents). Recount
+    // that from the live ledger for every server, in both modes.
+    size_t closed = 0, open = 0;
+    for (uint64_t seed = 31; seed <= 34; ++seed) {
+        for (bool full_rescan : {false, true}) {
+            VerdictWorld world(seed, full_rescan);
+            GreedyScheduler sched(world.cluster, world.cfg,
+                                  &world.registry);
+            world.populate(sched, 90);
+            for (int i = 0; i < 8; ++i) {
+                WorkloadId id = world.draw(i + 3);
+                const Workload &w = world.registry.get(id);
+                const bool may_evict = !w.best_effort;
+                for (size_t s = 0; s < world.cluster.size(); ++s) {
+                    const sim::Server &srv =
+                        world.cluster.server(ServerId(s));
+                    int free = srv.coresFree();
+                    for (const sim::TaskShare &t : srv.tasks())
+                        if (may_evict &&
+                            (t.best_effort ||
+                             world.registry.get(t.workload).priority <
+                                 w.priority))
+                            free += t.cores;
+                    const bool expect = !srv.available() || free < 1;
+                    const bool got =
+                        sched.firstNodeVerdict(srv, w, world.estimates[id],
+                                               1.0, world.lookup(),
+                                               may_evict) ==
+                        NodeReject::Closed;
+                    EXPECT_EQ(got, expect)
+                        << "seed " << seed << " server " << s
+                        << (full_rescan ? " full_rescan" : " dirty");
+                    ++(expect ? closed : open);
+                }
+            }
+        }
+    }
+    EXPECT_GT(closed, 20u);
+    EXPECT_GT(open, 20u);
+}
+
+TEST(FirstNodeVerdict, FullRescanReadsLiveStateNotACachedEntry)
+{
+    // The full_rescan oracle is the reference the journaled index is
+    // checked against, so its server view must come from live state
+    // on every read. A resident's registry priority decides the Prio
+    // class but moves no server epoch: an oracle that read an
+    // epoch-checked cache entry would miss the change below.
+    sim::Cluster cluster = sim::Cluster::localCluster();
+    workload::WorkloadRegistry registry;
+    core::SchedulerConfig cfg;
+    cfg.full_rescan = true;
+    GreedyScheduler oracle(cluster, cfg, &registry);
+
+    sim::Server &srv = cluster.server(0);
+    Workload resident;
+    resident.priority = 0;
+    const WorkloadId rid = registry.add(std::move(resident));
+    sim::TaskShare share;
+    share.workload = rid;
+    share.cores = srv.platform().cores; // no free core left
+    share.memory_gb = 1.0;
+    srv.place(share);
+
+    Workload newcomer;
+    newcomer.priority = 5;
+    const WorkloadId nid = registry.add(std::move(newcomer));
+    const Workload &w = registry.get(nid);
+    core::WorkloadEstimate est;
+    est.platform_factor.assign(cluster.catalog().size(), 1.0);
+
+    // Preemptible resident (priority 0 < 5): the class filter admits.
+    EXPECT_NE(oracle.firstNodeVerdict(srv, w, est, 1.0, nullptr, true),
+              NodeReject::Closed);
+    registry.get(rid).priority = 10; // no journal note, no epoch bump
+    EXPECT_EQ(oracle.firstNodeVerdict(srv, w, est, 1.0, nullptr, true),
+              NodeReject::Closed)
+        << "full_rescan served a stale server view";
+}
+
 TEST(WalkCounts, EveryCandidateIsTakenOrRejectedOnce)
 {
     VerdictWorld world(5, false);

@@ -188,54 +188,39 @@ TEST(OverloadController, ShedFirstPriorityOrdering)
 // Scaling policies
 // ---------------------------------------------------------------
 
-TEST(ScalingPolicy, ReactiveStepsTowardSetpointAndClamps)
-{
-    OverloadConfig oc;
-    core::ReactiveStepPolicy p(oc);
-    double b = 1.0;
-    b = p.update(0.5, 30.0, b);
-    EXPECT_DOUBLE_EQ(b, 1.25);
-    b = p.update(0.01, 30.0, b); // inside deadband: hold
-    EXPECT_DOUBLE_EQ(b, 1.25);
-    for (int i = 0; i < 20; ++i)
-        b = p.update(1.0, 30.0, b);
-    EXPECT_DOUBLE_EQ(b, oc.boost_max);
-    b = p.update(-1.0, 30.0, b);
-    EXPECT_DOUBLE_EQ(b, oc.boost_max - oc.reactive_step);
-}
-
 TEST(ScalingPolicy, PiAntiWindupRecoversImmediately)
 {
     OverloadConfig oc; // kp=0.8 ki=0.05 boost_max=3
-    core::PiPolicy pi(oc);
+    core::PiPolicy pi;
     double b = 1.0;
     // A long saturation episode: huge persistent error. The output
     // rails at boost_max and the conditional integration must freeze
     // the integral at the reachable range instead of winding up
     // (naive integration would accumulate ki*e*dt = 3.0 per step).
     for (int i = 0; i < 50; ++i)
-        b = pi.update(2.0, 30.0, b);
+        b = pi.update(oc, 2.0, 30.0);
     EXPECT_DOUBLE_EQ(b, oc.boost_max);
-    EXPECT_LE(pi.integral(), oc.boost_max - 1.0 + 1e-12);
+    EXPECT_LE(pi.integral, oc.boost_max - 1.0 + 1e-12);
     // The moment the error reverses, the output must leave the rail
     // in ONE step — that is the whole point of anti-windup.
-    double recovered = pi.update(-1.0, 30.0, b);
+    double recovered = pi.update(oc, -1.0, 30.0);
     EXPECT_LT(recovered, oc.boost_max);
 }
 
 TEST(ScalingPolicy, FactoryHonorsKind)
 {
+    // Kind::None switches the autoscaler off: no round is due and the
+    // boost stays 1; Kind::Pi runs the controller.
     OverloadConfig oc;
+    oc.enabled = true;
     oc.policy = core::ScalingPolicyKind::None;
-    EXPECT_EQ(core::makeScalingPolicy(oc), nullptr);
-    oc.policy = core::ScalingPolicyKind::Reactive;
-    EXPECT_NE(dynamic_cast<core::ReactiveStepPolicy *>(
-                  core::makeScalingPolicy(oc).get()),
-              nullptr);
+    core::OverloadController off(oc);
+    EXPECT_FALSE(off.beginScaleRound(0.0));
+    EXPECT_EQ(off.updateBoost(1, 0.2, 0.0), 1.0);
     oc.policy = core::ScalingPolicyKind::Pi;
-    EXPECT_NE(dynamic_cast<core::PiPolicy *>(
-                  core::makeScalingPolicy(oc).get()),
-              nullptr);
+    core::OverloadController on(oc);
+    EXPECT_TRUE(on.beginScaleRound(0.0));
+    EXPECT_GT(on.updateBoost(1, 0.2, 0.0), 1.0);
 }
 
 // ---------------------------------------------------------------

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "bench/report.hh"
 #include "sim/cluster.hh"
 #include "sim/event_queue.hh"
 
@@ -285,6 +289,45 @@ TEST(Cluster, Ec2BuilderHas200Servers)
 {
     Cluster c = Cluster::ec2Cluster();
     EXPECT_EQ(c.size(), 200u);
+}
+
+namespace
+{
+
+/** Every server's platform index is its platform's catalog position,
+ *  and the catalog's names are unique (so the index is unambiguous). */
+void
+expectPlatformIndexMatchesCatalog(const Cluster &c)
+{
+    const auto &catalog = c.catalog();
+    std::set<std::string> names;
+    for (const Platform &p : catalog)
+        names.insert(p.name);
+    EXPECT_EQ(names.size(), catalog.size()) << "duplicate platform name";
+    for (size_t i = 0; i < c.size(); ++i) {
+        const Server &srv = c.server(ServerId(i));
+        ASSERT_LT(srv.platformIndex(), catalog.size());
+        EXPECT_EQ(catalog[srv.platformIndex()].name, srv.platform().name)
+            << "server " << i;
+    }
+}
+
+} // namespace
+
+TEST(PlatformIndex, LocalClusterMatchesCatalog)
+{
+    expectPlatformIndexMatchesCatalog(Cluster::localCluster());
+}
+
+TEST(PlatformIndex, Ec2ClusterMatchesCatalog)
+{
+    expectPlatformIndexMatchesCatalog(Cluster::ec2Cluster());
+}
+
+TEST(PlatformIndex, ScaledBenchClusterMatchesCatalog)
+{
+    for (int servers : {40, 200, 1000})
+        expectPlatformIndexMatchesCatalog(bench::clusterOfSize(servers));
 }
 
 TEST(Cluster, HostingAndRemoveEverywhere)
