@@ -159,9 +159,8 @@ cmake --build build-verify -j "$JOBS" --target quasar_tests
 # AdmissionQueue suites run the shed/brownout/autoscale paths
 # (including the 20-seed replay sweep) under the same sweeps; the
 # Topology*/Socket* suites cover the NUMA descriptor, per-socket
-# ledger conservation (incl. the desynced-ledger death test, which
-# only arms in this QUASAR_VERIFY build), socket selection, and the
-# flat-topology replay-equivalence sweep; the FailureMemo/
+# pressure conservation, socket selection, and the flat-topology
+# replay-equivalence sweep; the FailureMemo/
 # FirstNodeVerdict suites re-run every skipped retry through the
 # full_rescan oracle; the PerfOracle* suites prime and mutate the
 # rate memo under its bitwise recheck, and the FoldInReference/
@@ -169,9 +168,12 @@ cmake --build build-verify -j "$JOBS" --target quasar_tests
 # its straightforward references; the BucketSkip/WalkCounts suites
 # run the walk's bucket drop (drop, resume, prio_any guard, fault-zone
 # rewind) with every dirty decision shadow-checked and the extended
-# order signature audited field for field.
+# order signature audited field for field; the ManagerLifecycle suite
+# runs a churn stream with departures and overload sheds under the
+# sweeps and checks that every finished workload leaves no manager
+# state behind.
 ./build-verify/tests/quasar_tests \
-    --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:FailureMemo*.*:FirstNodeVerdict.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:ChurnClosedLoop.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*:PerfOracle*.*:FoldInReference.*:JacobiReference.*:BucketSkip.*:WalkCounts.*'
+    --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:FailureMemo*.*:FirstNodeVerdict.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:ChurnClosedLoop.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*:PerfOracle*.*:FoldInReference.*:JacobiReference.*:BucketSkip.*:WalkCounts.*:ManagerLifecycle.*'
 
 echo "== clean tree: no tracked file modified =="
 if [ "$(tracked_state)" != "$TRACKED_BEFORE" ]; then

@@ -80,8 +80,6 @@ class ReservationLLManager : public driver::ClusterManager
     /** Reservation recorded for a workload (after error model). */
     const Reservation *reservationFor(WorkloadId id) const;
 
-    size_t queuedCount() const { return queue_.size(); }
-
   private:
     bool tryPlace(WorkloadId id, double t);
 

@@ -85,10 +85,6 @@ class AdmissionQueue
 
     /** Wait-time statistics over all admitted workloads. */
     const stats::Samples &waitTimes() const { return waits_; }
-    double totalWait() const { return waits_.values().empty()
-                                        ? 0.0
-                                        : waits_.mean() *
-                                              double(waits_.count()); }
 
   private:
     struct Entry

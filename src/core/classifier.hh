@@ -50,8 +50,6 @@ struct ClassifierConfig
     size_t max_history_rows = 300;
     /** Use the single exhaustive classification (ablation mode). */
     bool exhaustive = false;
-    /** Degradation slope assumed beyond a tolerated threshold. */
-    double slope_guess = 1.5;
 };
 
 /** The four (or one, in exhaustive mode) CF classifications. */

@@ -164,11 +164,11 @@ QuasarManager::requiredPerf(const Workload &w, double t) const
         // little ahead, so ramps are absorbed instead of chased.
         double offered = w.offeredQps(t);
         if (cfg_.predict_lead_s > 0.0) {
-            auto it = predictors_.find(w.id);
-            if (it != predictors_.end() && it->second.warmedUp())
-                offered = std::max(
-                    offered,
-                    it->second.predict(t + cfg_.predict_lead_s));
+            auto it = tracked_.find(w.id);
+            if (it != tracked_.end() && it->second.predictor.warmedUp())
+                offered = std::max(offered,
+                                   it->second.predictor.predict(
+                                       t + cfg_.predict_lead_s));
         }
         offered = std::max(offered, 0.05 * w.target.qps);
         double headroom = -std::log(0.01) / w.target.latency_qos_s;
@@ -187,18 +187,31 @@ QuasarManager::requiredPerf(const Workload &w, double t) const
 EstimateLookup
 QuasarManager::estimateLookup() const
 {
-    return [this](WorkloadId id) -> const WorkloadEstimate * {
-        auto it = estimates_.find(id);
-        return it == estimates_.end() ? nullptr : &it->second;
-    };
+    return [this](WorkloadId id) { return estimateFor(id); };
+}
+
+std::optional<WorkloadEstimate> &
+QuasarManager::estimateForWrite(WorkloadId id)
+{
+    memo_.forget(id);
+    return tracked_[id].estimate;
+}
+
+void
+QuasarManager::forget(WorkloadId id)
+{
+    tracked_.erase(id);
+    browned_out_.erase(id);
+    memo_.forget(id);
+    overload_.forget(id);
+    admission_.abandon(id);
 }
 
 void
 QuasarManager::onSubmit(WorkloadId id, double t)
 {
     Workload &w = registry_.get(id);
-    estimates_[id] = profileAndClassify(w, t);
-    memo_.forget(id); // a recorded failure was against the old estimate
+    estimateForWrite(id) = profileAndClassify(w, t);
 
     // Backpressure at the door: while the cluster is pressured,
     // sheddable classes queue with exponential backoff instead of
@@ -222,16 +235,16 @@ bool
 QuasarManager::trySchedule(WorkloadId id, double t, bool requeue_on_fail)
 {
     Workload &w = registry_.get(id);
-    auto est_it = estimates_.find(id);
-    assert(est_it != estimates_.end());
-    const WorkloadEstimate &est = est_it->second;
+    const Tracked &rec = tracked_.find(id)->second;
+    assert(rec.estimate);
+    const WorkloadEstimate &est = *rec.estimate;
 
     double required = requiredPerf(w, t);
     // Re-placement after a failure spreads latency-critical replicas
     // across fault zones so one rack/PDU cannot hold the whole
     // service again (Sec. 4.4).
     const bool spread = kSpreadZonesOnRecovery &&
-                        displaced_at_.contains(id) &&
+                        rec.displaced_at.has_value() &&
                         workload::isLatencyCritical(w.type);
     SchedulerConfig sched_cfg = scheduler_.config();
     sched_cfg.spread_fault_zones = sched_cfg.spread_fault_zones || spread;
@@ -333,11 +346,11 @@ QuasarManager::retryProvenFutile(const Workload &w,
 void
 QuasarManager::noteRecovered(WorkloadId id, double t)
 {
-    auto it = displaced_at_.find(id);
-    if (it == displaced_at_.end())
+    auto it = tracked_.find(id);
+    if (it == tracked_.end() || !it->second.displaced_at)
         return;
-    recovery_times_.add(t - it->second);
-    displaced_at_.erase(it);
+    recovery_times_.add(t - *it->second.displaced_at);
+    it->second.displaced_at.reset();
     ++stats_.recoveries;
 }
 
@@ -354,8 +367,6 @@ QuasarManager::profileAndClassify(Workload &w, double t)
         }
         est = classifier_.classify(w, data);
     }
-    overhead_s_[w.id] +=
-        data.profiling_seconds + est.classification_seconds;
     return est;
 }
 
@@ -617,11 +628,9 @@ QuasarManager::shrinkAllocation(Workload &w, const WorkloadEstimate &est,
     double interf = est.interferenceMultiplier(
         srv.contentionFor(w.id), scheduler_.config().slope_guess);
     // Smallest config that still meets the per-node requirement.
-    double others = predictCurrent(w, est);
     // Approximate per-node need: required / node count.
     double per_node_need =
         required / double(std::max<size_t>(hosting.size(), 1));
-    (void)others;
     int best_cores = share->cores;
     double best_mem = share->memory_gb;
     bool found = false;
@@ -656,10 +665,11 @@ void
 QuasarManager::adjust(Workload &w, double t)
 {
     stats::ScopedTimer timer(stats_.adapt_time);
-    auto est_it = estimates_.find(w.id);
-    if (est_it == estimates_.end())
+    auto it = tracked_.find(w.id);
+    if (it == tracked_.end() || !it->second.estimate)
         return;
-    WorkloadEstimate &est = est_it->second;
+    Tracked &rec = it->second;
+    const WorkloadEstimate &est = *rec.estimate;
     double required = requiredPerf(w, t);
 
     // Feedback loop: reconcile the estimate with the measured
@@ -674,24 +684,24 @@ QuasarManager::adjust(Workload &w, double t)
             // the measurement, so only half the (log) deviation is
             // attributed to misclassification.
             double scale = std::sqrt(measured / predicted);
-            for (double &v : est.scale_up_perf)
+            WorkloadEstimate &fixed = *estimateForWrite(w.id);
+            for (double &v : fixed.scale_up_perf)
                 v *= scale;
-            for (double &v : est.cross_perf)
+            for (double &v : fixed.cross_perf)
                 v *= scale;
             auto hosting = cluster_.serversHosting(w.id);
             if (!hosting.empty()) {
                 // Push the corrected column into history.
                 size_t col = nearestColumn(
-                    est, *cluster_.server(hosting.front()).share(w.id));
-                classifier_.feedbackScaleUp(est, col,
-                                            est.scale_up_perf[col]);
+                    fixed, *cluster_.server(hosting.front()).share(w.id));
+                classifier_.feedbackScaleUp(fixed, col,
+                                            fixed.scale_up_perf[col]);
             }
-            memo_.forget(w.id); // the estimate just changed
             ++stats_.feedback_updates;
         }
     }
 
-    int &strikes = strikes_[w.id];
+    int &strikes = rec.strikes;
     ++strikes;
     // A single below-threshold reading can be measurement noise; act
     // only when the miss persists (conservative adaptation).
@@ -713,10 +723,8 @@ QuasarManager::adjust(Workload &w, double t)
 
     if (strikes >= kUnderperfStrikes) {
         strikes = 0;
-        auto last = last_reschedule_.find(w.id);
-        if (last == last_reschedule_.end() ||
-            t - last->second >= kRescheduleCooldownS) {
-            last_reschedule_[w.id] = t;
+        if (t - rec.last_reschedule >= kRescheduleCooldownS) {
+            rec.last_reschedule = t;
             reclassifyAndReschedule(w, t);
         }
     }
@@ -748,12 +756,12 @@ QuasarManager::reclassifyAndReschedule(Workload &w, double t)
         old_predicted = predictCurrent(w, est);
         releaseWorkload(w.id);
     }
-    estimates_[w.id] = std::move(est);
-    memo_.forget(w.id);
+    std::optional<WorkloadEstimate> &fresh = estimateForWrite(w.id);
+    fresh = std::move(est);
     ++stats_.rescheduled;
 
     double required = requiredPerf(w, t);
-    auto alloc = scheduler_.allocate(w, estimates_[w.id], required,
+    auto alloc = scheduler_.allocate(w, *fresh, required,
                                      estimateLookup(), !w.best_effort);
     bool better = alloc.has_value() &&
                   (alloc->predicted_perf >=
@@ -789,8 +797,7 @@ QuasarManager::drainAdmission(double t, bool ignore_backoff)
     for (WorkloadId id : due) {
         Workload &w = registry_.get(id);
         if (w.completed || w.killed) {
-            admission_.abandon(id);
-            memo_.forget(id);
+            forget(id);
             continue;
         }
         double since = admission_.enqueuedAt(id);
@@ -831,16 +838,8 @@ QuasarManager::shedWorkload(Workload &w, double t)
     w.completion_time = t;
     overload_.noteShed(w.id, t);
     ++stats_.shed;
-    admission_.abandon(w.id);
-    memo_.forget(w.id);
     cluster_.removeEverywhere(w.id);
-    strikes_.erase(w.id);
-    predictors_.erase(w.id);
-    last_adjust_.erase(w.id);
-    last_reschedule_.erase(w.id);
-    displaced_at_.erase(w.id);
-    brownout_saved_.erase(w.id);
-    overload_.forget(w.id);
+    forget(w.id);
 }
 
 void
@@ -868,7 +867,8 @@ QuasarManager::applyBrownout(double t)
                 saved.push_back(bs);
         }
         if (!saved.empty()) {
-            brownout_saved_[id] = std::move(saved);
+            tracked_[id].brownout_saved = std::move(saved);
+            browned_out_.insert(id);
             w.brownout_active = true;
             w.brownout_ever = true;
             overload_.noteBrownout(id, t);
@@ -880,17 +880,14 @@ QuasarManager::applyBrownout(double t)
 void
 QuasarManager::restoreBrownout(double t)
 {
-    for (auto it = brownout_saved_.begin();
-         it != brownout_saved_.end();) {
-        WorkloadId id = it->first;
+    // forget() drops finished workloads from the index, so every id
+    // here is still active.
+    for (auto it = browned_out_.begin(); it != browned_out_.end();) {
+        WorkloadId id = *it;
         Workload &w = registry_.get(id);
-        if (w.completed || w.killed) {
-            w.brownout_active = false;
-            it = brownout_saved_.erase(it);
-            continue;
-        }
+        std::vector<BrownoutShare> &saved = tracked_[id].brownout_saved;
         bool fully = true;
-        for (const BrownoutShare &bs : it->second) {
+        for (const BrownoutShare &bs : saved) {
             sim::Server &srv = cluster_.server(bs.server);
             const sim::TaskShare *share = srv.share(id);
             if (!share)
@@ -905,7 +902,8 @@ QuasarManager::restoreBrownout(double t)
             w.brownout_active = false;
             overload_.noteRestore(id, t);
             ++stats_.brownout_restores;
-            it = brownout_saved_.erase(it);
+            saved.clear();
+            it = browned_out_.erase(it);
         } else {
             ++it; // partial restore: keep trying on later ticks
         }
@@ -932,7 +930,7 @@ QuasarManager::autoscaleServices(double t)
         // A raised requirement should act this tick, not after the
         // adjustment cooldown from some earlier decision expires.
         if (boost > before)
-            last_adjust_.erase(id);
+            tracked_[id].last_adjust = kNever;
     }
 }
 
@@ -968,30 +966,26 @@ QuasarManager::onTick(double t)
         Workload &w = registry_.get(id);
         if (workload::isLatencyCritical(w.type) &&
             cfg_.predict_lead_s > 0.0)
-            predictors_[id].observe(t, w.offeredQps(t));
+            tracked_[id].predictor.observe(t, w.offeredQps(t));
         if (cluster_.serversHosting(id).empty())
             continue;
+        Tracked &rec = tracked_[id];
         Alert alert = monitor_.check(w, t);
         if (alert == Alert::Underperforming && !w.best_effort) {
-            auto last = last_adjust_.find(id);
-            if (last == last_adjust_.end() ||
-                t - last->second >= kAdjustCooldownS) {
-                last_adjust_[id] = t;
+            if (t - rec.last_adjust >= kAdjustCooldownS) {
+                rec.last_adjust = t;
                 adjust(w, t);
             }
         } else if (alert == Alert::Overprovisioned) {
-            auto last = last_adjust_.find(id);
-            if (last == last_adjust_.end() ||
-                t - last->second >= kShrinkCooldownS) {
-                last_adjust_[id] = t;
-                auto est_it = estimates_.find(id);
-                if (est_it != estimates_.end())
-                    shrinkAllocation(w, est_it->second,
+            if (t - rec.last_adjust >= kShrinkCooldownS) {
+                rec.last_adjust = t;
+                if (rec.estimate)
+                    shrinkAllocation(w, *rec.estimate,
                                      requiredPerf(w, t), t);
             }
-            strikes_[id] = 0;
+            rec.strikes = 0;
         } else {
-            strikes_[id] = 0;
+            rec.strikes = 0;
         }
     }
 
@@ -1005,16 +999,16 @@ QuasarManager::onTick(double t)
             Workload &w = registry_.get(id);
             if (cluster_.serversHosting(id).empty())
                 continue;
-            auto est_it = estimates_.find(id);
-            if (est_it == estimates_.end())
+            const WorkloadEstimate *est = estimateFor(id);
+            if (!est)
                 continue;
             bool phase_changed;
             {
                 // Proactive sampling re-profiles in a sandbox; charge
                 // it to the profiling wall-clock budget.
                 stats::ScopedTimer profile_timer(stats_.profile_time);
-                phase_changed = monitor_.probePhaseChange(
-                    w, est_it->second, profiler_, t);
+                phase_changed =
+                    monitor_.probePhaseChange(w, *est, profiler_, t);
             }
             if (phase_changed) {
                 ++stats_.phase_reclassifications;
@@ -1027,15 +1021,7 @@ QuasarManager::onTick(double t)
 void
 QuasarManager::onCompletion(WorkloadId id, double t)
 {
-    strikes_.erase(id);
-    predictors_.erase(id);
-    last_adjust_.erase(id);
-    last_reschedule_.erase(id);
-    displaced_at_.erase(id);
-    brownout_saved_.erase(id);
-    overload_.forget(id);
-    admission_.abandon(id);
-    memo_.forget(id);
+    forget(id);
     // Free capacity: retry queued workloads immediately.
     drainAdmission(t, true);
 }
@@ -1051,7 +1037,9 @@ QuasarManager::onServerDown(ServerId,
         if (w.completed || w.killed)
             continue;
         ++stats_.tasks_displaced;
-        displaced_at_.emplace(id, t);
+        std::optional<double> &since = tracked_[id].displaced_at;
+        if (!since)
+            since = t;
         replaceDisplaced(id, t);
     }
 }
@@ -1060,8 +1048,8 @@ void
 QuasarManager::replaceDisplaced(WorkloadId id, double t)
 {
     Workload &w = registry_.get(id);
-    auto est_it = estimates_.find(id);
-    if (est_it == estimates_.end()) {
+    const WorkloadEstimate *est = estimateFor(id);
+    if (!est) {
         // Crashed before it was ever classified; take the full
         // submission path (profiles in sandboxed copies as usual).
         onSubmit(id, t);
@@ -1074,8 +1062,8 @@ QuasarManager::replaceDisplaced(WorkloadId id, double t)
         // so top up scale-out-first; if capacity is tight the
         // reactive monitoring path keeps working on it.
         double required = requiredPerf(w, t);
-        if (predictCurrent(w, est_it->second) < required)
-            tryScaleOut(w, est_it->second, required, t);
+        if (predictCurrent(w, *est) < required)
+            tryScaleOut(w, *est, required, t);
         noteRecovered(id, t);
         return;
     }
@@ -1110,29 +1098,19 @@ QuasarManager::onServerDegraded(ServerId sid, double, double t)
         Workload &w = registry_.get(share.workload);
         if (w.best_effort || w.completed)
             continue;
-        strikes_[share.workload] =
-            std::max(strikes_[share.workload], 1);
-        last_adjust_.erase(share.workload);
+        Tracked &rec = tracked_[share.workload];
+        rec.strikes = std::max(rec.strikes, 1);
+        rec.last_adjust = kNever;
     }
 }
 
 const WorkloadEstimate *
 QuasarManager::estimateFor(WorkloadId id) const
 {
-    auto it = estimates_.find(id);
-    return it == estimates_.end() ? nullptr : &it->second;
-}
-
-double
-QuasarManager::overheadSeconds(WorkloadId id) const
-{
-    double wait = 0.0;
-    // Queue wait is recorded by the admission queue per workload in
-    // aggregate; per-id we report profiling + classification.
-    auto it = overhead_s_.find(id);
-    if (it != overhead_s_.end())
-        wait += it->second;
-    return wait;
+    auto it = tracked_.find(id);
+    return it == tracked_.end() || !it->second.estimate
+               ? nullptr
+               : &*it->second.estimate;
 }
 
 } // namespace quasar::core

@@ -11,8 +11,11 @@
 
 #pragma once
 
-#include <map>
+#include <limits>
+#include <optional>
+#include <set>
 #include <unordered_map>
+#include <vector>
 
 #include "core/admission.hh"
 #include "core/classifier.hh"
@@ -152,8 +155,6 @@ class QuasarManager : public driver::ClusterManager
     const AdmissionQueue &admission() const { return admission_; }
     /** Failed admission attempts on record (core/failure_memo.hh). */
     const FailureMemo &failureMemo() const { return memo_; }
-    /** Profiling + classification + queue wait charged to id. */
-    double overheadSeconds(WorkloadId id) const;
     const QuasarStats &stats() const { return stats_; }
     /** Displacement-to-re-placement times of recovered workloads. */
     const stats::Samples &recoveryTimes() const
@@ -169,6 +170,48 @@ class QuasarManager : public driver::ClusterManager
     /// @}
 
   private:
+    /** "Never happened" for the cooldown clocks: t - kNever is +inf,
+     *  so any cooldown has elapsed. */
+    static constexpr double kNever =
+        -std::numeric_limits<double>::infinity();
+    /** Pre-brownout size of one share, for the restore path. */
+    struct BrownoutShare
+    {
+        ServerId server;
+        int cores;
+        double memory_gb;
+    };
+    /** Everything the manager keeps about one workload. */
+    struct Tracked
+    {
+        /** Classification; empty until submission (a service's load
+         *  predictor may start observing before it arrives). */
+        std::optional<WorkloadEstimate> estimate;
+        /** Consecutive below-target checks (noise filter). */
+        int strikes = 0;
+        /** Last grow/shrink adjustment and reclassify+reschedule. */
+        double last_adjust = kNever;
+        double last_reschedule = kNever;
+        LoadPredictor predictor;
+        /** Set while the workload awaits re-placement after a crash. */
+        std::optional<double> displaced_at;
+        /** Pre-brownout share sizes; non-empty while browned out. */
+        std::vector<BrownoutShare> brownout_saved;
+    };
+
+    /**
+     * The one exit of a workload: drop its record and every trace the
+     * failure memo, the overload controller and the admission queue
+     * keep of it. Completions, churn departures and sheds all end here.
+     */
+    void forget(WorkloadId id);
+    /**
+     * Write access to id's estimate, the only one. A recorded failure
+     * was decided against the old estimate, so the failure memo forgets
+     * it here (core/failure_memo.hh).
+     */
+    std::optional<WorkloadEstimate> &estimateForWrite(WorkloadId id);
+
     double requiredPerf(const workload::Workload &w, double t) const;
     bool trySchedule(WorkloadId id, double t, bool requeue_on_fail);
     /** Whether trySchedule places w given the scheduler's decision. */
@@ -189,8 +232,8 @@ class QuasarManager : public driver::ClusterManager
     void noteRecovered(WorkloadId id, double t);
     void applyAllocation(workload::Workload &w, const Allocation &alloc,
                          double t);
-    /** Profile w in sandboxed copies, classify it and charge both to
-     *  its overhead (timed as classify, profile nested inside). */
+    /** Profile w in sandboxed copies and classify it (timed as
+     *  classify, profile nested inside). */
     WorkloadEstimate profileAndClassify(workload::Workload &w, double t);
     /** Evict victim from srv; re-queue it unless completed or queued. */
     void evictAndRequeue(sim::Server &srv, WorkloadId victim, double t);
@@ -246,23 +289,13 @@ class QuasarManager : public driver::ClusterManager
     OverloadController overload_;
     stats::Rng rng_;
 
-    std::unordered_map<WorkloadId, WorkloadEstimate> estimates_;
-    std::unordered_map<WorkloadId, int> strikes_;
-    std::unordered_map<WorkloadId, double> last_adjust_;
-    std::unordered_map<WorkloadId, double> last_reschedule_;
-    std::unordered_map<WorkloadId, LoadPredictor> predictors_;
-    std::unordered_map<WorkloadId, double> overhead_s_;
-    /** Displacement time of workloads awaiting re-placement. */
-    std::unordered_map<WorkloadId, double> displaced_at_;
-    /** Pre-brownout share sizes, for the restore path. std::map so
-     *  the apply/restore walk order is deterministic. */
-    struct BrownoutShare
-    {
-        ServerId server;
-        int cores;
-        double memory_gb;
-    };
-    std::map<WorkloadId, std::vector<BrownoutShare>> brownout_saved_;
+    /** Live records, one per workload the manager has seen and not
+     *  yet forgotten. */
+    std::unordered_map<WorkloadId, Tracked> tracked_;
+    /** Ids with a brownout_saved record, ascending: restoreBrownout
+     *  walks them in this order, and the order decides which resize
+     *  wins free capacity. */
+    std::set<WorkloadId> browned_out_;
     stats::Samples recovery_times_;
     double last_proactive_ = 0.0;
     QuasarStats stats_;

@@ -5,6 +5,20 @@
 namespace quasar::core
 {
 
+namespace
+{
+
+/** Alert when normalized perf falls below 1 - this. */
+constexpr double kUnderperfTolerance = 0.07;
+/** Alert when normalized perf exceeds this (resources idle). */
+constexpr double kOverprovisionThreshold = 1.45;
+/** Tolerance deviation that signals a phase change. */
+constexpr double kPhaseDeviation = 0.16;
+/** Sources probed per proactive phase check. */
+constexpr size_t kPhaseProbeSources = 3;
+
+} // namespace
+
 double
 Monitor::measure(const workload::Workload &w, double t)
 {
@@ -25,9 +39,9 @@ Alert
 Monitor::check(const workload::Workload &w, double t)
 {
     double perf = measure(w, t);
-    if (perf < 1.0 - cfg_.underperf_tolerance)
+    if (perf < 1.0 - kUnderperfTolerance)
         return Alert::Underperforming;
-    if (perf > cfg_.overprovision_threshold)
+    if (perf > kOverprovisionThreshold)
         return Alert::Overprovisioned;
     return Alert::None;
 }
@@ -49,14 +63,14 @@ Monitor::probePhaseChange(const workload::Workload &w,
     size_t probes = 0;
     size_t deviated = 0;
     for (size_t i : perm) {
-        if (probes >= cfg_.phase_probe_sources)
+        if (probes >= kPhaseProbeSources)
             break;
         if (est.tolerated[i] >= 0.97)
             continue;
         ++probes;
         double now = profiler.probeTolerance(
             w, t, top, est.reference, interference::sourceAt(i));
-        if (std::fabs(now - est.tolerated[i]) > cfg_.phase_deviation)
+        if (std::fabs(now - est.tolerated[i]) > kPhaseDeviation)
             ++deviated;
     }
     return probes > 0 && 2 * deviated > probes;

@@ -26,14 +26,6 @@ struct MonitorConfig
 {
     /** Lognormal sigma on monitored performance readings. */
     double noise_sigma = 0.03;
-    /** Alert when normalized perf falls below 1 - this. */
-    double underperf_tolerance = 0.07;
-    /** Alert when normalized perf exceeds this (resources idle). */
-    double overprovision_threshold = 1.45;
-    /** Tolerance deviation that signals a phase change. */
-    double phase_deviation = 0.16;
-    /** Sources probed per proactive phase check. */
-    size_t phase_probe_sources = 3;
 };
 
 /** What the monitor concluded about one workload. */

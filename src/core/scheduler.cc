@@ -45,6 +45,11 @@ Allocation::totalMemoryGb() const
 namespace
 {
 
+/** Max nodes per workload. */
+constexpr int kMaxNodes = 100;
+/** Keep per-node configs within this fraction of the best one. */
+constexpr double kNodePerfSlack = 0.95;
+
 struct Evictable
 {
     int cores = 0;
@@ -938,7 +943,7 @@ GreedyScheduler::pickNodeConfig(const sim::Server &srv,
         // Scale-out-first ablation: spread small slices across nodes.
         goal = std::min(goal, 0.35 * best_perf);
     }
-    double threshold = cfg_.node_perf_slack * goal;
+    double threshold = kNodePerfSlack * goal;
 
     bool found = false;
     for (size_t c = 0; c < est.scale_up_grid.size(); ++c) {
@@ -1153,7 +1158,7 @@ GreedyScheduler::allocateImpl(const Workload &w,
     so_far.target = std::max(required_perf, 1e-9) * cfg_.headroom;
     const int max_nodes =
         workload::isDistributed(w.type)
-            ? std::min<int>(cfg_.max_nodes, int(cluster_.size()))
+            ? std::min<int>(kMaxNodes, int(cluster_.size()))
             : 1;
 
     // Rank candidate servers by decreasing quality. The full_rescan
@@ -1342,7 +1347,7 @@ GreedyScheduler::allocateImpl(const Workload &w,
     alloc.knobs = chosen_knobs;
     alloc.predicted_perf = est.jobPerf(so_far.node_perfs);
     alloc.degraded = alloc.predicted_perf + 1e-9 <
-                     required_perf * cfg_.headroom * cfg_.node_perf_slack;
+                     required_perf * cfg_.headroom * kNodePerfSlack;
     return alloc;
 }
 

@@ -108,12 +108,8 @@ struct SchedulerConfig
     bool scale_up_first = true;
     /** Multiplier on the target so small estimate errors don't miss. */
     double headroom = 1.1;
-    /** Max nodes per workload. */
-    int max_nodes = 100;
     /** Assumed degradation slope beyond tolerated thresholds. */
     double slope_guess = 1.5;
-    /** Keep per-node configs within this fraction of the best one. */
-    double node_perf_slack = 0.95;
     /**
      * Stop adding nodes when a node's marginal contribution to the
      * job drops below this fraction of its standalone performance —

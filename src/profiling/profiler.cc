@@ -13,6 +13,16 @@ using workload::ScaleUpConfig;
 using workload::Workload;
 using workload::WorkloadType;
 
+namespace
+{
+
+/** QoS loss that defines tolerated interference (paper: 5%). */
+constexpr double kQosLoss = 0.05;
+/** Largest node count probed online for scale-out (paper: 4). */
+constexpr int kMaxScaleOutProbe = 4;
+
+} // namespace
+
 Profiler::Profiler(std::vector<sim::Platform> catalog, ProfilerConfig cfg)
     : catalog_(std::move(catalog)), cfg_(cfg),
       scale_up_platform_(sim::highestEndPlatform(catalog_))
@@ -119,7 +129,7 @@ Profiler::probeTolerance(const Workload &w, double t,
         return truth.nodeRate(platform, clamped, contention);
     };
     return interference::probeToleratedIntensity(perf_at, source,
-                                                 cfg_.qos_loss);
+                                                 kQosLoss);
 }
 
 ProfilingData
@@ -177,7 +187,7 @@ Profiler::profile(const Workload &w, double t, stats::Rng &rng) const
         data.scale_out.push_back({0, data.reference_value}); // n = 1
         std::vector<size_t> small_cols;
         for (size_t i = 1; i < ngrid.size(); ++i)
-            if (ngrid[i] <= cfg_.max_scale_out_probe)
+            if (ngrid[i] <= kMaxScaleOutProbe)
                 small_cols.push_back(i);
         auto perm = rng.permutation(small_cols.size());
         for (size_t pi : perm) {

@@ -72,10 +72,6 @@ struct ProfilerConfig
     size_t samples_per_classification = 2;
     /** Lognormal sigma of measurement noise. */
     double noise_sigma = 0.05;
-    /** QoS loss that defines tolerated interference (paper: 5%). */
-    double qos_loss = 0.05;
-    /** Largest node count probed online for scale-out (paper: 4). */
-    int max_scale_out_probe = 4;
 };
 
 /** Produces profiling data from sandboxed runs. */

@@ -94,16 +94,6 @@ Cluster::aliveCores() const
     return n;
 }
 
-double
-Cluster::aliveMemoryGb() const
-{
-    double m = 0.0;
-    for (const auto &s : servers_)
-        if (s->available())
-            m += s->platform().memory_gb;
-    return m;
-}
-
 std::vector<ServerId>
 Cluster::serversInZone(int zone) const
 {

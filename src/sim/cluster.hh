@@ -90,8 +90,6 @@ class Cluster
     size_t aliveServerCount() const;
     /** Cores on servers that are not down. */
     int aliveCores() const;
-    /** Memory on servers that are not down, GB. */
-    double aliveMemoryGb() const;
     /** Ids of servers in the given fault zone. */
     std::vector<ServerId> serversInZone(int zone) const;
     /** Ids of currently-down servers. */

@@ -22,7 +22,6 @@ Server::Server(ServerId id, const Platform &platform, int fault_zone,
     for (int s = 0; s < num_sockets_; ++s)
         socket_caps_[size_t(s)] = caps[size_t(s)];
     cross_ = platform_.topology.cross_socket;
-    socket_ledger_.reset(num_sockets_);
 }
 
 bool
@@ -46,7 +45,6 @@ Server::markDown()
     displaced.swap(tasks_);
     for (IVector &v : injected_)
         v = interference::zeroVector();
-    socket_ledger_.reset(num_sockets_);
     if (membership_)
         for (const TaskShare &t : displaced)
             membership_->taskRemoved(id_, t.workload);
@@ -117,7 +115,6 @@ Server::place(const TaskShare &share)
     assert(canFit(share.cores, share.memory_gb, share.storage_gb));
     bumpVersion();
     tasks_.push_back(share);
-    socket_ledger_.add(share.socket, share.caused, share.isolation);
     if (membership_)
         membership_->taskPlaced(id_, share.workload);
 }
@@ -132,7 +129,6 @@ Server::remove(WorkloadId w)
     if (it == tasks_.end())
         return false;
     bumpVersion();
-    socket_ledger_.sub(it->socket, it->caused, it->isolation);
     tasks_.erase(it);
     if (membership_)
         membership_->taskRemoved(id_, w);
@@ -159,12 +155,7 @@ Server::resize(WorkloadId w, int cores, double memory_gb)
     // Scale caused pressure with the new core share.
     if (t->cores > 0) {
         double ratio = double(cores) / double(t->cores);
-        IVector before = t->caused;
         t->caused = interference::scale(t->caused, ratio);
-        if (before != t->caused) {
-            socket_ledger_.sub(t->socket, before, t->isolation);
-            socket_ledger_.add(t->socket, t->caused, t->isolation);
-        }
     }
     t->cores = cores;
     t->memory_gb = memory_gb;
@@ -348,25 +339,6 @@ Server::socketSnapshot() const
     return snap;
 }
 
-int
-Server::coresHomed(int socket) const
-{
-    int n = 0;
-    for (const TaskShare &t : tasks_)
-        if (t.socket == socket)
-            n += t.cores;
-    return n;
-}
-
-IVector
-Server::maintainedSocketPressure(int socket) const
-{
-    IVector v = socket_ledger_.local(socket);
-    for (size_t i = 0; i < kNumSources; ++i)
-        v[i] += injected_[size_t(socket)][i];
-    return v;
-}
-
 IVector
 Server::freshSocketPressure(int socket) const
 {
@@ -413,16 +385,7 @@ Server::setIsolation(WorkloadId w, interference::Source source,
     if (!t)
         return false;
     bumpVersion();
-    double next = isolated ? 1.0 : 0.0;
-    double prev = t->isolation[static_cast<size_t>(source)];
-    if (prev != next) {
-        // The grant moves the share's pressure into (or out of) its
-        // private partition; mirror that in the maintained ledger.
-        double delta = t->caused[static_cast<size_t>(source)];
-        socket_ledger_.adjustSource(t->socket, source,
-                                    isolated ? -delta : delta);
-    }
-    t->isolation[static_cast<size_t>(source)] = next;
+    t->isolation[static_cast<size_t>(source)] = isolated ? 1.0 : 0.0;
     return true;
 }
 

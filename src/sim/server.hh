@@ -14,7 +14,6 @@
 #include "interference/source.hh"
 #include "sim/change_journal.hh"
 #include "sim/platform.hh"
-#include "topology/ledger.hh"
 
 namespace quasar::sim
 {
@@ -234,9 +233,6 @@ class Server
     {
         return cross_;
     }
-    /** Allocated cores of resident tasks homed on a socket. */
-    int coresHomed(int socket) const;
-
     /**
      * One ordered ledger walk producing every per-socket newcomer
      * view plus homed core counts — the scheduler's refresh unit.
@@ -251,33 +247,11 @@ class Server
     };
     SocketSnapshot socketSnapshot() const;
 
-    /**
-     * Maintained per-socket raw pressure (incremental ledger plus
-     * injected pressure) — reporting and the verify conservation
-     * sweep. Decision paths never read it: they recompute fresh
-     * ordered walks so add/subtract drift cannot touch replay.
-     */
-    interference::IVector maintainedSocketPressure(int socket) const;
-    /** Fresh recompute of the same quantity (conservation oracle). */
+    /** Raw pressure homed on one socket: its injected pressure plus
+     *  the unisolated caused pressure of every share homed there. */
     interference::IVector freshSocketPressure(int socket) const;
     /** Fresh flat raw-pressure ledger (sum over sockets). */
     interference::IVector rawPressure() const;
-
-#ifdef QUASAR_VERIFY
-    /**
-     * Corrupt the maintained socket ledger without touching any task
-     * share — lets the verify death test prove the conservation sweep
-     * catches a desynchronized ledger.
-     */
-    void desyncSocketLedgerForTest(int socket,
-                                   interference::Source src,
-                                   double raw_delta)
-    {
-        // Deliberately unjournaled — the whole point is to desync.
-        // quasar-lint: allow(mutation-journaling)
-        socket_ledger_.adjustSource(socket, src, raw_delta);
-    }
-#endif
     /// @}
 
     /** @name Measured usage (for utilization reporting) */
@@ -349,8 +323,6 @@ class Server
         socket_caps_{};
     interference::IVector cross_{};
     /// @}
-    /** Maintained per-socket ledger (see maintainedSocketPressure). */
-    topology::SocketLedger socket_ledger_;
 };
 
 } // namespace quasar::sim

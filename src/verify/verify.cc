@@ -107,46 +107,30 @@ sweepCluster(const sim::Cluster &cluster,
                  "capacity, duplicate share, share on a down "
                  "machine, usage above allocation, or an illegal "
                  "speed factor)");
-        // Socket-ledger conservation (DESIGN.md §13): the maintained
-        // per-socket ledger is a pure mirror of the task shares, so
-        // every socket must match a fresh ordered recompute (within a
-        // drift epsilon — the mirror accumulates add/subtract
-        // round-off by design, which is exactly why decision paths
-        // never read it), no component may run negative, and the
-        // sockets must sum to the flat raw-pressure ledger.
+        // Socket pressure conservation (DESIGN.md §13): no socket
+        // holds negative pressure, and the sockets sum to the flat
+        // raw-pressure ledger.
         {
             interference::IVector summed{};
             for (int sock = 0; sock < srv.numSockets(); ++sock) {
-                const interference::IVector maintained =
-                    srv.maintainedSocketPressure(sock);
                 const interference::IVector fresh =
                     srv.freshSocketPressure(sock);
                 for (size_t i = 0; i < interference::kNumSources;
                      ++i) {
-                    if (maintained[i] < -1e-6)
-                        fail("socket ledger negative on server " +
+                    if (fresh[i] < -1e-6)
+                        fail("socket pressure negative on server " +
                              std::to_string(s) + " socket " +
                              std::to_string(sock) + " source " +
                              std::to_string(i) + ": " +
-                             std::to_string(maintained[i]));
-                    const double tol =
-                        1e-6 + 1e-6 * std::abs(fresh[i]);
-                    if (std::abs(maintained[i] - fresh[i]) > tol)
-                        fail("socket ledger desynchronized on "
-                             "server " +
-                             std::to_string(s) + " socket " +
-                             std::to_string(sock) + " source " +
-                             std::to_string(i) + ": maintained " +
-                             std::to_string(maintained[i]) +
-                             " vs fresh " + std::to_string(fresh[i]));
-                    summed[i] += maintained[i];
+                             std::to_string(fresh[i]));
+                    summed[i] += fresh[i];
                 }
             }
             const interference::IVector raw = srv.rawPressure();
             for (size_t i = 0; i < interference::kNumSources; ++i) {
                 const double tol = 1e-6 + 1e-6 * std::abs(raw[i]);
                 if (std::abs(summed[i] - raw[i]) > tol)
-                    fail("socket ledger sum diverges from the flat "
+                    fail("socket pressure sum diverges from the flat "
                          "raw-pressure ledger on server " +
                          std::to_string(s) + " source " +
                          std::to_string(i) + ": sum " +

@@ -3,13 +3,16 @@
  * Integration tests for QuasarManager + ScenarioDriver: end-to-end
  * scheduling, target attainment, right-sizing, admission control under
  * pressure, best-effort eviction, service load adaptation, phase
- * recovery, and overhead accounting.
+ * recovery, overhead accounting, and per-workload state that ends
+ * with the workload.
  */
 
 #include <gtest/gtest.h>
 
+#include "churn/churn.hh"
 #include "core/manager.hh"
 #include "driver/scenario.hh"
+#include "tracegen/load_pattern.hh"
 #include "workload/factory.hh"
 
 using namespace quasar;
@@ -184,9 +187,74 @@ TEST(Manager, OverheadAccounted)
     Workload job = w.factory.singleNodeJob("s", "mix");
     WorkloadId id = w.registry.add(job);
     w.drv.addArrival(id, 1.0);
-    w.drv.run(3000.0);
-    EXPECT_GT(w.mgr.overheadSeconds(id), 0.0);
-    EXPECT_NE(w.mgr.estimateFor(id), nullptr);
+    w.drv.run(20.0);
+    ASSERT_FALSE(w.registry.get(id).completed);
+    const core::WorkloadEstimate *est = w.mgr.estimateFor(id);
+    ASSERT_NE(est, nullptr);
+    EXPECT_GT(est->profiling_seconds + est->classification_seconds, 0.0);
+}
+
+TEST(ManagerLifecycle, FinishedWorkloadsLeaveNoState)
+{
+    // A churn stream with departures and a flash crowd the overload
+    // controller sheds from: every way a workload can end (completion,
+    // departure, shed) must drop its estimate and any failure on
+    // record, while placed workloads keep theirs.
+    sim::Cluster cluster = sim::Cluster::localCluster();
+    workload::WorkloadRegistry registry;
+    core::QuasarConfig cfg;
+    cfg.overload.enabled = true;
+    cfg.overload.util_pressured = 0.85;
+    cfg.overload.util_overloaded = 0.97;
+    cfg.overload.depth_pressured = 4;
+    cfg.overload.depth_overloaded = 8;
+    cfg.overload.min_dwell_s = 20.0;
+    cfg.overload.defer_base_s = 10.0;
+    cfg.overload.defer_max_s = 40.0;
+    cfg.overload.shed_deadline_s = 60.0;
+    cfg.overload.aging_limit_s = 100.0;
+    core::QuasarManager mgr(cluster, registry, cfg);
+    workload::WorkloadFactory seeder{stats::Rng(4242)};
+    mgr.seedOffline(seeder, 16);
+    driver::ScenarioDriver drv(cluster, registry, mgr,
+                               driver::DriverConfig{.tick_s = 10.0});
+
+    churn::ChurnConfig ccfg;
+    ccfg.seed = 1007;
+    ccfg.arrival_rate_per_s = 0.2;
+    ccfg.horizon_s = 300.0;
+    ccfg.mix = {0.35, 0.15, 0.15, 0.35};
+    ccfg.rate_pattern = std::make_shared<tracegen::PiecewiseLoad>(
+        std::vector<std::pair<double, double>>{{0.0, 0.6},
+                                               {90.0, 1.0},
+                                               {140.0, 6.0},
+                                               {200.0, 6.0},
+                                               {240.0, 0.8},
+                                               {300.0, 0.8}});
+    churn::ChurnEngine engine(ccfg);
+    engine.install(cluster, registry, drv);
+    drv.run(600.0);
+
+    size_t ended[4] = {0, 0, 0, 0};
+    size_t placed = 0;
+    for (const churn::ChurnItem &item : engine.plan()) {
+        const WorkloadId id = item.id;
+        const driver::WorkloadOutcome outcome =
+            driver::outcomeOf(registry.get(id));
+        ++ended[size_t(outcome)];
+        if (outcome != driver::WorkloadOutcome::Active) {
+            EXPECT_EQ(mgr.estimateFor(id), nullptr) << "workload " << id;
+            EXPECT_FALSE(mgr.failureMemo().recorded(id))
+                << "workload " << id;
+        } else if (!cluster.serversHosting(id).empty()) {
+            ++placed;
+            EXPECT_NE(mgr.estimateFor(id), nullptr) << "workload " << id;
+        }
+    }
+    EXPECT_GT(ended[size_t(driver::WorkloadOutcome::Completed)], 0u);
+    EXPECT_GT(ended[size_t(driver::WorkloadOutcome::Departed)], 0u);
+    EXPECT_GT(ended[size_t(driver::WorkloadOutcome::Shed)], 0u);
+    EXPECT_GT(placed, 0u);
 }
 
 TEST(Manager, EstimatesClearedLookup)

@@ -11,10 +11,9 @@
  *    introduces (zero-capacity domains, attenuated cross-socket
  *    pressure above 1, the Cpu-vs-LLCache cross-socket asymmetry).
  *
- *  - `Socket*` server/ledger: the maintained per-socket ledger stays
- *    conserved through every mutation path, injected pressure homes on
- *    its socket, and (under QUASAR_VERIFY) a hand-desynced ledger
- *    aborts the sweep.
+ *  - `Socket*` server pressure: per-socket pressure stays conserved
+ *    (non-negative, summing to the flat raw ledger) through every
+ *    mutation path, and injected pressure homes on its socket.
  *
  *  - `Socket*` placement: socket-aware selection avoids a thrashed
  *    socket where the blind fewest-cores rule walks into it; both
@@ -39,13 +38,8 @@
 #include "core/scheduler.hh"
 #include "driver/scenario.hh"
 #include "profiling/profiler.hh"
-#include "topology/ledger.hh"
 #include "topology/topology.hh"
 #include "workload/factory.hh"
-
-#ifdef QUASAR_VERIFY
-#include "verify/verify.hh"
-#endif
 
 using namespace quasar;
 using interference::IVector;
@@ -276,27 +270,24 @@ TEST(Topology, AttenuatedRemotePressureCanStillExceedOne)
 }
 
 // ---------------------------------------------------------------------
-// Per-socket ledger on Server
+// Per-socket pressure on Server
 // ---------------------------------------------------------------------
 
 namespace
 {
 
-/** Maintained ledger == fresh recompute per socket, sockets sum to the
- *  flat raw ledger. */
+/** No socket holds negative pressure; sockets sum to the flat raw
+ *  ledger. */
 void
 expectLedgerConserved(const sim::Server &srv, const std::string &ctx)
 {
     IVector summed{};
     for (int sock = 0; sock < srv.numSockets(); ++sock) {
-        const IVector maintained = srv.maintainedSocketPressure(sock);
         const IVector fresh = srv.freshSocketPressure(sock);
         for (size_t i = 0; i < kNumSources; ++i) {
-            EXPECT_NEAR(maintained[i], fresh[i], 1e-9)
+            EXPECT_GE(fresh[i], -1e-9)
                 << ctx << " socket " << sock << " source " << i;
-            EXPECT_GE(maintained[i], -1e-9)
-                << ctx << " socket " << sock << " source " << i;
-            summed[i] += maintained[i];
+            summed[i] += fresh[i];
         }
     }
     const IVector raw = srv.rawPressure();
@@ -334,6 +325,9 @@ TEST(SocketLedger, ConservedAcrossEveryMutationPath)
 
     ASSERT_TRUE(srv.setIsolation(WorkloadId(1), Source::LLCache, true));
     expectLedgerConserved(srv, "after isolation grant");
+    // Workload 1 is alone on socket 0: its partitioned LLC pressure
+    // leaves the socket's ledger.
+    EXPECT_EQ(srv.freshSocketPressure(0)[size_t(Source::LLCache)], 0.0);
     ASSERT_TRUE(
         srv.setIsolation(WorkloadId(1), Source::LLCache, false));
     expectLedgerConserved(srv, "after isolation revoke");
@@ -351,7 +345,7 @@ TEST(SocketLedger, ConservedAcrossEveryMutationPath)
     srv.markDown();
     expectLedgerConserved(srv, "after markDown");
     for (int sock = 0; sock < srv.numSockets(); ++sock) {
-        const IVector after = srv.maintainedSocketPressure(sock);
+        const IVector after = srv.freshSocketPressure(sock);
         for (size_t i = 0; i < kNumSources; ++i)
             EXPECT_EQ(after[i], 0.0)
                 << "socket " << sock << " source " << i;
@@ -368,31 +362,11 @@ TEST(SocketLedger, InjectedPressureHomesOnItsSocket)
     srv.injectPressureAt(1, v);
 
     // Raw (unnormalized) ledgers: all of it on socket 1.
-    EXPECT_EQ(srv.maintainedSocketPressure(0)[llc], 0.0);
-    EXPECT_DOUBLE_EQ(srv.maintainedSocketPressure(1)[llc],
+    EXPECT_EQ(srv.freshSocketPressure(0)[llc], 0.0);
+    EXPECT_DOUBLE_EQ(srv.freshSocketPressure(1)[llc],
                      0.5 * srv.socketCapacity(1)[llc]);
     expectLedgerConserved(srv, "after injectPressureAt(1)");
 }
-
-#ifdef QUASAR_VERIFY
-TEST(SocketLedger, DesyncedLedgerAbortsVerifySweep)
-{
-    sim::Cluster cluster = twoSocketCluster(1);
-    cluster.server(ServerId(0))
-        .place(pressuredShare(WorkloadId(1), 2, 0));
-    verify::sweepCluster(cluster, nullptr); // clean: must not abort
-    cluster.server(ServerId(0))
-        .desyncSocketLedgerForTest(0, Source::LLCache, 0.5);
-    EXPECT_DEATH(verify::sweepCluster(cluster, nullptr),
-                 "socket ledger");
-}
-#else
-TEST(SocketLedger, DesyncedLedgerAbortsVerifySweep)
-{
-    GTEST_SKIP() << "QUASAR_VERIFY is OFF; the conservation sweep is "
-                    "compiled out of this build";
-}
-#endif
 
 // ---------------------------------------------------------------------
 // Socket selection in the scheduler

@@ -294,7 +294,7 @@ forBodyLines(const FunctionDef &fd, const std::vector<std::string> &view,
 
 /** Placement-relevant Server state (see Server::version() contract). */
 const char *const kServerFields[] = {"tasks_", "state_", "speed_factor_",
-                                     "injected_", "socket_ledger_"};
+                                     "injected_"};
 /** Placement-relevant Cluster state: the machine set itself. */
 const char *const kClusterFields[] = {"servers_"};
 /** TaskShare fields reached through a share pointer/reference. */
@@ -308,8 +308,7 @@ const char *const kShareFields[] = {
 const char *const kMutatingMethods[] = {
     "push_back", "emplace_back", "pop_back", "erase",
     "clear",     "insert",       "swap",     "resize",
-    "assign",    "reset",        "add",      "sub",
-    "adjustSource"};
+    "assign",    "reset"};
 
 bool
 inList(const std::string &s, const char *const *list, size_t n)
