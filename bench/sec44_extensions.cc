@@ -119,15 +119,14 @@ main()
         for (double v : est.scale_up_perf)
             best = std::max(best, v);
         for (bool spread : {false, true}) {
-            core::SchedulerConfig cfg;
-            cfg.spread_fault_zones = spread;
-            core::GreedyScheduler sched(cluster, cfg, &registry);
+            core::GreedyScheduler sched(cluster, {}, &registry);
             auto alloc = sched.allocate(registry.get(id), est,
-                                        5.0 * best, nullptr, false);
+                                        5.0 * best, nullptr, false,
+                                        spread);
             std::set<int> zones;
             for (const auto &n : alloc->nodes)
                 zones.insert(cluster.server(n.server).faultZone());
-            std::printf("spread_fault_zones=%-5s -> %zu nodes across "
+            std::printf("spread=%-5s -> %zu nodes across "
                         "%zu of %d zones (perf %.1f)\n",
                         spread ? "true" : "false", alloc->nodes.size(),
                         zones.size(), cluster.numFaultZones(),

@@ -52,10 +52,6 @@ constexpr double kMigrationFactor = 0.9;
  *  retry after kFailureBackoffS, doubling up to the max. */
 constexpr double kFailureBackoffS = 20.0;
 constexpr double kFailureBackoffMaxS = 160.0;
-/** On re-placement after a failure, spread latency-critical replicas
- *  across fault zones (Sec. 4.4) so a repeat outage of the same
- *  rack/PDU cannot take the whole service down again. */
-constexpr bool kSpreadZonesOnRecovery = true;
 
 /** The scale-up grid column nearest to a share's size (cores, then a
  *  tenth of the memory difference; the first column wins ties). */
@@ -241,14 +237,11 @@ QuasarManager::trySchedule(WorkloadId id, double t, bool requeue_on_fail)
 
     double required = requiredPerf(w, t);
     // Re-placement after a failure spreads latency-critical replicas
-    // across fault zones so one rack/PDU cannot hold the whole
-    // service again (Sec. 4.4).
-    const bool spread = kSpreadZonesOnRecovery &&
-                        rec.displaced_at.has_value() &&
+    // across fault zones so a repeat outage of one rack/PDU cannot
+    // take the whole service down again (Sec. 4.4).
+    const bool spread = rec.displaced_at.has_value() &&
                         workload::isLatencyCritical(w.type);
-    SchedulerConfig sched_cfg = scheduler_.config();
-    sched_cfg.spread_fault_zones = sched_cfg.spread_fault_zones || spread;
-    if (retryProvenFutile(w, est, required, sched_cfg)) {
+    if (retryProvenFutile(w, est, required, spread)) {
         ++stats_.retries_skipped;
         if (requeue_on_fail)
             admission_.enqueue(id, t);
@@ -260,21 +253,10 @@ QuasarManager::trySchedule(WorkloadId id, double t, bool requeue_on_fail)
     uint64_t evict_rejects = 0;
     {
         stats::ScopedTimer timer(stats_.schedule_time);
-        if (spread) {
-            // The zone-spread recovery walk is a one-off decision
-            // with its own config, run through a fresh scheduler.
-            GreedyScheduler spreader(cluster_, sched_cfg, &registry_);
-            alloc = spreader.allocate(w, est, required, estimateLookup(),
-                                      !w.best_effort);
-            evict_rejects = spreader.walkCounts()[NodeReject::Evict];
-        } else {
-            const uint64_t before =
-                scheduler_.walkCounts()[NodeReject::Evict];
-            alloc = scheduler_.allocate(w, est, required,
-                                        estimateLookup(), !w.best_effort);
-            evict_rejects =
-                scheduler_.walkCounts()[NodeReject::Evict] - before;
-        }
+        const uint64_t before = scheduler_.walkCounts()[NodeReject::Evict];
+        alloc = scheduler_.allocate(w, est, required, estimateLookup(),
+                                    !w.best_effort, spread);
+        evict_rejects = scheduler_.walkCounts()[NodeReject::Evict] - before;
     }
     if (!admits(w, alloc, required)) {
         // Nothing placeable, or a single-node pick too weak to admit:
@@ -317,8 +299,7 @@ QuasarManager::admits(const Workload &w,
 bool
 QuasarManager::retryProvenFutile(const Workload &w,
                                  const WorkloadEstimate &est,
-                                 double required,
-                                 const SchedulerConfig &sched_cfg)
+                                 double required, bool spread)
 {
     if (!cfg_.failure_memo || !memo_.recorded(w.id))
         return false;
@@ -333,12 +314,13 @@ QuasarManager::retryProvenFutile(const Workload &w,
 #ifdef QUASAR_VERIFY
     if (futile)
         verify::checkSkippedRetry(
-            cluster_, sched_cfg, &registry_, w, est, required, estimates,
-            !w.best_effort, [&](const std::optional<Allocation> &alloc) {
+            cluster_, scheduler_.config(), &registry_, w, est, required,
+            estimates, !w.best_effort, spread,
+            [&](const std::optional<Allocation> &alloc) {
                 return admits(w, alloc, required);
             });
 #else
-    (void)sched_cfg;
+    (void)spread;
 #endif
     return futile;
 }

@@ -220,12 +220,13 @@ class QuasarManager : public driver::ClusterManager
                 double required) const;
     /**
      * Ask the failure memo whether a schedule call for w at
-     * `required` is proven to fail (decision config `sched_cfg`,
-     * which the QUASAR_VERIFY oracle re-runs a skipped call with).
+     * `required` is proven to fail (`spread`: the call's fault-zone
+     * spreading, which the QUASAR_VERIFY oracle re-runs a skipped
+     * call with).
      */
     bool retryProvenFutile(const workload::Workload &w,
                            const WorkloadEstimate &est, double required,
-                           const SchedulerConfig &sched_cfg);
+                           bool spread);
     /** Re-place a workload displaced by a crash (no re-profiling). */
     void replaceDisplaced(WorkloadId id, double t);
     /** Close the recovery-time window for a re-placed workload. */

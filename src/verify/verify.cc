@@ -263,7 +263,7 @@ shadowCheckAllocation(const sim::Cluster &cluster,
                       const core::WorkloadEstimate &est,
                       double required_perf,
                       const core::EstimateLookup &estimates,
-                      bool may_evict,
+                      bool may_evict, bool spread,
                       const std::optional<core::Allocation> &primary)
 {
     ++counters().shadow_checks;
@@ -276,7 +276,8 @@ shadowCheckAllocation(const sim::Cluster &cluster,
     shadow_cfg.full_rescan = true;
     core::GreedyScheduler shadow(cluster, shadow_cfg, registry);
     std::optional<core::Allocation> expected =
-        shadow.allocate(w, est, required_perf, estimates, may_evict);
+        shadow.allocate(w, est, required_perf, estimates, may_evict,
+                        spread);
 
     if (!sameAllocation(primary, expected)) {
         ++counters().shadow_divergences;
@@ -295,7 +296,7 @@ checkSkippedRetry(
     const workload::WorkloadRegistry *registry,
     const workload::Workload &w, const core::WorkloadEstimate &est,
     double required_perf, const core::EstimateLookup &estimates,
-    bool may_evict,
+    bool may_evict, bool spread,
     const std::function<bool(const std::optional<core::Allocation> &)>
         &admitted)
 {
@@ -304,7 +305,8 @@ checkSkippedRetry(
     shadow_cfg.full_rescan = true;
     core::GreedyScheduler shadow(cluster, shadow_cfg, registry);
     std::optional<core::Allocation> decision =
-        shadow.allocate(w, est, required_perf, estimates, may_evict);
+        shadow.allocate(w, est, required_perf, estimates, may_evict,
+                        spread);
     if (admitted(decision))
         fail("admission failure memo skipped a retry of workload " +
              std::to_string(w.id) + " (" + w.name +

@@ -17,13 +17,12 @@
  *    soak test of the accounting and journal plumbing.
  *
  *  - **Shadow scheduler oracle** (`shadowCheckAllocation`): every
- *    decision taken by the incremental dirty-set path is re-run
- *    through the legacy full_rescan path and the two Allocations are
- *    compared field-for-field, bitwise on doubles. Any divergence
- *    aborts with a diff. This is the automated
- *    equivalence evidence ROADMAP wants before the legacy path can be
- *    demoted: a QUASAR_VERIFY soak across the chaos + churn suites
- *    proves zero divergences over every decision those scenarios take.
+ *    decision taken through the maintained candidate order is re-run
+ *    through the sorted full scan (SchedulerConfig::full_rescan) and
+ *    the two Allocations are compared field-for-field, bitwise on
+ *    doubles. Any divergence aborts with a diff: a QUASAR_VERIFY soak
+ *    across the chaos + churn suites proves zero divergences over
+ *    every decision those scenarios take.
  *
  * On violation the layer prints a detailed report to stderr and
  * aborts: a verification build treats a broken invariant like a failed
@@ -75,18 +74,20 @@ void sweepCluster(const sim::Cluster &cluster,
                   const workload::WorkloadRegistry *registry);
 
 /**
- * Re-run one allocation decision through the full_rescan legacy path
- * and abort unless the primary decision matches it exactly (node list,
- * sizing columns, evictions, knobs, predicted performance — doubles
- * compared bitwise). Called by GreedyScheduler::allocate for every
- * decision the dirty-set path takes.
+ * Re-run one allocation decision (same may_evict and spread inputs)
+ * through the full_rescan sorted scan and abort unless the primary
+ * decision matches it exactly (node list, sizing columns, evictions,
+ * knobs, predicted performance — doubles compared bitwise). Called by
+ * GreedyScheduler::allocate for every decision the maintained order
+ * takes.
  */
 void shadowCheckAllocation(
     const sim::Cluster &cluster, const core::SchedulerConfig &cfg,
     const workload::WorkloadRegistry *registry,
     const workload::Workload &w, const core::WorkloadEstimate &est,
     double required_perf, const core::EstimateLookup &estimates,
-    bool may_evict, const std::optional<core::Allocation> &primary);
+    bool may_evict, bool spread,
+    const std::optional<core::Allocation> &primary);
 
 /**
  * Re-run a schedule call the admission failure memo skipped as proven
@@ -100,7 +101,7 @@ void checkSkippedRetry(
     const workload::WorkloadRegistry *registry,
     const workload::Workload &w, const core::WorkloadEstimate &est,
     double required_perf, const core::EstimateLookup &estimates,
-    bool may_evict,
+    bool may_evict, bool spread,
     const std::function<bool(const std::optional<core::Allocation> &)>
         &admitted);
 

@@ -175,15 +175,16 @@ struct SkipWorld
     };
 
     Run allocate(const Workload &w, const WorkloadEstimate &est,
-                 double required, bool may_evict)
+                 double required, bool may_evict, bool spread = false)
     {
         SchedulerConfig full_cfg = cfg;
         full_cfg.full_rescan = true;
         GreedyScheduler dirty(cluster, cfg, &registry);
         GreedyScheduler full(cluster, full_cfg, &registry);
         Run r;
-        r.dirty = dirty.allocate(w, est, required, nullptr, may_evict);
-        r.full = full.allocate(w, est, required, nullptr, may_evict);
+        r.dirty =
+            dirty.allocate(w, est, required, nullptr, may_evict, spread);
+        r.full = full.allocate(w, est, required, nullptr, may_evict, spread);
         r.dirty_walk = dirty.walkCounts();
         r.full_walk = full.walkCounts();
         return r;
@@ -295,7 +296,7 @@ TEST(BucketSkip, EqualQualityResumeDrawsLaterIdsOfDroppedBucket)
 // servers share free capacity, prio_any (1) and quality, i.e. one
 // bucket. On "Y" servers the priority-5 resident holds the memory, on
 // "X" servers the priority-1 one. A priority-3 job may evict only the
-// priority-1 resident, so priorityEvictable() frees 28 GB on X and
+// priority-1 resident, so the priority walk frees 28 GB on X and
 // nothing on Y: Y is Unfit for the 8 GB column, X fits. The walk must
 // not drop the bucket on Y's rejection.
 TEST(BucketSkip, MayEvictBelowPrioAnyNeverDrops)
@@ -346,13 +347,12 @@ TEST(BucketSkip, MayEvictBelowPrioAnyNeverDrops)
 TEST(BucketSkip, SpreadFaultZonesRewindWalksWithoutDrops)
 {
     SkipWorld world(12, 2);
-    world.cfg.spread_fault_zones = true;
     for (int s = 1; s < 12; s += 2)
         world.occupyMemory(ServerId(s), 20.0);
     WorkloadId id = world.add(WorkloadType::Analytics, 0);
     const Workload &w = world.registry.get(id);
 
-    SkipWorld::Run r = world.allocate(w, knobEstimate(), 21.5, false);
+    SkipWorld::Run r = world.allocate(w, knobEstimate(), 21.5, false, true);
     expectSameAllocation(r.dirty, r.full, "fault-zone rewind");
     ASSERT_TRUE(r.dirty.has_value());
     EXPECT_EQ(nodeServers(*r.dirty), (std::vector<ServerId>{0, 2, 3}));

@@ -18,7 +18,6 @@
 
 using namespace quasar;
 using core::GreedyScheduler;
-using core::SchedulerConfig;
 using core::WorkloadEstimate;
 using workload::Workload;
 
@@ -72,14 +71,12 @@ TEST(FaultZones, SpreadingUsesDistinctZones)
 {
     World w;
     auto [id, est] = w.make(w.factory.hadoopJob("j", 60.0));
-    SchedulerConfig cfg;
-    cfg.spread_fault_zones = true;
-    GreedyScheduler sched(w.cluster, cfg, &w.registry);
+    GreedyScheduler sched(w.cluster, {}, &w.registry);
     double best = 0.0;
     for (double v : est.scale_up_perf)
         best = std::max(best, v);
     auto alloc = sched.allocate(w.registry.get(id), est, 3.0 * best,
-                                nullptr, false);
+                                nullptr, false, true);
     ASSERT_TRUE(alloc.has_value());
     ASSERT_GE(alloc->nodes.size(), 3u);
     std::set<int> zones;
@@ -111,14 +108,12 @@ TEST(FaultZones, RelaxesWhenZonesExhausted)
     auto data = profiler.profile(registry.get(id), 0.0, rng);
     auto est = clf.classify(registry.get(id), data);
 
-    SchedulerConfig cfg;
-    cfg.spread_fault_zones = true;
-    GreedyScheduler sched(cluster, cfg, &registry);
+    GreedyScheduler sched(cluster, {}, &registry);
     double best = 0.0;
     for (double v : est.scale_up_perf)
         best = std::max(best, v);
     auto alloc = sched.allocate(registry.get(id), est, 4.0 * best,
-                                nullptr, false);
+                                nullptr, false, true);
     ASSERT_TRUE(alloc.has_value());
     EXPECT_GE(alloc->nodes.size(), 3u);
 }

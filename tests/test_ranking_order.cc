@@ -1,15 +1,15 @@
 /**
  * @file
  * The maintained (incremental) candidate order: property tests
- * driving random mutation streams — arrivals, departures, capacity
- * churn, degrade, crash, recover, pressure spikes — and asserting
- * after every step that the order the dirty-mode scheduler streams
- * from its persistent per-platform structure equals a from-scratch
- * ranking sorted by rankedBefore (quality descending, ServerId
- * ascending on exact ties). Also the regression test for the
- * priority-eviction guard: hoisting priorityEvictable() behind the
- * free < 1 filter must leave placements bit-identical in both
- * decision-path modes.
+ * driving random mutation streams — arrivals, departures, saturating
+ * best-effort and low-priority fillers, degrade, crash, recover,
+ * pressure spikes — and asserting after every step that every drain
+ * the maintained order emits (unfiltered, and under each rank-time
+ * filter allocate uses) equals the sorted full scan's: quality
+ * descending, ServerId ascending on exact ties, the same servers.
+ * Also the regression test for the priority-eviction guard: hoisting
+ * the priority walk behind the free < 1 filter must leave placements
+ * bit-identical under both candidate sources.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 
 using namespace quasar;
 using core::Allocation;
+using core::CandidateFilter;
 using core::GreedyScheduler;
 using core::SchedulerConfig;
 using core::WorkloadEstimate;
@@ -143,7 +144,8 @@ expectSameAllocation(const std::optional<Allocation> &a,
 TEST(RankingOrder, IncrementalMatchesFromScratchUnderRandomMutations)
 {
     RankWorld w;
-    GreedyScheduler dirty(w.cluster); // the dirty-set path is the default
+    // The maintained order is the default source.
+    GreedyScheduler dirty(w.cluster, SchedulerConfig{}, &w.registry);
     SchedulerConfig rescan_cfg;
     rescan_cfg.full_rescan = true;
 
@@ -154,6 +156,23 @@ TEST(RankingOrder, IncrementalMatchesFromScratchUnderRandomMutations)
         w.make(w.factory.singleNodeJob("probe-b", "specjbb"));
     (void)hid;
     (void)sid_;
+
+    // The drains allocate uses: eviction rights off and on (the
+    // best-effort pool, Evict class), and priority preemption for a
+    // newcomer below, equal to, between and above the priorities of
+    // the non-best-effort residents (1 and 2; Prio class).
+    Workload newcomer;
+    std::vector<std::pair<std::string, CandidateFilter>> inputs = {
+        {"everything", CandidateFilter::everything()},
+        {"no may_evict", CandidateFilter::of(newcomer, false, &w.registry)},
+        {"may_evict, no registry",
+         CandidateFilter::of(newcomer, true, nullptr)},
+    };
+    for (int prio : {0, 1, 2, 3}) {
+        newcomer.priority = prio;
+        inputs.emplace_back("may_evict, priority " + std::to_string(prio),
+                            CandidateFilter::of(newcomer, true, &w.registry));
+    }
 
     // Pristine cluster: identical idle servers of the same platform
     // guarantee exact-quality ties, so the id tie-break is exercised
@@ -169,13 +188,16 @@ TEST(RankingOrder, IncrementalMatchesFromScratchUnderRandomMutations)
     std::vector<std::pair<WorkloadId, std::vector<ServerId>>> placed;
     interference::IVector poke = interference::zeroVector();
     poke[2] = 0.4;
+    // Steps at which the Evict / Prio classes changed a drain.
+    int evict_steps = 0, prio_steps = 0;
 
     for (int step = 0; step < 60; ++step) {
-        switch (w.rng.uniformInt(0, 5)) {
+        switch (w.rng.uniformInt(0, 6)) {
         case 0:
         case 1: { // arrival, decided through the incremental order
             auto [id, est] = w.make(w.factory.hadoopJob(
                 "job", w.rng.uniform(10.0, 80.0)));
+            w.registry.get(id).priority = 1;
             auto a = dirty.allocate(w.registry.get(id), est,
                                     w.rng.uniform(10.0, 80.0), nullptr,
                                     false);
@@ -213,6 +235,26 @@ TEST(RankingOrder, IncrementalMatchesFromScratchUnderRandomMutations)
                 w.cluster.server(s).recover();
             break;
         }
+        case 5: { // a filler takes every free core of a random server
+            ServerId s = ServerId(w.rng.uniformInt(
+                0, int64_t(w.cluster.size()) - 1));
+            sim::Server &srv = w.cluster.server(s);
+            Workload filler = w.factory.singleNodeJob("filler", "parsec");
+            filler.best_effort = w.rng.chance(0.5);
+            filler.priority = int(w.rng.uniformInt(1, 2));
+            if (!srv.available() || srv.coresFree() < 1 ||
+                srv.memoryFree() < 0.5)
+                break;
+            WorkloadId fid = w.registry.add(std::move(filler));
+            sim::TaskShare share;
+            share.workload = fid;
+            share.cores = srv.coresFree();
+            share.memory_gb = 0.5;
+            share.best_effort = w.registry.get(fid).best_effort;
+            srv.place(share);
+            placed.push_back({fid, {s}});
+            break;
+        }
         default: { // transient pressure spike + decay
             ServerId s = ServerId(w.rng.uniformInt(
                 0, int64_t(w.cluster.size()) - 1));
@@ -223,25 +265,38 @@ TEST(RankingOrder, IncrementalMatchesFromScratchUnderRandomMutations)
         }
         }
 
+        // From-scratch referee: the sorted full scan has no index at
+        // all (it shares no refresh code with the maintained order),
+        // scores every server straight from its live state under the
+        // direct rank-time predicate and sorts by rankedBefore.
+        GreedyScheduler fresh(w.cluster, rescan_cfg, &w.registry);
         for (const WorkloadEstimate *probe : {&probe_a, &probe_b}) {
-            std::string ctx = "step " + std::to_string(step);
-            auto got = dirty.rankedCandidates(*probe);
-            // From-scratch referee: a fresh full_rescan scheduler has
-            // no index at all (it shares no refresh code with the
-            // maintained order), scores every server straight from its
-            // live state and sorts by rankedBefore.
-            GreedyScheduler fresh(w.cluster, rescan_cfg);
-            auto want = fresh.rankedCandidates(*probe);
-            expectSameOrder(got, want, ctx);
-            expectWellOrdered(got, ctx);
+            std::vector<size_t> drained;
+            for (const auto &[name, filter] : inputs) {
+                std::string ctx =
+                    "step " + std::to_string(step) + ", " + name;
+                auto got = dirty.rankedCandidates(*probe, filter);
+                auto want = fresh.rankedCandidates(*probe, filter);
+                expectSameOrder(got, want, ctx);
+                expectWellOrdered(got, ctx);
+                drained.push_back(got.size());
+            }
             if (::testing::Test::HasFailure())
                 return; // one divergent step is diagnosis enough
+            evict_steps += drained[2] > drained[1];
+            prio_steps += drained[6] > drained[2];
         }
     }
+    EXPECT_GT(evict_steps, 0)
+        << "no drain ever emitted an Evict-class server; the may_evict "
+           "inputs would be vacuous";
+    EXPECT_GT(prio_steps, 0)
+        << "no drain ever emitted a Prio-class server; the priority "
+           "inputs would be vacuous";
 }
 
 // ---------------------------------------------------------------------
-// Regression: the priorityEvictable() hoist must not move placements
+// Regression: the priority-walk hoist must not move placements
 // ---------------------------------------------------------------------
 
 TEST(RankingOrder, PriorityEvictionPlacementsIdenticalAcrossModes)
@@ -252,9 +307,8 @@ TEST(RankingOrder, PriorityEvictionPlacementsIdenticalAcrossModes)
 
     // Pin every server full with non-best-effort low-priority
     // residents: free_cores == 0 and be_cores == 0, so a candidate
-    // only clears the free < 1 ranking filter through the
-    // priorityEvictable() walk — exactly the code path the guard
-    // hoisted.
+    // only clears the free < 1 ranking filter through the priority
+    // walk — exactly the code path the guard hoisted.
     std::vector<WorkloadId> pinned;
     for (size_t s = 0; s < w.cluster.size(); ++s) {
         Workload filler = w.factory.singleNodeJob("filler", "parsec");

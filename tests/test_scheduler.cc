@@ -320,10 +320,9 @@ TEST(Scheduler, SpreadingRelaxationDoesNotDoubleCountEvictions)
         max_cost = std::max(max_cost, p.cost_per_hour);
     job.cost_cap_per_hour = 2.5 * max_cost;
     SchedulerConfig cfg;
-    cfg.spread_fault_zones = true;
     cfg.min_marginal_efficiency = 0.0; // reach the rejected candidates
     GreedyScheduler sched(w.cluster, cfg);
-    auto alloc = sched.allocate(job, est, 1e12, nullptr, true);
+    auto alloc = sched.allocate(job, est, 1e12, nullptr, true, true);
     ASSERT_TRUE(alloc.has_value());
     expectEvictionPlanConsistent(w.cluster, *alloc);
 }

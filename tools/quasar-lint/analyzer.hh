@@ -26,10 +26,13 @@
  *    silently diverge.
  *  - decision-purity: the float-eq / unordered-iter determinism rules
  *    applied to the call-graph cone reachable from
- *    GreedyScheduler::allocate / refreshIndex / refreshEntryIndexed,
- *    catching helpers pulled onto the decision path from directories
- *    the kDecisionDirs list never covered. (unseeded-rng / wallclock
- *    already apply tree-wide — a strict superset of the cone.)
+ *    GreedyScheduler::allocate and MaintainedOrder::refreshIndex /
+ *    refreshEntryIndexed, catching helpers pulled onto the decision
+ *    path from directories the kDecisionDirs list never covered; in a
+ *    run over src/ (one that analyzes src/core/scheduler.cc), an
+ *    entry that names no definition is an error too. (unseeded-rng /
+ *    wallclock already apply tree-wide — a strict superset of the
+ *    cone.)
  *  - layering / include-cycle: the src/ architecture order (common,
  *    interference, stats → linalg, topology, tracegen → sim →
  *    workload → profiling → driver → core, churn → baselines, trace,

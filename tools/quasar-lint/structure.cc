@@ -508,12 +508,17 @@ journaledScope(const std::string &path)
            path.find("fixture/") != std::string::npos;
 }
 
-/** Entry points of the scheduler decision cone. */
+/** Entry points of the scheduler decision cone: the walk and the
+ *  maintained candidate order's index refresh (core/candidate_order). */
 const char *const kConeEntries[] = {
     "GreedyScheduler::allocate",
-    "GreedyScheduler::refreshIndex",
-    "GreedyScheduler::refreshEntryIndexed",
+    "MaintainedOrder::refreshIndex",
+    "MaintainedOrder::refreshEntryIndexed",
 };
+
+/** The scheduler's source: a run that analyzes it is a run over src/,
+ *  where every cone entry must name a definition. */
+const char kConeAnchor[] = "src/core/scheduler.cc";
 
 } // namespace
 
@@ -956,6 +961,22 @@ Analyzer::ruleMutationJournaling(std::vector<Finding> &out)
 void
 Analyzer::ruleDecisionPurity(std::vector<Finding> &out)
 {
+    // An entry that names no definition seeds nothing, so a rename or
+    // move of an entry point would shrink the cone without a word.
+    for (const std::string &p : paths) {
+        if (!endsWith(p, kConeAnchor))
+            continue;
+        for (const char *entry : kConeEntries)
+            if (!cone_.count(entry))
+                out.push_back(
+                    {p, 0, "decision-purity",
+                     std::string("decision-cone entry '") + entry +
+                         "' names no definition in the analyzed tree; "
+                         "the cone would shrink silently — point "
+                         "kConeEntries (tools/quasar-lint/structure.cc) "
+                         "at the moved or renamed entry point"});
+        break;
+    }
     std::map<std::string, std::vector<std::string>> pp_cache;
     for (size_t fi = 0; fi < decls_.functions.size(); ++fi) {
         const FunctionDef &fd = decls_.functions[fi];
@@ -993,9 +1014,10 @@ Analyzer::ruleDecisionPurity(std::vector<Finding> &out)
                              fd.qualified() +
                              "', reachable from the scheduler "
                              "decision cone (GreedyScheduler::"
-                             "allocate/refreshIndex/"
-                             "refreshEntryIndexed); compare with a "
-                             "tolerance or restructure"});
+                             "allocate, MaintainedOrder::"
+                             "refreshIndex/refreshEntryIndexed); "
+                             "compare with a tolerance or "
+                             "restructure"});
                 });
                 std::string which;
                 if (!unordered.empty() &&

@@ -205,7 +205,7 @@ TEST(DecisionCone, FollowsTransitiveCalls)
 {
     Analyzer a = makeVirtual({
         {"src/core/sched.cc",
-         "class GreedyScheduler {\n"
+         "class MaintainedOrder {\n"
          "  public:\n"
          "    void refreshIndex() { hop(); }\n"
          "};\n"},
@@ -217,6 +217,72 @@ TEST(DecisionCone, FollowsTransitiveCalls)
     EXPECT_TRUE(a.decisionCone().count("deep"));
     EXPECT_EQ(rulesAt(fs, "src/workload/chain.cc", 1),
               std::vector<std::string>{"decision-purity"});
+}
+
+TEST(DecisionCone, EntryNamingNoDefinitionFailsASrcRun)
+{
+    // A run over src/ (it analyzes src/core/scheduler.cc) after one of
+    // the maintained order's entry points was renamed: the cone would
+    // lose it without a word, so the analyzer reports it.
+    const std::string scheduler = "class GreedyScheduler {\n"
+                                  "  public:\n"
+                                  "    void allocate() {}\n"
+                                  "};\n";
+    Analyzer renamed = makeVirtual({
+        {"src/core/scheduler.cc", scheduler},
+        {"src/core/candidate_order.cc",
+         "class MaintainedOrder {\n"
+         "  public:\n"
+         "    void refreshIndex() {}\n"
+         "    void refreshEntryRenamed() {}\n"
+         "};\n"},
+    });
+    std::vector<Finding> fs = renamed.run();
+    ASSERT_EQ(countRule(fs, "decision-purity"), 1u);
+    EXPECT_EQ(rulesAt(fs, "src/core/scheduler.cc", 0),
+              std::vector<std::string>{"decision-purity"});
+    for (const Finding &f : fs) {
+        if (f.rule == "decision-purity") {
+            EXPECT_NE(f.message.find("MaintainedOrder::refreshEntryIndexed"),
+                      std::string::npos)
+                << f.message;
+        }
+    }
+
+    // Every entry defined: clean, and each one seeds the cone.
+    Analyzer whole = makeVirtual({
+        {"src/core/scheduler.cc", scheduler},
+        {"src/core/candidate_order.cc",
+         "class MaintainedOrder {\n"
+         "  public:\n"
+         "    void refreshIndex() {}\n"
+         "    void refreshEntryIndexed() {}\n"
+         "};\n"},
+    });
+    fs = whole.run();
+    EXPECT_EQ(countRule(fs, "decision-purity"), 0u);
+    for (const char *entry :
+         {"GreedyScheduler::allocate", "MaintainedOrder::refreshIndex",
+          "MaintainedOrder::refreshEntryIndexed"})
+        EXPECT_TRUE(whole.decisionCone().count(entry)) << entry;
+}
+
+TEST(DecisionCone, RealTreeSeedsEveryEntry)
+{
+    // On the real tree every entry resolves, and the walk reaches the
+    // candidate source's drain through the virtual call.
+    Analyzer a;
+    collectInputs({std::string(QUASAR_LINT_SOURCE_DIR) + "/src"},
+                  a.paths, a.def_paths);
+    std::vector<Finding> fs = a.run();
+    for (const Finding &f : fs)
+        EXPECT_NE(f.rule, "decision-purity")
+            << f.file << ":" << f.line << ": " << f.message;
+    for (const char *fn :
+         {"GreedyScheduler::allocate", "MaintainedOrder::refreshIndex",
+          "MaintainedOrder::refreshEntryIndexed",
+          "MaintainedOrder::nextCandidate", "SortedScan::nextCandidate"})
+        EXPECT_TRUE(a.decisionCone().count(fn)) << fn;
 }
 
 // -------------------------------------------------------------------
