@@ -14,7 +14,7 @@
 #include "bench/report.hh"
 #include "core/classifier.hh"
 #include "core/scheduler.hh"
-#include "linalg/completion.hh"
+#include "linalg/pq_model.hh"
 #include "linalg/svd.hh"
 
 using namespace quasar;

@@ -38,6 +38,9 @@
  * (500, not 1000: the controller-off leg at 1000 servers spends
  * tens of minutes draining a many-hundred-deep admission queue
  * against a saturated cluster — all cost, no extra signal.)
+ * The full run reads the google fixture from the source tree's
+ * tests/traces (`--traces=DIR` overrides) and, without it, fails
+ * before running any leg.
  */
 
 #include <algorithm>
@@ -261,6 +264,26 @@ runOverloadBench(bool smoke, const std::string &out_path,
                         : "overload control: flash crowd at 200/500 "
                           "servers + google-fitted synth legs");
 
+    // The full run's synth legs need the google fixture: a full run
+    // without it fails before running any leg, so it never writes a
+    // report that silently lacks the synth rows.
+    trace::TraceStream stream;
+    if (!smoke) {
+        stream = trace::parseGoogleTaskEventsFile(traces_dir +
+                                                  "/google_task_events.csv");
+        if (stream.events.empty())
+            stream = trace::parseGoogleTaskEventsFile(
+                traces_dir + "/google_task_events.csv.gz");
+        if (stream.events.empty()) {
+            std::fprintf(stderr,
+                         "no google fixture under %s (pass "
+                         "--traces=DIR); the full run needs it for the "
+                         "synth legs\n",
+                         traces_dir.c_str());
+            return 1;
+        }
+    }
+
     struct Leg
     {
         const char *name;
@@ -290,43 +313,32 @@ runOverloadBench(bool smoke, const std::string &out_path,
     // fixture and overlay the same flash-crowd pattern on it, so the
     // crowd rides on trace-shaped arrivals and lifetimes.
     if (!smoke) {
-        trace::TraceStream stream = trace::parseGoogleTaskEventsFile(
-            traces_dir + "/google_task_events.csv");
-        if (stream.events.empty())
-            stream = trace::parseGoogleTaskEventsFile(
-                traces_dir + "/google_task_events.csv.gz");
-        if (stream.events.empty()) {
-            std::printf("no google fixture under %s; skipping the "
-                        "synth legs\n",
-                        traces_dir.c_str());
-        } else {
-            trace::TraceMapperConfig mcfg;
-            mcfg.target_horizon_s = horizon;
-            mcfg.target_servers = 500;
-            mcfg.seed = 20260808;
-            trace::MappedTrace mapped = trace::mapTrace(stream, mcfg);
-            trace::SynthFit fit =
-                trace::fitChurnConfig(mapped, 20260808, horizon);
-            churn::ChurnConfig synth = fit.config;
-            synth.rate_pattern = diurnalFlashCrowd();
-            // The fitted rate reflects the trace's average
-            // pressure; clamp it so the 10x crowd overlay lands in
-            // the overload regime without drowning the off leg in a
-            // many-thousand-deep queue (the google fixture fits to
-            // ~6.3/s at 500 servers, which the crowd would multiply
-            // to ~63/s — hours of saturated-cluster retries for no
-            // extra signal).
-            synth.arrival_rate_per_s =
-                std::clamp(synth.arrival_rate_per_s, 0.4, 0.5);
-            std::printf("  running synth legs (fitted rate "
-                        "%.3f/s)...\n",
-                        synth.arrival_rate_per_s);
-            std::fflush(stdout);
-            legs.push_back({"synth-off", 500, false,
-                            runLeg(500, horizon, synth, false)});
-            legs.push_back({"synth-on", 500, true,
-                            runLeg(500, horizon, synth, true)});
-        }
+        trace::TraceMapperConfig mcfg;
+        mcfg.target_horizon_s = horizon;
+        mcfg.target_servers = 500;
+        mcfg.seed = 20260808;
+        trace::MappedTrace mapped = trace::mapTrace(stream, mcfg);
+        trace::SynthFit fit =
+            trace::fitChurnConfig(mapped, 20260808, horizon);
+        churn::ChurnConfig synth = fit.config;
+        synth.rate_pattern = diurnalFlashCrowd();
+        // The fitted rate reflects the trace's average
+        // pressure; clamp it so the 10x crowd overlay lands in
+        // the overload regime without drowning the off leg in a
+        // many-thousand-deep queue (the google fixture fits to
+        // ~6.3/s at 500 servers, which the crowd would multiply
+        // to ~63/s — hours of saturated-cluster retries for no
+        // extra signal).
+        synth.arrival_rate_per_s =
+            std::clamp(synth.arrival_rate_per_s, 0.4, 0.5);
+        std::printf("  running synth legs (fitted rate "
+                    "%.3f/s)...\n",
+                    synth.arrival_rate_per_s);
+        std::fflush(stdout);
+        legs.push_back({"synth-off", 500, false,
+                        runLeg(500, horizon, synth, false)});
+        legs.push_back({"synth-on", 500, true,
+                        runLeg(500, horizon, synth, true)});
     }
 
     // Replay gate: every controller-on leg at the gate scale must
@@ -411,7 +423,7 @@ main(int argc, char **argv)
     bool smoke = false;
     std::string out_path = "BENCH_overload.json";
     std::string baseline_path;
-    std::string traces_dir = "tests/traces";
+    std::string traces_dir = QUASAR_TRACES_DIR;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--smoke")

@@ -27,7 +27,8 @@
  * `--smoke` is the CI variant: both fixtures at 200 servers over a
  * short horizon, each with its re-replay gate.
  *
- * To replay a real downloaded trace instead of the fixtures, point
+ * The fixtures are read from the source tree's tests/traces, wherever
+ * the bench is run from. To replay a real downloaded trace instead of the fixtures, point
  * `--traces=<dir>` at a directory whose files carry the fixture
  * names (google_task_events.csv / azure_vmtable.csv, optionally with
  * a .gz suffix when built with zlib) and pass `--no-diag-gate` —
@@ -235,7 +236,7 @@ main(int argc, char **argv)
     bool smoke = false;
     bool diag_gate = true;
     std::string out_path = "BENCH_trace_replay.json";
-    std::string traces_dir = "tests/traces";
+    std::string traces_dir = QUASAR_TRACES_DIR;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--smoke")

@@ -171,9 +171,11 @@ cmake --build build-verify -j "$JOBS" --target quasar_tests
 # order signature audited field for field; the ManagerLifecycle suite
 # runs a churn stream with departures and overload sheds under the
 # sweeps and checks that every finished workload leaves no manager
-# state behind.
+# state behind; the ReservationBaselines suite runs the baseline
+# managers' pinned streams (and their crash storms) under the
+# per-tick sweeps.
 ./build-verify/tests/quasar_tests \
-    --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:FailureMemo*.*:FirstNodeVerdict.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:ChurnClosedLoop.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*:PerfOracle*.*:FoldInReference.*:JacobiReference.*:BucketSkip.*:WalkCounts.*:ManagerLifecycle.*'
+    --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:FailureMemo*.*:FirstNodeVerdict.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:ChurnClosedLoop.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*:PerfOracle*.*:FoldInReference.*:JacobiReference.*:BucketSkip.*:WalkCounts.*:ManagerLifecycle.*:ReservationBaselines.*'
 
 echo "== clean tree: no tracked file modified =="
 if [ "$(tracked_state)" != "$TRACKED_BEFORE" ]; then

@@ -8,6 +8,22 @@ namespace quasar::baselines
 
 using workload::Workload;
 
+namespace
+{
+
+/** Add an instance above this observed utilization (AWS's default). */
+constexpr double kScaleOutRho = 0.70;
+/** Remove one below this low-water mark, down to one instance. */
+constexpr double kScaleInRho = 0.25;
+/** Cores of a fixed-size instance (capped at the machine's). */
+constexpr int kInstanceCores = 8;
+/** Stateful scale-out moves shards at this bandwidth, GB/s ... */
+constexpr double kMigrationGbps = 1.0;
+/** ... while the service runs at this fraction of its speed. */
+constexpr double kMigrationFactor = 0.85;
+
+} // namespace
+
 AutoScaleManager::AutoScaleManager(sim::Cluster &cluster,
                                    workload::WorkloadRegistry &registry,
                                    AutoScaleConfig cfg, uint64_t seed)
@@ -30,37 +46,23 @@ AutoScaleManager::addInstance(Workload &w, double t)
 {
     // Least-loaded server that fits a fixed-size instance; the policy
     // knows nothing about platform types or co-runner interference.
-    std::vector<std::pair<double, ServerId>> order;
-    for (size_t i = 0; i < cluster_.size(); ++i) {
-        const sim::Server &srv = cluster_.server(ServerId(i));
+    for (ServerId sid : leastLoadedOrder(cluster_)) {
+        sim::Server &srv = cluster_.server(sid);
         if (srv.hosts(w.id))
             continue;
-        order.emplace_back(srv.cpuReservedFraction(), ServerId(i));
-    }
-    std::sort(order.begin(), order.end());
-    for (const auto &[load, sid] : order) {
-        sim::Server &srv = cluster_.server(sid);
-        int cores = std::min(cfg_.instance_cores, srv.platform().cores);
+        int cores = std::min(kInstanceCores, srv.platform().cores);
         double mem = std::min(cfg_.instance_memory_gb,
                               srv.platform().memory_gb);
         if (!srv.canFit(cores, mem, w.storage_gb_per_node))
             continue;
-        sim::TaskShare share;
-        share.workload = w.id;
-        share.cores = cores;
-        share.memory_gb = mem;
-        share.storage_gb = w.storage_gb_per_node;
-        share.caused = w.causedPressure(t, cores);
-        share.best_effort = false;
-        srv.place(share);
+        srv.place(nodeShare(w, t, cores, mem, false));
         // Stateful services must move shards to the new instance.
         if (w.type == workload::WorkloadType::StatefulService &&
             w.state_gb > 0.0) {
             size_t n = cluster_.serversHosting(w.id).size();
             double moved = w.state_gb / double(std::max<size_t>(n, 1));
-            w.degraded_until =
-                t + moved / cfg_.migration_gbps;
-            w.degraded_factor = cfg_.migration_factor;
+            w.degraded_until = t + moved / kMigrationGbps;
+            w.degraded_factor = kMigrationFactor;
         }
         return true;
     }
@@ -71,7 +73,7 @@ void
 AutoScaleManager::removeInstance(Workload &w)
 {
     auto hosting = cluster_.serversHosting(w.id);
-    if (int(hosting.size()) <= cfg_.min_instances)
+    if (hosting.size() <= 1)
         return;
     cluster_.server(hosting.back()).remove(w.id);
 }
@@ -81,10 +83,7 @@ AutoScaleManager::onSubmit(WorkloadId id, double t)
 {
     Workload &w = registry_.get(id);
     if (workload::isLatencyCritical(w.type)) {
-        bool ok = true;
-        for (int i = 0; i < cfg_.min_instances && ok; ++i)
-            ok = addInstance(w, t);
-        if (!ok)
+        if (!addInstance(w, t))
             queue_.push_back(id);
         w.last_progress_update = t;
         return;
@@ -130,7 +129,7 @@ AutoScaleManager::onTick(double t)
         if (hosting.empty())
             continue;
         double rho = observedRho(w, t);
-        if (rho > cfg_.scale_out_threshold) {
+        if (rho > kScaleOutRho) {
             if (++hot_streak_[id] >= cfg_.hot_ticks &&
                 int(hosting.size()) < cfg_.max_instances) {
                 addInstance(w, t);
@@ -138,7 +137,7 @@ AutoScaleManager::onTick(double t)
             }
         } else {
             hot_streak_[id] = 0;
-            if (rho < cfg_.scale_in_threshold)
+            if (rho < kScaleInRho)
                 removeInstance(w);
         }
     }
@@ -167,9 +166,7 @@ AutoScaleManager::onServerDown(ServerId,
             continue;
         bool ok;
         if (workload::isLatencyCritical(w.type)) {
-            ok = true;
-            for (int i = 0; i < cfg_.min_instances && ok; ++i)
-                ok = addInstance(w, t);
+            ok = addInstance(w, t);
         } else {
             Reservation res =
                 userReservation(w, cluster_.catalog(), model_, rng_);

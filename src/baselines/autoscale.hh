@@ -1,9 +1,9 @@
 /**
  * @file
  * Auto-scaling baseline (paper Figs. 8 and 9): latency-critical
- * services scale between a minimum and maximum number of fixed-size
+ * services scale between one and a maximum number of fixed-size
  * instances, adding a least-loaded server when observed utilization
- * exceeds a threshold (default 70%, as in AWS autoscaling) and
+ * exceeds a threshold (70%, AWS autoscaling's default) and
  * removing one when it falls below a low-water mark. The policy is
  * reactive, heterogeneity- and interference-unaware, and only scales
  * out — the weaknesses the paper demonstrates. Non-service workloads
@@ -21,20 +21,17 @@
 namespace quasar::baselines
 {
 
-/** Auto-scaling policy knobs. */
+/**
+ * Auto-scaling policy knobs. The utilization thresholds, the instance
+ * core count, the one-instance floor and the stateful migration model
+ * are constants in autoscale.cc.
+ */
 struct AutoScaleConfig
 {
-    double scale_out_threshold = 0.70; ///< add instance above this rho.
-    double scale_in_threshold = 0.25;  ///< remove instance below.
-    int min_instances = 1;
     int max_instances = 8;
-    int instance_cores = 8;
     double instance_memory_gb = 16.0;
     /** Consecutive hot ticks required before scaling out. */
     int hot_ticks = 2;
-    /** Migration bandwidth for stateful scale-out, GB/s. */
-    double migration_gbps = 1.0;
-    double migration_factor = 0.85;
 };
 
 /** The auto-scaling manager. */

@@ -39,89 +39,17 @@ frameworkReservation(const Workload &w)
 FrameworkSelfManager::FrameworkSelfManager(
     sim::Cluster &cluster, workload::WorkloadRegistry &registry,
     uint64_t seed)
-    : cluster_(cluster), registry_(registry), rng_(seed)
+    : ReservationManager(cluster, registry, seed,
+                         tracegen::ReservationModel{}, hadoopDefaultKnobs())
 {
 }
 
-void
-FrameworkSelfManager::onSubmit(WorkloadId id, double t)
+Reservation
+FrameworkSelfManager::sizeReservation(const Workload &w, double t)
 {
-    const Workload &w = registry_.get(id);
     if (w.type == workload::WorkloadType::Analytics)
-        reservations_[id] = frameworkReservation(w);
-    else
-        reservations_[id] =
-            userReservation(w, cluster_.catalog(), model_, rng_);
-    if (!tryPlace(id, t))
-        queue_.push_back(id);
-}
-
-bool
-FrameworkSelfManager::tryPlace(WorkloadId id, double t)
-{
-    Workload &w = registry_.get(id);
-    const Reservation &res = reservations_.at(id);
-    // Frameworks choose from all server types indiscriminately.
-    auto used = placeLeastLoaded(cluster_, w, t, res, w.best_effort);
-    if (used.empty())
-        return false;
-    w.active_knobs = hadoopDefaultKnobs();
-    w.last_progress_update = t;
-    return true;
-}
-
-void
-FrameworkSelfManager::onTick(double t)
-{
-    std::vector<WorkloadId> still_waiting;
-    for (WorkloadId id : queue_) {
-        const Workload &w = registry_.get(id);
-        if (w.completed || w.killed)
-            continue;
-        if (!tryPlace(id, t))
-            still_waiting.push_back(id);
-    }
-    queue_ = std::move(still_waiting);
-}
-
-void
-FrameworkSelfManager::onCompletion(WorkloadId, double t)
-{
-    onTick(t);
-}
-
-void
-FrameworkSelfManager::onServerDown(ServerId,
-                                   const std::vector<WorkloadId> &displaced,
-                                   double t)
-{
-    for (WorkloadId id : displaced) {
-        Workload &w = registry_.get(id);
-        if (w.completed || w.killed)
-            continue;
-        auto it = reservations_.find(id);
-        if (it == reservations_.end())
-            continue;
-        size_t remaining = cluster_.serversHosting(id).size();
-        if (remaining == 0) {
-            if (!tryPlace(id, t) &&
-                std::find(queue_.begin(), queue_.end(), id) ==
-                    queue_.end())
-                queue_.push_back(id);
-            continue;
-        }
-        Reservation missing = it->second;
-        missing.nodes -= int(remaining);
-        if (missing.nodes > 0)
-            placeLeastLoaded(cluster_, w, t, missing, w.best_effort);
-    }
-}
-
-const Reservation *
-FrameworkSelfManager::reservationFor(WorkloadId id) const
-{
-    auto it = reservations_.find(id);
-    return it == reservations_.end() ? nullptr : &it->second;
+        return frameworkReservation(w);
+    return ReservationManager::sizeReservation(w, t);
 }
 
 } // namespace quasar::baselines

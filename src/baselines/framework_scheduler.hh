@@ -9,9 +9,6 @@
 
 #pragma once
 
-#include <unordered_map>
-#include <vector>
-
 #include "baselines/reservation_ll.hh"
 
 namespace quasar::baselines
@@ -27,35 +24,25 @@ workload::FrameworkKnobs hadoopDefaultKnobs();
  */
 Reservation frameworkReservation(const workload::Workload &w);
 
-/** Framework self-scheduling manager. */
-class FrameworkSelfManager : public driver::ClusterManager
+/**
+ * Framework self-scheduling manager: analytics jobs size themselves
+ * with frameworkReservation, everything else reserves as a user
+ * would, and every placed workload runs with Hadoop's default knobs.
+ * Assignment is least-loaded: frameworks choose from all server types
+ * indiscriminately.
+ */
+class FrameworkSelfManager : public ReservationManager
 {
   public:
     FrameworkSelfManager(sim::Cluster &cluster,
                          workload::WorkloadRegistry &registry,
                          uint64_t seed = 66);
 
-    void onSubmit(WorkloadId id, double t) override;
-    void onTick(double t) override;
-    void onCompletion(WorkloadId id, double t) override;
-    /** Minimal recovery: top up lost nodes / requeue when unplaced. */
-    void onServerDown(ServerId sid,
-                      const std::vector<WorkloadId> &displaced,
-                      double t) override;
     std::string name() const override { return "framework-schedulers"; }
 
-    const Reservation *reservationFor(WorkloadId id) const;
-
   private:
-    bool tryPlace(WorkloadId id, double t);
-
-    sim::Cluster &cluster_;
-    workload::WorkloadRegistry &registry_;
-    stats::Rng rng_;
-    tracegen::ReservationModel model_;
-    std::unordered_map<WorkloadId, Reservation> reservations_;
-    std::vector<WorkloadId> queue_;
+    Reservation sizeReservation(const workload::Workload &w,
+                                double t) override;
 };
 
 } // namespace quasar::baselines
-

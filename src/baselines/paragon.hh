@@ -20,8 +20,12 @@
 namespace quasar::baselines
 {
 
-/** Reservation allocation + Paragon CF assignment. */
-class ParagonManager : public driver::ClusterManager
+/**
+ * Reservation allocation + Paragon CF assignment: each workload is
+ * profiled and classified at submit, right after its reservation is
+ * drawn.
+ */
+class ParagonManager : public ReservationManager
 {
   public:
     ParagonManager(sim::Cluster &cluster,
@@ -33,30 +37,19 @@ class ParagonManager : public driver::ClusterManager
     void seedOffline(const std::vector<workload::Workload> &seeds,
                      double t = 0.0);
 
-    void onSubmit(WorkloadId id, double t) override;
-    void onTick(double t) override;
-    void onCompletion(WorkloadId id, double t) override;
-    /** Minimal recovery: top up lost nodes / requeue when unplaced. */
-    void onServerDown(ServerId sid,
-                      const std::vector<WorkloadId> &displaced,
-                      double t) override;
     std::string name() const override { return "reservation+paragon"; }
 
     const core::WorkloadEstimate *estimateFor(WorkloadId id) const;
 
   private:
-    bool tryPlace(WorkloadId id, double t);
+    Reservation sizeReservation(const workload::Workload &w,
+                                double t) override;
+    bool placeNodes(workload::Workload &w, double t,
+                    const Reservation &res) override;
 
-    sim::Cluster &cluster_;
-    workload::WorkloadRegistry &registry_;
-    tracegen::ReservationModel model_;
     profiling::Profiler profiler_;
     core::Classifier classifier_;
-    stats::Rng rng_;
-    std::unordered_map<WorkloadId, Reservation> reservations_;
     std::unordered_map<WorkloadId, core::WorkloadEstimate> estimates_;
-    std::vector<WorkloadId> queue_;
 };
 
 } // namespace quasar::baselines
-

@@ -132,79 +132,104 @@ userReservation(const Workload &w,
 }
 
 std::vector<ServerId>
+leastLoadedOrder(const sim::Cluster &cluster)
+{
+    std::vector<std::pair<double, ServerId>> keyed;
+    keyed.reserve(cluster.size());
+    for (size_t i = 0; i < cluster.size(); ++i)
+        keyed.emplace_back(cluster.server(ServerId(i)).cpuReservedFraction(),
+                           ServerId(i));
+    std::sort(keyed.begin(), keyed.end());
+    std::vector<ServerId> order;
+    order.reserve(keyed.size());
+    for (const auto &[load, sid] : keyed)
+        order.push_back(sid);
+    return order;
+}
+
+sim::TaskShare
+nodeShare(const Workload &w, double t, int cores, double memory_gb,
+          bool best_effort)
+{
+    sim::TaskShare share;
+    share.workload = w.id;
+    share.cores = cores;
+    share.memory_gb = memory_gb;
+    share.storage_gb = w.storage_gb_per_node;
+    share.caused = w.causedPressure(t, cores);
+    share.best_effort = best_effort;
+    return share;
+}
+
+std::vector<ServerId>
 placeLeastLoaded(sim::Cluster &cluster, const Workload &w, double t,
                  const Reservation &res, bool best_effort)
 {
-    std::vector<std::pair<double, ServerId>> order;
-    order.reserve(cluster.size());
-    for (size_t i = 0; i < cluster.size(); ++i) {
-        const sim::Server &srv = cluster.server(ServerId(i));
-        if (!srv.available())
-            continue; // down machines accept no placements
-        order.emplace_back(srv.cpuReservedFraction(), ServerId(i));
-    }
-    std::sort(order.begin(), order.end());
-
+    // Down servers sort in too; canFit rejects them.
+    const std::vector<ServerId> order = leastLoadedOrder(cluster);
+    auto fits = [&](ServerId sid) {
+        const sim::Server &srv = cluster.server(sid);
+        return !srv.hosts(w.id) &&
+               srv.canFit(res.cores_per_node, res.memory_per_node_gb,
+                          w.storage_gb_per_node);
+    };
     std::vector<ServerId> used;
     for (int n = 0; n < res.nodes; ++n) {
-        bool placed = false;
-        for (const auto &[load, sid] : order) {
-            sim::Server &srv = cluster.server(sid);
-            if (srv.hosts(w.id))
-                continue;
-            if (!srv.canFit(res.cores_per_node, res.memory_per_node_gb,
-                            w.storage_gb_per_node))
-                continue;
-            sim::TaskShare share;
-            share.workload = w.id;
-            share.cores = res.cores_per_node;
-            share.memory_gb = res.memory_per_node_gb;
-            share.storage_gb = w.storage_gb_per_node;
-            share.caused = w.causedPressure(t, res.cores_per_node);
-            share.best_effort = best_effort;
-            srv.place(share);
-            used.push_back(sid);
-            placed = true;
+        auto it = std::find_if(order.begin(), order.end(), fits);
+        if (it == order.end())
             break;
-        }
-        if (!placed)
-            break;
+        cluster.server(*it).place(nodeShare(w, t, res.cores_per_node,
+                                            res.memory_per_node_gb,
+                                            best_effort));
+        used.push_back(*it);
     }
     return used;
 }
 
-ReservationLLManager::ReservationLLManager(
-    sim::Cluster &cluster, workload::WorkloadRegistry &registry,
-    uint64_t seed, tracegen::ReservationModel model)
-    : cluster_(cluster), registry_(registry), model_(model), rng_(seed)
+ReservationManager::ReservationManager(sim::Cluster &cluster,
+                                       workload::WorkloadRegistry &registry,
+                                       uint64_t seed,
+                                       tracegen::ReservationModel model,
+                                       workload::FrameworkKnobs knobs)
+    : cluster_(cluster), rng_(seed), registry_(registry), model_(model),
+      knobs_(knobs)
 {
 }
 
-void
-ReservationLLManager::onSubmit(WorkloadId id, double t)
+Reservation
+ReservationManager::sizeReservation(const Workload &w, double)
 {
-    const Workload &w = registry_.get(id);
-    reservations_[id] =
-        userReservation(w, cluster_.catalog(), model_, rng_);
+    return userReservation(w, cluster_.catalog(), model_, rng_);
+}
+
+bool
+ReservationManager::placeNodes(Workload &w, double t,
+                               const Reservation &res)
+{
+    return !placeLeastLoaded(cluster_, w, t, res, w.best_effort).empty();
+}
+
+void
+ReservationManager::onSubmit(WorkloadId id, double t)
+{
+    reservations_[id] = sizeReservation(registry_.get(id), t);
     if (!tryPlace(id, t))
         queue_.push_back(id);
 }
 
 bool
-ReservationLLManager::tryPlace(WorkloadId id, double t)
+ReservationManager::tryPlace(WorkloadId id, double t)
 {
     Workload &w = registry_.get(id);
-    const Reservation &res = reservations_.at(id);
-    auto used = placeLeastLoaded(cluster_, w, t, res, w.best_effort);
-    if (used.empty())
+    if (!placeNodes(w, t, reservations_.at(id)))
         return false;
-    w.active_knobs = workload::FrameworkKnobs{}; // defaults, untuned
+    w.active_knobs = knobs_;
     w.last_progress_update = t;
     return true;
 }
 
 void
-ReservationLLManager::onTick(double t)
+ReservationManager::onTick(double t)
 {
     std::vector<WorkloadId> still_waiting;
     for (WorkloadId id : queue_) {
@@ -218,19 +243,20 @@ ReservationLLManager::onTick(double t)
 }
 
 void
-ReservationLLManager::onCompletion(WorkloadId, double t)
+ReservationManager::onCompletion(WorkloadId, double t)
 {
     onTick(t); // retry queued reservations with the freed capacity
 }
 
 void
-ReservationLLManager::onServerDown(ServerId,
-                                   const std::vector<WorkloadId> &displaced,
-                                   double t)
+ReservationManager::onServerDown(ServerId,
+                                 const std::vector<WorkloadId> &displaced,
+                                 double t)
 {
     // Minimal recovery, matching how reservation systems behave: the
     // user's orchestration relaunches lost instances of the same
-    // reservation on whatever is least loaded, or waits in the queue.
+    // reservation through the same assignment policy, or waits in the
+    // queue.
     for (WorkloadId id : displaced) {
         Workload &w = registry_.get(id);
         if (w.completed || w.killed)
@@ -249,15 +275,23 @@ ReservationLLManager::onServerDown(ServerId,
         Reservation missing = it->second;
         missing.nodes -= int(remaining);
         if (missing.nodes > 0)
-            placeLeastLoaded(cluster_, w, t, missing, w.best_effort);
+            placeNodes(w, t, missing);
     }
 }
 
 const Reservation *
-ReservationLLManager::reservationFor(WorkloadId id) const
+ReservationManager::reservationFor(WorkloadId id) const
 {
     auto it = reservations_.find(id);
     return it == reservations_.end() ? nullptr : &it->second;
+}
+
+ReservationLLManager::ReservationLLManager(
+    sim::Cluster &cluster, workload::WorkloadRegistry &registry,
+    uint64_t seed, tracegen::ReservationModel model)
+    : ReservationManager(cluster, registry, seed, model,
+                         workload::FrameworkKnobs{})
+{
 }
 
 } // namespace quasar::baselines

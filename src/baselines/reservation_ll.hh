@@ -10,6 +10,10 @@
  * error distribution. Assignment packs reservations onto the
  * least-loaded servers with no heterogeneity or interference
  * awareness, and never adapts at runtime.
+ *
+ * The reservation lifecycle itself (ReservationManager) is shared with
+ * the framework self-scheduler and the Paragon baseline, which differ
+ * only in sizing, assignment and the knobs they run with.
  */
 
 #pragma once
@@ -50,6 +54,13 @@ Reservation userReservation(const workload::Workload &w,
                             const tracegen::ReservationModel &model,
                             stats::Rng &rng);
 
+/** Every server, least allocated-core fraction first (ties by id). */
+std::vector<ServerId> leastLoadedOrder(const sim::Cluster &cluster);
+
+/** One node's share of (cores, memory) for w, placed at time t. */
+sim::TaskShare nodeShare(const workload::Workload &w, double t, int cores,
+                         double memory_gb, bool best_effort);
+
 /**
  * Least-loaded placement: fill `nodes` shares of (cores, memory) on
  * the servers with the lowest allocated-core fraction.
@@ -59,15 +70,18 @@ std::vector<ServerId>
 placeLeastLoaded(sim::Cluster &cluster, const workload::Workload &w,
                  double t, const Reservation &res, bool best_effort);
 
-/** Reservation + least-loaded manager. */
-class ReservationLLManager : public driver::ClusterManager
+/**
+ * The reservation lifecycle the reservation-based baselines share:
+ * draw a workload's reservation at submit, place it or queue it, retry
+ * the queue on every tick and completion, and after a crash relaunch
+ * only the missing nodes (or requeue a workload that lost them all).
+ * Reservations never adapt at runtime. A baseline supplies only its
+ * policy: how a reservation is sized (sizeReservation), where its
+ * nodes go (placeNodes), and the knobs a placed workload runs with.
+ */
+class ReservationManager : public driver::ClusterManager
 {
   public:
-    ReservationLLManager(sim::Cluster &cluster,
-                         workload::WorkloadRegistry &registry,
-                         uint64_t seed = 77,
-                         tracegen::ReservationModel model = {});
-
     void onSubmit(WorkloadId id, double t) override;
     void onTick(double t) override;
     void onCompletion(WorkloadId id, double t) override;
@@ -75,21 +89,52 @@ class ReservationLLManager : public driver::ClusterManager
     void onServerDown(ServerId sid,
                       const std::vector<WorkloadId> &displaced,
                       double t) override;
-    std::string name() const override { return "reservation+LL"; }
 
     /** Reservation recorded for a workload (after error model). */
     const Reservation *reservationFor(WorkloadId id) const;
 
+  protected:
+    ReservationManager(sim::Cluster &cluster,
+                       workload::WorkloadRegistry &registry,
+                       uint64_t seed, tracegen::ReservationModel model,
+                       workload::FrameworkKnobs knobs);
+
+    /** Size w's reservation at submit; default userReservation. */
+    virtual Reservation sizeReservation(const workload::Workload &w,
+                                        double t);
+
+    /**
+     * Place up to res.nodes shares of w on servers not hosting it yet;
+     * default placeLeastLoaded.
+     * @return whether at least one share was placed.
+     */
+    virtual bool placeNodes(workload::Workload &w, double t,
+                            const Reservation &res);
+
+    sim::Cluster &cluster_;
+    stats::Rng rng_;
+
   private:
     bool tryPlace(WorkloadId id, double t);
 
-    sim::Cluster &cluster_;
     workload::WorkloadRegistry &registry_;
     tracegen::ReservationModel model_;
-    stats::Rng rng_;
+    /** Knobs a placed workload runs with (reservations: untuned). */
+    workload::FrameworkKnobs knobs_;
     std::unordered_map<WorkloadId, Reservation> reservations_;
     std::vector<WorkloadId> queue_;
 };
 
-} // namespace quasar::baselines
+/** Reservation + least-loaded manager. */
+class ReservationLLManager : public ReservationManager
+{
+  public:
+    ReservationLLManager(sim::Cluster &cluster,
+                         workload::WorkloadRegistry &registry,
+                         uint64_t seed = 77,
+                         tracegen::ReservationModel model = {});
 
+    std::string name() const override { return "reservation+LL"; }
+};
+
+} // namespace quasar::baselines

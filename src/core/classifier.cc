@@ -96,7 +96,7 @@ Classifier::History::build() const
 
 Classifier::Classifier(const profiling::Profiler &profiler,
                        ClassifierConfig cfg, uint64_t seed)
-    : profiler_(profiler), cfg_(cfg), completion_(cfg.pq), rng_(seed)
+    : profiler_(profiler), cfg_(cfg), rng_(seed)
 {
     const auto &catalog = profiler_.catalog();
     const sim::Platform &top = catalog[profiler_.scaleUpPlatform()];

@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "core/estimate.hh"
-#include "linalg/completion.hh"
+#include "linalg/pq_model.hh"
 #include "profiling/profiler.hh"
 #include "stats/rng.hh"
 #include "workload/workload.hh"
@@ -136,7 +136,6 @@ class Classifier
 
     const profiling::Profiler &profiler_;
     ClassifierConfig cfg_;
-    linalg::MatrixCompletion completion_;
     stats::Rng rng_;
 
     /** Grids (fixed at construction from the profiler's catalog). */

@@ -177,7 +177,6 @@ OverloadController::shouldShed(const workload::Workload &w,
 void
 OverloadController::noteDefer(WorkloadId id, double t)
 {
-    ++counters_.deferred;
     fold(0xDEFEULL);
     fold(uint64_t(id));
     foldDouble(t);
@@ -186,7 +185,6 @@ OverloadController::noteDefer(WorkloadId id, double t)
 void
 OverloadController::noteShed(WorkloadId id, double t)
 {
-    ++counters_.shed;
     fold(0x5EDULL);
     fold(uint64_t(id));
     foldDouble(t);
@@ -195,7 +193,6 @@ OverloadController::noteShed(WorkloadId id, double t)
 void
 OverloadController::noteBrownout(WorkloadId id, double t)
 {
-    ++counters_.brownouts;
     fold(0xB0ULL);
     fold(uint64_t(id));
     foldDouble(t);
@@ -204,7 +201,6 @@ OverloadController::noteBrownout(WorkloadId id, double t)
 void
 OverloadController::noteRestore(WorkloadId id, double t)
 {
-    ++counters_.restores;
     fold(0x4E5ULL);
     fold(uint64_t(id));
     foldDouble(t);
@@ -233,7 +229,6 @@ OverloadController::updateBoost(WorkloadId id, double measured_norm,
     double error = cfg_.slo_setpoint - measured_norm;
     sc.boost = sc.pi.update(cfg_, error, dt);
     sc.last_update = t;
-    ++counters_.autoscale_updates;
     fold(0x5CA1EULL);
     fold(uint64_t(id));
     foldDouble(sc.boost);

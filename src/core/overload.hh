@@ -94,7 +94,7 @@ struct OverloadConfig
      * enter_threshold * (1 - hysteresis), not merely below the entry
      * threshold, so hovering at the band edge cannot flap the state.
      */
-    double hysteresis = 0.10;
+    static constexpr double hysteresis = 0.10;
     /** Minimum dwell in a state before any downgrade. */
     double min_dwell_s = 30.0;
     /// @}
@@ -124,21 +124,21 @@ struct OverloadConfig
     /// @{
     bool brownout = true;
     /** Cores a browned-out best-effort share is reduced to. */
-    int brownout_cores = 1;
+    static constexpr int brownout_cores = 1;
     /// @}
 
     /** @name Service autoscaler */
     /// @{
     ScalingPolicyKind policy = ScalingPolicyKind::Pi;
     /** Normalized-performance setpoint (1.0 = target exactly met). */
-    double slo_setpoint = 1.0;
+    static constexpr double slo_setpoint = 1.0;
     /** No control action while |error| is inside the deadband. */
-    double deadband = 0.05;
-    double kp = 0.8;
-    double ki = 0.05;
+    static constexpr double deadband = 0.05;
+    static constexpr double kp = 0.8;
+    static constexpr double ki = 0.05;
     /** Output clamp: boost multiplier on required performance. */
-    double boost_min = 1.0;
-    double boost_max = 3.0;
+    static constexpr double boost_min = 1.0;
+    static constexpr double boost_max = 3.0;
     /** Controller period (updates are no denser than this). */
     double scale_interval_s = 30.0;
     /// @}
@@ -203,16 +203,6 @@ struct PiPolicy
     double update(const OverloadConfig &cfg, double error, double dt);
 };
 
-/** Counters the controller keeps (mirrored into QuasarStats). */
-struct OverloadCounters
-{
-    size_t deferred = 0;   ///< arrivals/retries pushed back.
-    size_t shed = 0;       ///< terminal sheds.
-    size_t brownouts = 0;  ///< workloads degraded.
-    size_t restores = 0;   ///< workloads restored from brownout.
-    size_t autoscale_updates = 0;
-};
-
 /**
  * The per-manager overload controller: detector + shedding policy +
  * brownout bookkeeping + per-service autoscaler, with every decision
@@ -255,8 +245,8 @@ class OverloadController
     bool shouldShed(const workload::Workload &w,
                     double queued_age) const;
 
-    /** Record a defer / shed / brownout / restore decision (hash +
-     *  counters). */
+    /** Record a defer / shed / brownout / restore decision in the
+     *  hash. */
     void noteDefer(WorkloadId id, double t);
     void noteShed(WorkloadId id, double t);
     void noteBrownout(WorkloadId id, double t);
@@ -291,8 +281,6 @@ class OverloadController
      */
     uint64_t decisionHash() const { return hash_; }
 
-    const OverloadCounters &counters() const { return counters_; }
-
     /** Fraction of observed time spent in the given state. */
     double fractionIn(OverloadState s) const
     {
@@ -315,7 +303,6 @@ class OverloadController
     };
     std::map<WorkloadId, ServiceControl> services_;
     double last_scale_ = -1.0;
-    OverloadCounters counters_;
     uint64_t hash_ = 0xCBF29CE484222325ULL;
 };
 

@@ -107,6 +107,25 @@ median(std::vector<double> v)
     return v[v.size() / 2];
 }
 
+/** Progress report period, seconds. */
+constexpr double kReportInterval = 5.0;
+
+/** Hadoop: deficit threshold, sustained reports required, warmup. */
+constexpr double kHadoopDeficit = 0.50;
+constexpr size_t kHadoopSustain = 7;
+constexpr double kHadoopWarmup = 60.0;
+
+/** LATE: ETA excess threshold, sustained reports, warmup. */
+constexpr double kLateEtaExcess = 0.60;
+constexpr size_t kLateSustain = 11;
+constexpr double kLateWarmup = 30.0;
+
+/** Quasar: candidate deficit, sustain, probe duration, warmup. */
+constexpr double kQuasarDeficit = 0.50;
+constexpr size_t kQuasarSustain = 7;
+constexpr double kQuasarProbeTime = 12.0;
+constexpr double kQuasarWarmup = 30.0;
+
 /**
  * Generic sustained-deficit scan: flag task i when deficient(i, t)
  * holds for `sustain` consecutive reports after `warmup`, and record
@@ -128,8 +147,7 @@ scanSustained(const TaskWave &wave, const DetectorConfig &cfg,
     for (const MapTask &t : wave.tasks)
         horizon = std::max(horizon, t.duration);
 
-    for (double t = cfg.report_interval; t <= horizon;
-         t += cfg.report_interval) {
+    for (double t = kReportInterval; t <= horizon; t += kReportInterval) {
         std::vector<double> p =
             reportProgress(wave, t, cfg.progress_noise, rng);
         double med = median(p);
@@ -166,11 +184,9 @@ detectHadoop(const TaskWave &wave, const DetectorConfig &cfg,
              stats::Rng &rng)
 {
     return scanSustained(
-        wave, cfg, rng, cfg.hadoop_warmup, cfg.hadoop_sustain, 0.0,
-        false,
-        [&cfg](size_t i, double, const std::vector<double> &p,
-               double med) {
-            return p[i] < (1.0 - cfg.hadoop_deficit) * med;
+        wave, cfg, rng, kHadoopWarmup, kHadoopSustain, 0.0, false,
+        [](size_t i, double, const std::vector<double> &p, double med) {
+            return p[i] < (1.0 - kHadoopDeficit) * med;
         });
 }
 
@@ -179,13 +195,12 @@ detectLate(const TaskWave &wave, const DetectorConfig &cfg,
            stats::Rng &rng)
 {
     return scanSustained(
-        wave, cfg, rng, cfg.late_warmup, cfg.late_sustain, 0.0, false,
-        [&cfg](size_t i, double t, const std::vector<double> &p,
-               double med) {
+        wave, cfg, rng, kLateWarmup, kLateSustain, 0.0, false,
+        [](size_t i, double t, const std::vector<double> &p, double med) {
             // Estimated total duration from current progress.
             double eta_i = p[i] > 1e-9 ? t / p[i] : 1e18;
             double eta_med = med > 1e-9 ? t / med : 1e18;
-            return eta_i > (1.0 + cfg.late_eta_excess) * eta_med;
+            return eta_i > (1.0 + kLateEtaExcess) * eta_med;
         });
 }
 
@@ -194,11 +209,10 @@ detectQuasar(const TaskWave &wave, const DetectorConfig &cfg,
              stats::Rng &rng)
 {
     return scanSustained(
-        wave, cfg, rng, cfg.quasar_warmup, cfg.quasar_sustain,
-        cfg.quasar_probe_time, true,
-        [&cfg](size_t i, double, const std::vector<double> &p,
-               double med) {
-            return p[i] < (1.0 - cfg.quasar_deficit) * med;
+        wave, cfg, rng, kQuasarWarmup, kQuasarSustain, kQuasarProbeTime,
+        true,
+        [](size_t i, double, const std::vector<double> &p, double med) {
+            return p[i] < (1.0 - kQuasarDeficit) * med;
         });
 }
 

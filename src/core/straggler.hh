@@ -66,27 +66,13 @@ struct DetectionResult
     size_t falsePositives(const TaskWave &wave) const;
 };
 
-/** Detector tuning. */
+/**
+ * Detector tuning. The report period and each detector's deficit,
+ * sustain, warmup and probe settings are constants in straggler.cc.
+ */
 struct DetectorConfig
 {
-    double report_interval = 5.0;  ///< progress report period, seconds.
-    double progress_noise = 0.04;  ///< lognormal sigma per report.
-
-    /** Hadoop: deficit threshold and sustained reports required. */
-    double hadoop_deficit = 0.50;
-    size_t hadoop_sustain = 7;
-    double hadoop_warmup = 60.0;
-
-    /** LATE: ETA excess threshold and sustained reports. */
-    double late_eta_excess = 0.60;
-    size_t late_sustain = 11;
-    double late_warmup = 30.0;
-
-    /** Quasar: candidate deficit, probe duration, sustain. */
-    double quasar_deficit = 0.50;
-    size_t quasar_sustain = 7;
-    double quasar_probe_time = 12.0;
-    double quasar_warmup = 30.0;
+    double progress_noise = 0.04; ///< lognormal sigma per report.
 };
 
 /** Run the named detectors over a wave. */

@@ -9,12 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "baselines/autoscale.hh"
 #include "baselines/framework_scheduler.hh"
 #include "baselines/paragon.hh"
 #include "bench/common.hh"
+#include "bench/report.hh"
 #include "core/manager.hh"
 #include "driver/scenario.hh"
+#include "sim/failure.hh"
 
 using namespace quasar;
 using namespace quasar::baselines;
@@ -192,6 +196,121 @@ TEST(FrameworkScheduler, DatasetDrivenReservation)
     workload::FrameworkKnobs def = hadoopDefaultKnobs();
     EXPECT_EQ(def.mappers_per_node, 8);
     EXPECT_EQ(def.compression, workload::Compression::Lzo);
+}
+
+namespace
+{
+
+/**
+ * One seeded mixed stream (single-node, analytics, services and
+ * best-effort fillers) through a baseline manager on the local
+ * cluster. The placement state is folded after every tick, and every
+ * workload's completion time at the end, so any change to sizing,
+ * assignment, queue retries, knobs or progress accounting moves the
+ * hash. With `storm`, the crash/recover schedule of
+ * Chaos.BaselineManagersSurviveTheSameStorm runs on top.
+ */
+uint64_t
+pinnedRun(driver::ClusterManager &mgr, sim::Cluster &cluster,
+          workload::WorkloadRegistry &registry, bool storm)
+{
+    driver::ScenarioDriver drv(cluster, registry, mgr,
+                               driver::DriverConfig{.tick_s = 10.0});
+    workload::WorkloadFactory f{stats::Rng(31)};
+    std::vector<WorkloadId> ids;
+    for (int i = 0; i < 60; ++i) {
+        std::string name = "w" + std::to_string(i);
+        ids.push_back(registry.add(i % 5 == 4 ? f.bestEffortJob(name)
+                                              : f.randomWorkload(name)));
+        drv.addArrival(ids.back(), 1.0 + 10.0 * double(i));
+    }
+    sim::FaultInjector faults(cluster);
+    if (storm) {
+        stats::Rng chaos(0xBEEF);
+        for (int k = 0; k < 8; ++k) {
+            double t = 300.0 + 300.0 * double(k);
+            ServerId victim = ServerId(
+                chaos.uniformInt(0, int64_t(cluster.size()) - 1));
+            faults.crashServer(t, victim);
+            faults.recoverServer(t + 150.0, victim);
+        }
+        drv.installFaults(faults);
+    }
+    uint64_t h = bench::kFnvBasis;
+    drv.setTickHook([&](double) {
+        bench::foldPlacements(cluster, bench::FoldWord::CoresAllocated,
+                              h);
+    });
+    drv.run(5000.0);
+    for (WorkloadId id : ids) {
+        const Workload &w = registry.get(id);
+        h ^= w.completed ? std::bit_cast<uint64_t>(w.completion_time)
+                         : ~uint64_t(0);
+        h *= 0x100000001B3ULL;
+    }
+    return h;
+}
+
+} // namespace
+
+// The reservation baselines' placements, pinned bit for bit. The
+// expected hashes were recorded before the baselines' shared
+// reservation lifecycle was factored out and must never move without
+// a deliberate, documented baseline refresh.
+TEST(ReservationBaselines, ReservationLLIsPinned)
+{
+    sim::Cluster cluster = sim::Cluster::localCluster();
+    workload::WorkloadRegistry registry;
+    ReservationLLManager mgr(cluster, registry);
+    EXPECT_EQ(pinnedRun(mgr, cluster, registry, false),
+              0xfba65ec228b77b77ULL);
+}
+
+TEST(ReservationBaselines, ReservationLLStormIsPinned)
+{
+    sim::Cluster cluster = sim::Cluster::localCluster();
+    workload::WorkloadRegistry registry;
+    ReservationLLManager mgr(cluster, registry);
+    EXPECT_EQ(pinnedRun(mgr, cluster, registry, true),
+              0x067febcd9c5b10c7ULL);
+}
+
+TEST(ReservationBaselines, FrameworkSelfIsPinned)
+{
+    sim::Cluster cluster = sim::Cluster::localCluster();
+    workload::WorkloadRegistry registry;
+    FrameworkSelfManager mgr(cluster, registry);
+    EXPECT_EQ(pinnedRun(mgr, cluster, registry, false),
+              0x011426aa89dd8e4cULL);
+}
+
+TEST(ReservationBaselines, FrameworkSelfStormIsPinned)
+{
+    sim::Cluster cluster = sim::Cluster::localCluster();
+    workload::WorkloadRegistry registry;
+    FrameworkSelfManager mgr(cluster, registry);
+    EXPECT_EQ(pinnedRun(mgr, cluster, registry, true),
+              0x695f8708b13e4591ULL);
+}
+
+TEST(ReservationBaselines, ParagonIsPinned)
+{
+    sim::Cluster cluster = sim::Cluster::localCluster();
+    workload::WorkloadRegistry registry;
+    ParagonManager mgr(cluster, registry);
+    workload::WorkloadFactory seeder{stats::Rng(13)};
+    mgr.seedOffline(bench::standardSeeds(seeder, 3), 0.0);
+    EXPECT_EQ(pinnedRun(mgr, cluster, registry, false),
+              0x4278016ab7ca9f10ULL);
+}
+
+TEST(ReservationBaselines, AutoScaleIsPinned)
+{
+    sim::Cluster cluster = sim::Cluster::localCluster();
+    workload::WorkloadRegistry registry;
+    AutoScaleManager mgr(cluster, registry);
+    EXPECT_EQ(pinnedRun(mgr, cluster, registry, false),
+              0x34fa92a08d5d7c2bULL);
 }
 
 TEST(Comparative, QuasarBeatsLLOnSharedScenario)

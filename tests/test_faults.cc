@@ -16,7 +16,9 @@
 
 #include "baselines/autoscale.hh"
 #include "baselines/framework_scheduler.hh"
+#include "baselines/paragon.hh"
 #include "baselines/reservation_ll.hh"
+#include "bench/common.hh"
 #include "core/admission.hh"
 #include "core/manager.hh"
 #include "driver/scenario.hh"
@@ -709,6 +711,14 @@ TEST(Chaos, BaselineManagersSurviveTheSameStorm)
         sim::Cluster cluster = sim::Cluster::localCluster();
         workload::WorkloadRegistry registry;
         baselines::FrameworkSelfManager mgr(cluster, registry);
+        stormOn(mgr, cluster, registry);
+    }
+    {
+        sim::Cluster cluster = sim::Cluster::localCluster();
+        workload::WorkloadRegistry registry;
+        baselines::ParagonManager mgr(cluster, registry);
+        workload::WorkloadFactory seeder{stats::Rng(13)};
+        mgr.seedOffline(bench::standardSeeds(seeder, 3), 0.0);
         stormOn(mgr, cluster, registry);
     }
 }

@@ -2,7 +2,7 @@
  * @file
  * Tests for the linear-algebra substrate: dense matrices, masked
  * matrices, one-sided Jacobi SVD, randomized truncated SVD,
- * PQ-reconstruction with SGD, fold-in, and matrix completion — the
+ * PQ-reconstruction with SGD, fold-in, and completion accuracy — the
  * machinery behind Quasar's collaborative-filtering classification.
  */
 
@@ -18,7 +18,6 @@
 
 #include "stats/rng.hh"
 
-#include "linalg/completion.hh"
 #include "linalg/matrix.hh"
 #include "linalg/pq_model.hh"
 #include "linalg/svd.hh"
@@ -279,25 +278,6 @@ TEST(PqModel, FoldInRecoversRow)
     EXPECT_LT(err / double(cols), 0.6);
 }
 
-TEST(Completion, PreservesObservedEntries)
-{
-    Matrix truth = lowRank(10, 8, 2, 31);
-    MaskedMatrix obs(10, 8);
-    quasar::stats::Rng rng(32);
-    std::bernoulli_distribution keep(0.5);
-    for (size_t i = 0; i < 10; ++i)
-        for (size_t j = 0; j < 8; ++j)
-            if (keep(rng.engine()))
-                obs.set(i, j, truth.at(i, j));
-    MatrixCompletion comp;
-    Matrix full = comp.complete(obs);
-    for (size_t i = 0; i < 10; ++i)
-        for (size_t j = 0; j < 8; ++j)
-            if (obs.observed(i, j)) {
-                EXPECT_DOUBLE_EQ(full.at(i, j), obs.value(i, j));
-            }
-}
-
 TEST(Completion, RowCompletionAgainstDenseHistory)
 {
     Matrix truth = lowRank(21, 12, 2, 41);
@@ -308,9 +288,12 @@ TEST(Completion, RowCompletionAgainstDenseHistory)
     PqConfig cfg;
     cfg.rank = 4;
     cfg.max_epochs = 500;
-    MatrixCompletion comp(cfg);
-    std::vector<double> row = comp.completeRow(
-        hist, {0, 5}, {truth.at(20, 0), truth.at(20, 5)});
+    // Fit on the history, then fold the sparse new row in with the
+    // column factors fixed.
+    PqModel model(cfg);
+    model.fit(hist);
+    std::vector<double> row =
+        model.foldInRow({{0, truth.at(20, 0)}, {5, truth.at(20, 5)}});
     double err = 0.0;
     for (size_t j = 0; j < 12; ++j)
         err += std::fabs(row[j] - truth.at(20, j));
@@ -338,12 +321,13 @@ TEST_P(CompletionDensity, ErrorShrinksWithDensity)
     cfg.max_epochs = 400;
     PqModel model(cfg);
     model.fit(obs);
+    Matrix full = model.reconstruct();
     double err = 0.0;
     size_t n = 0;
     for (size_t i = 0; i < 40; ++i)
         for (size_t j = 0; j < 25; ++j)
             if (!obs.observed(i, j)) {
-                err += std::fabs(model.predict(i, j) - truth.at(i, j));
+                err += std::fabs(full.at(i, j) - truth.at(i, j));
                 ++n;
             }
     double mean_err = n ? err / double(n) : 0.0;
