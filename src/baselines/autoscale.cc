@@ -144,9 +144,9 @@ AutoScaleManager::onTick(double t)
 }
 
 void
-AutoScaleManager::onCompletion(WorkloadId, double t)
+AutoScaleManager::onCompletion(WorkloadId id, double)
 {
-    (void)t;
+    hot_streak_.erase(id);
 }
 
 void

@@ -65,6 +65,7 @@ class AutoScaleManager : public driver::ClusterManager
     AutoScaleConfig cfg_;
     stats::Rng rng_;
     workload::PerfOracle oracle_;
+    /** Consecutive hot ticks per live service; erased on completion. */
     std::unordered_map<WorkloadId, int> hot_streak_;
     std::vector<WorkloadId> queue_;
     tracegen::ReservationModel model_;

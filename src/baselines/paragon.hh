@@ -49,6 +49,9 @@ class ParagonManager : public ReservationManager
 
     profiling::Profiler profiler_;
     core::Classifier classifier_;
+    /** The submit-time estimate, per workload ever submitted. Kept
+     *  after completion on purpose: estimateFor() is read after the
+     *  run (the Paragon tests). */
     std::unordered_map<WorkloadId, core::WorkloadEstimate> estimates_;
 };
 

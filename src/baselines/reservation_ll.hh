@@ -121,6 +121,9 @@ class ReservationManager : public driver::ClusterManager
     tracegen::ReservationModel model_;
     /** Knobs a placed workload runs with (reservations: untuned). */
     workload::FrameworkKnobs knobs_;
+    /** The reservation drawn at submit, per workload ever submitted.
+     *  Kept after completion on purpose: reservationFor() is read
+     *  after the run (bench/fig01, the ReservationLL tests). */
     std::unordered_map<WorkloadId, Reservation> reservations_;
     std::vector<WorkloadId> queue_;
 };

@@ -133,36 +133,24 @@ makeChurnWorkload(ChurnClass cls, size_t idx,
 }
 
 void
-ChurnEngine::emitArrival(double t)
+installPlanned(ChurnItem item, Workload w, double horizon_s,
+               workload::WorkloadFactory &factory,
+               workload::WorkloadRegistry &registry,
+               driver::ScenarioDriver &driver,
+               std::vector<ChurnItem> &plan, ChurnCounts &counts)
 {
-    ChurnClass cls = drawClass(cfg_.mix, factory_->rng());
-    Workload w =
-        makeChurnWorkload(cls, next_idx_, *factory_, *cluster_);
-
-    ChurnItem item;
-    item.cls = cls;
-    item.arrival_s = t;
-
-    double life = tracegen::sampleDuration(lifetimeSpec(cfg_, cls),
-                                           *lifetimes_);
-    if (life > 0.0 && t + life < cfg_.horizon_s) {
-        item.depart_s = t + life;
-        ++counts_.departures_planned;
+    if (item.depart_s > 0.0)
+        ++counts.departures_planned;
+    if (item.phase_change) {
+        double end = item.depart_s > 0.0 ? item.depart_s : horizon_s;
+        factory.addPhaseChange(
+            w, item.arrival_s + 0.5 * (end - item.arrival_s));
+        ++counts.phase_changes;
     }
 
-    if (phases_->chance(cfg_.phase_change_fraction)) {
-        // Morph mid-life (or mid-horizon for stayers).
-        double end =
-            item.depart_s > 0.0 ? item.depart_s : cfg_.horizon_s;
-        factory_->addPhaseChange(w, t + 0.5 * (end - t));
-        item.phase_change = true;
-        ++counts_.phase_changes;
-    }
-
-    item.id = registry_->add(std::move(w));
-    driver_->addArrival(item.id, t);
+    item.id = registry.add(std::move(w));
+    driver.addArrival(item.id, item.arrival_s);
     if (item.depart_s > 0.0) {
-        driver::ScenarioDriver &driver = *driver_;
         WorkloadId id = item.id;
         double at = item.depart_s;
         driver.events().schedule(at, [&driver, id, at]() {
@@ -170,8 +158,27 @@ ChurnEngine::emitArrival(double t)
         });
     }
 
-    plan_.push_back(item);
-    ++counts_.arrivals;
+    plan.push_back(item);
+    ++counts.arrivals;
+}
+
+void
+ChurnEngine::emitArrival(double t)
+{
+    ChurnItem item;
+    item.cls = drawClass(cfg_.mix, factory_->rng());
+    item.arrival_s = t;
+    Workload w =
+        makeChurnWorkload(item.cls, next_idx_, *factory_, *cluster_);
+
+    double life = tracegen::sampleDuration(
+        lifetimeSpec(cfg_, item.cls), *lifetimes_);
+    if (life > 0.0 && t + life < cfg_.horizon_s)
+        item.depart_s = t + life;
+    item.phase_change = phases_->chance(cfg_.phase_change_fraction);
+
+    installPlanned(item, std::move(w), cfg_.horizon_s, *factory_,
+                   *registry_, *driver_, plan_, counts_);
     ++next_idx_;
 }
 

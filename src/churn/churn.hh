@@ -168,6 +168,21 @@ workload::Workload makeChurnWorkload(ChurnClass cls, size_t idx,
                                      const char *name_prefix = "churn-");
 
 /**
+ * Install one planned workload — the step shared by the churn engine
+ * and the trace replayer, after each has made its own draws. A
+ * phase-changing item morphs at the midpoint of its life (departure,
+ * or horizon_s for stayers), drawing from the factory's stream; then
+ * the workload is registered, its arrival and any departure are
+ * scheduled on the driver, and the item (id filled in) is appended to
+ * the plan and counted.
+ */
+void installPlanned(ChurnItem item, workload::Workload w,
+                    double horizon_s, workload::WorkloadFactory &factory,
+                    workload::WorkloadRegistry &registry,
+                    driver::ScenarioDriver &driver,
+                    std::vector<ChurnItem> &plan, ChurnCounts &counts);
+
+/**
  * Generates one churn stream and schedules it onto a scenario driver.
  * Build, call install() once, then run the driver; the engine must
  * outlive the run (it owns the armed fault injector).

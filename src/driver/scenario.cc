@@ -188,8 +188,6 @@ ScenarioDriver::tick()
             ServiceTrace &trace = service_traces_[id];
             if (ticks_ % cfg_.record_every == 0) {
                 trace.offered_qps.record(t, offered);
-                trace.served_qps.record(
-                    t, workload::servedQps(offered, cap));
                 trace.served_ok_qps.record(
                     t, workload::servedQps(offered, ok_cap));
                 trace.p99_latency.record(

@@ -59,8 +59,7 @@ WorkloadOutcome outcomeOf(const workload::Workload &w);
 struct ServiceTrace
 {
     stats::TimeSeries offered_qps;
-    stats::TimeSeries served_qps;     ///< throughput within capacity.
-    stats::TimeSeries served_ok_qps;  ///< throughput also within QoS.
+    stats::TimeSeries served_ok_qps;  ///< throughput within QoS.
     stats::TimeSeries p99_latency;
     stats::TimeSeries qos_fraction;   ///< fraction of queries in QoS.
 };

@@ -48,6 +48,8 @@ FaultInjector::generateStochastic()
     if (cfg_.mttf_s <= 0.0 || cfg_.horizon_s <= 0.0)
         return;
     stats::Rng rng(cfg_.seed);
+    // Stochastic degradations run at half speed.
+    constexpr double kDegradeSpeed = 0.5;
     // Independent renewal process per server: fail after exp(MTTF) of
     // healthy operation, recover after exp(MTTR), repeat. Generated
     // up-front in server order, so the plan is a pure function of the
@@ -59,7 +61,7 @@ FaultInjector::generateStochastic()
             double repair = rng.exponential(1.0 / cfg_.mttr_s);
             if (degrade) {
                 plan_.push_back({t, FaultKind::ServerDegrade,
-                                 ServerId(s), -1, cfg_.degrade_speed});
+                                 ServerId(s), -1, kDegradeSpeed});
             } else {
                 plan_.push_back({t, FaultKind::ServerCrash, ServerId(s),
                                  -1, 0.5});

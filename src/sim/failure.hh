@@ -83,10 +83,9 @@ struct FaultInjectorConfig
     double mttf_s = 0.0;
     /** Mean time to repair, seconds. */
     double mttr_s = 600.0;
-    /** Probability a stochastic failure degrades instead of crashing. */
+    /** Probability a stochastic failure degrades instead of crashing
+     *  (to half speed). */
     double degrade_fraction = 0.0;
-    /** Speed factor of stochastic degradations. */
-    double degrade_speed = 0.5;
     /** Generate stochastic events in [0, horizon_s). */
     double horizon_s = 0.0;
     uint64_t seed = 0xFA17;

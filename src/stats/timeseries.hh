@@ -53,9 +53,6 @@ class UtilizationGrid
 
     void record(size_t server, double t, double util);
 
-    size_t numServers() const { return series_.size(); }
-    const TimeSeries &server(size_t i) const { return series_[i]; }
-
     /** Per-server mean utilization over a time window. */
     std::vector<double> windowMeans(double t0, double t1) const;
 

@@ -12,6 +12,15 @@ using churn::ChurnClass;
 namespace
 {
 
+/** Classification thresholds (see mapper.hh's file comment). */
+constexpr int kServicePriorityMin = 9;
+constexpr int kServiceSchedClassMin = 3;
+constexpr int kBestEffortPriorityMax = 1;
+constexpr double kAnalyticsCpuMin = 0.35;
+
+/** Rescaled lifetimes shorter than this are clamped up. */
+constexpr double kMinLifetimeS = 1.0;
+
 /** An instance reconstructed from arrival/departure pairing, still
  *  on the source clock. */
 struct RawInstance
@@ -43,14 +52,14 @@ hash01(uint64_t id, uint64_t clone, uint64_t salt)
 }
 
 ChurnClass
-classify(const RawInstance &r, const TraceMapperConfig &cfg)
+classify(const RawInstance &r)
 {
-    if (r.priority >= cfg.service_priority_min ||
-        r.sched_class >= cfg.service_sched_class_min)
+    if (r.priority >= kServicePriorityMin ||
+        r.sched_class >= kServiceSchedClassMin)
         return ChurnClass::Service;
-    if (r.priority <= cfg.best_effort_priority_max)
+    if (r.priority <= kBestEffortPriorityMax)
         return ChurnClass::BestEffort;
-    if (r.cpu >= cfg.analytics_cpu_min)
+    if (r.cpu >= kAnalyticsCpuMin)
         return ChurnClass::Analytics;
     return ChurnClass::SingleNode;
 }
@@ -165,7 +174,7 @@ mapTrace(const TraceStream &stream, const TraceMapperConfig &cfg)
             item.source_id =
                 c == 0 ? r.id
                        : r.id ^ (0xA24BAED4963EE407ULL * (c + 1));
-            item.cls = classify(r, cfg);
+            item.cls = classify(r);
             item.cpu = r.cpu;
             item.memory = r.memory;
             item.phase_change = r.phase_change;
@@ -180,7 +189,7 @@ mapTrace(const TraceStream &stream, const TraceMapperConfig &cfg)
             if (r.depart >= 0.0) {
                 double life =
                     (r.depart - r.arrival) * out.time_scale;
-                life = std::max(life, cfg.min_lifetime_s);
+                life = std::max(life, kMinLifetimeS);
                 double depart = arrive + life;
                 // Departures past the horizon degrade to "runs until
                 // completion", matching the churn engine's contract.

@@ -5,15 +5,13 @@
  * catalogs, times rescaled to a target horizon, population rescaled
  * to a target server count.
  *
- * Classification (documented thresholds, all configurable):
- *   - priority >= service_priority_min OR sched_class >=
- *     service_sched_class_min  -> Service (latency-critical): the
- *     Google production band / Azure interactive VMs.
- *   - priority <= best_effort_priority_max -> BestEffort (the free
- *     band: evictable filler).
- *   - cpu demand >= analytics_cpu_min of the source's largest
- *     machine -> Analytics (too big for one node: scale-out
- *     framework job).
+ * Classification (fixed thresholds, constants in mapper.cc):
+ *   - priority >= 9 OR sched_class >= 3 -> Service
+ *     (latency-critical): the Google production band / Azure
+ *     interactive VMs.
+ *   - priority <= 1 -> BestEffort (the free band: evictable filler).
+ *   - cpu demand >= 0.35 of the source's largest machine ->
+ *     Analytics (too big for one node: scale-out framework job).
  *   - otherwise -> SingleNode batch.
  *
  * Pairing: each Arrival opens an instance; a Departure closes the
@@ -23,7 +21,9 @@
  * are counted, never fatal.
  *
  * Rescaling: source times are shifted to 0 and scaled so the trace
- * span equals target_horizon_s. Population scales by
+ * span equals target_horizon_s; rescaled lifetimes shorter than 1 s
+ * are clamped up, so micro-tasks do not arrive-and-die within one
+ * tick. Population scales by
  * target_servers / source_servers (source_servers inferred from the
  * peak concurrent CPU demand when not given): factors < 1 thin the
  * instance list deterministically by id hash; factors > 1 clone
@@ -57,18 +57,6 @@ struct TraceMapperConfig
     double source_servers = 0.0;
     /** Salt for the deterministic thinning/cloning hash. */
     uint64_t seed = 1;
-
-    /** @name Classification thresholds (see file comment) */
-    /// @{
-    int service_priority_min = 9;
-    int service_sched_class_min = 3;
-    int best_effort_priority_max = 1;
-    double analytics_cpu_min = 0.35;
-    /// @}
-
-    /** Lifetimes shorter than this after rescale are clamped up, so
-     *  micro-tasks do not arrive-and-die within one tick. */
-    double min_lifetime_s = 1.0;
 };
 
 /** One replayable instance of the mapped trace. */

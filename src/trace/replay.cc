@@ -27,33 +27,13 @@ TraceReplayer::install(sim::Cluster &cluster,
         churn::ChurnItem item;
         item.cls = m.cls;
         item.arrival_s = m.arrival_s;
-        if (m.depart_s > 0.0) {
+        if (m.depart_s > 0.0)
             item.depart_s = m.depart_s;
-            ++counts_.departures_planned;
-        }
-        if (m.phase_change) {
-            // The source resized this instance mid-life; morph at the
-            // midpoint of its (replayed) life, like churn does.
-            double end = item.depart_s > 0.0 ? item.depart_s
-                                             : trace_.horizon_s;
-            factory.addPhaseChange(
-                w, m.arrival_s + 0.5 * (end - m.arrival_s));
-            item.phase_change = true;
-            ++counts_.phase_changes;
-        }
-
-        item.id = registry.add(std::move(w));
-        driver.addArrival(item.id, m.arrival_s);
-        if (item.depart_s > 0.0) {
-            WorkloadId id = item.id;
-            double at = item.depart_s;
-            driver.events().schedule(at, [&driver, id, at]() {
-                driver.killWorkload(id, at);
-            });
-        }
-
-        plan_.push_back(item);
-        ++counts_.arrivals;
+        // The source resized this instance mid-life.
+        item.phase_change = m.phase_change;
+        churn::installPlanned(item, std::move(w), trace_.horizon_s,
+                              factory, registry, driver, plan_,
+                              counts_);
         ++idx;
     }
 }

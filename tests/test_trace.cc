@@ -11,8 +11,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#if defined(QUASAR_HAVE_ZLIB)
+#include <zlib.h>
+#endif
 
 #include "churn/churn.hh"
 #include "core/manager.hh"
@@ -362,6 +369,58 @@ TEST(TraceFixtures, AzureFixtureParsesWithExactDiagnostics)
     EXPECT_EQ(s.diagnostics.size(), 7u);
     EXPECT_GT(s.rows_ok, 800u);
     EXPECT_GT(s.events.size(), 1000u);
+}
+
+TEST(TraceFixtures, AzureFixtureParsesIdenticallyThroughGzip)
+{
+#if !defined(QUASAR_HAVE_ZLIB)
+    GTEST_SKIP() << "built without zlib: no gzip trace path to test";
+#else
+    const std::string plain = fixturePath("azure_vmtable.csv");
+    std::ifstream in(plain, std::ios::binary);
+    ASSERT_TRUE(in.good());
+    std::stringstream text;
+    text << in.rdbuf();
+    const std::string body = text.str();
+
+    const std::string gz_path =
+        std::string(QUASAR_BINARY_DIR) + "/azure_vmtable_roundtrip.csv.gz";
+    gzFile gz = gzopen(gz_path.c_str(), "wb");
+    ASSERT_NE(gz, nullptr);
+    int written =
+        gzwrite(gz, body.data(), static_cast<unsigned>(body.size()));
+    ASSERT_EQ(gzclose(gz), Z_OK);
+    ASSERT_EQ(written, static_cast<int>(body.size()));
+
+    trace::TraceStream a = trace::parseAzureVmFile(plain);
+    trace::TraceStream b = trace::parseAzureVmFile(gz_path);
+    std::remove(gz_path.c_str());
+
+    EXPECT_GT(b.rows_ok, 800u);
+    EXPECT_EQ(b.format, a.format);
+    EXPECT_EQ(b.rows_total, a.rows_total);
+    EXPECT_EQ(b.rows_ok, a.rows_ok);
+    EXPECT_EQ(b.rows_rejected, a.rows_rejected);
+    EXPECT_EQ(b.rows_ignored, a.rows_ignored);
+    EXPECT_EQ(b.start_s, a.start_s);
+    EXPECT_EQ(b.end_s, a.end_s);
+    ASSERT_EQ(b.events.size(), a.events.size());
+    for (size_t i = 0; i < a.events.size(); ++i) {
+        const trace::TraceEvent &x = a.events[i], &y = b.events[i];
+        EXPECT_EQ(y.kind, x.kind) << "event " << i;
+        EXPECT_EQ(y.time_s, x.time_s) << "event " << i;
+        EXPECT_EQ(y.instance, x.instance) << "event " << i;
+        EXPECT_EQ(y.cpu, x.cpu) << "event " << i;
+        EXPECT_EQ(y.memory, x.memory) << "event " << i;
+        EXPECT_EQ(y.priority, x.priority) << "event " << i;
+        EXPECT_EQ(y.sched_class, x.sched_class) << "event " << i;
+    }
+    ASSERT_EQ(b.diagnostics.size(), a.diagnostics.size());
+    for (size_t i = 0; i < a.diagnostics.size(); ++i) {
+        EXPECT_EQ(b.diagnostics[i].line, a.diagnostics[i].line);
+        EXPECT_EQ(b.diagnostics[i].reason, a.diagnostics[i].reason);
+    }
+#endif
 }
 
 // ---------------------------------------------------------------------

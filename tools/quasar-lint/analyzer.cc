@@ -815,292 +815,4 @@ selfTest(const std::string &fixture_dir)
     return 0;
 }
 
-// -------------------------------------------------------------------
-// JSON + baseline I/O
-// -------------------------------------------------------------------
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/**
- * Minimal JSON reader for the baseline format only: an array of flat
- * objects with string/integer values. Not a general JSON parser.
- */
-struct BaselineReader
-{
-    const std::string &text;
-    size_t pos = 0;
-    std::string error;
-
-    explicit BaselineReader(const std::string &t) : text(t) {}
-
-    void skipWs()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-    }
-    bool expect(char c)
-    {
-        skipWs();
-        if (pos >= text.size() || text[pos] != c) {
-            error = "expected '" + std::string(1, c) + "' at offset " +
-                    std::to_string(pos);
-            return false;
-        }
-        ++pos;
-        return true;
-    }
-    bool peek(char c)
-    {
-        skipWs();
-        return pos < text.size() && text[pos] == c;
-    }
-    bool readString(std::string &out)
-    {
-        if (!expect('"'))
-            return false;
-        out.clear();
-        while (pos < text.size() && text[pos] != '"') {
-            char c = text[pos++];
-            if (c == '\\' && pos < text.size()) {
-                char e = text[pos++];
-                if (e == 'n')
-                    out += '\n';
-                else if (e == 't')
-                    out += '\t';
-                else
-                    out += e; // \" \\ \/ — keep the char itself.
-            } else {
-                out += c;
-            }
-        }
-        if (pos >= text.size()) {
-            error = "unterminated string";
-            return false;
-        }
-        ++pos; // closing quote
-        return true;
-    }
-    bool readInt(int &out)
-    {
-        skipWs();
-        size_t start = pos;
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '-'))
-            ++pos;
-        if (pos == start) {
-            error = "expected integer at offset " + std::to_string(pos);
-            return false;
-        }
-        out = std::atoi(text.substr(start, pos - start).c_str());
-        return true;
-    }
-};
-
-} // namespace
-
-std::string
-Analyzer::excerptOf(const Finding &f)
-{
-    const FileText *ft = text(f.file);
-    if (!ft || f.line == 0 || f.line > ft->raw.size())
-        return "";
-    return trim(ft->raw[f.line - 1]);
-}
-
-std::string
-findingsToJson(std::vector<Finding> &findings, Analyzer &analyzer)
-{
-    std::string out = "{\n  \"findings\": [";
-    for (size_t i = 0; i < findings.size(); ++i) {
-        const Finding &f = findings[i];
-        out += i ? ",\n    {" : "\n    {";
-        out += "\"file\": \"" + jsonEscape(f.file) + "\", ";
-        out += "\"line\": " + std::to_string(f.line) + ", ";
-        out += "\"rule\": \"" + jsonEscape(f.rule) + "\", ";
-        out += "\"message\": \"" + jsonEscape(f.message) + "\", ";
-        out += "\"excerpt\": \"" +
-               jsonEscape(analyzer.excerptOf(f)) + "\"}";
-    }
-    out += findings.empty() ? "],\n" : "\n  ],\n";
-    out += "  \"count\": " + std::to_string(findings.size()) + "\n}\n";
-    return out;
-}
-
-bool
-writeBaseline(const std::string &path, std::vector<Finding> &findings,
-              Analyzer &analyzer)
-{
-    // Aggregate by (file, rule, excerpt): line numbers drift with
-    // unrelated edits, source excerpts rarely do.
-    std::map<std::string, BaselineEntry> agg;
-    for (const Finding &f : findings) {
-        std::string excerpt = analyzer.excerptOf(f);
-        std::string k = f.file + "\x01" + f.rule + "\x01" + excerpt;
-        auto [it, inserted] =
-            agg.emplace(k, BaselineEntry{f.file, f.rule, excerpt, 0});
-        (void)inserted;
-        ++it->second.count;
-    }
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out << "[";
-    bool first = true;
-    for (const auto &[k, e] : agg) {
-        (void)k;
-        out << (first ? "\n" : ",\n");
-        first = false;
-        out << "  {\"file\": \"" << jsonEscape(e.file)
-            << "\", \"rule\": \"" << jsonEscape(e.rule)
-            << "\", \"excerpt\": \"" << jsonEscape(e.excerpt)
-            << "\", \"count\": " << e.count << "}";
-    }
-    out << (agg.empty() ? "]\n" : "\n]\n");
-    return out.good();
-}
-
-bool
-loadBaseline(const std::string &path,
-             std::vector<BaselineEntry> &entries, std::string &error)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        error = "cannot read " + path;
-        return false;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    std::string text = ss.str();
-
-    BaselineReader r(text);
-    if (!r.expect('[')) {
-        error = r.error;
-        return false;
-    }
-    if (r.peek(']'))
-        return r.expect(']');
-    while (true) {
-        if (!r.expect('{')) {
-            error = r.error;
-            return false;
-        }
-        BaselineEntry e;
-        while (true) {
-            std::string field;
-            if (!r.readString(field)) {
-                error = r.error;
-                return false;
-            }
-            if (!r.expect(':')) {
-                error = r.error;
-                return false;
-            }
-            bool ok = true;
-            if (field == "file")
-                ok = r.readString(e.file);
-            else if (field == "rule")
-                ok = r.readString(e.rule);
-            else if (field == "excerpt")
-                ok = r.readString(e.excerpt);
-            else if (field == "count")
-                ok = r.readInt(e.count);
-            else {
-                error = "unknown baseline field '" + field + "'";
-                return false;
-            }
-            if (!ok) {
-                error = r.error;
-                return false;
-            }
-            if (r.peek(','))
-                r.expect(',');
-            else
-                break;
-        }
-        if (!r.expect('}')) {
-            error = r.error;
-            return false;
-        }
-        if (e.file.empty() || e.rule.empty() || e.count <= 0) {
-            error = "baseline entry missing file/rule or count <= 0";
-            return false;
-        }
-        entries.push_back(e);
-        if (r.peek(','))
-            r.expect(',');
-        else
-            break;
-    }
-    if (!r.expect(']')) {
-        error = r.error;
-        return false;
-    }
-    return true;
-}
-
-void
-applyBaseline(const std::vector<Finding> &findings,
-              const std::vector<BaselineEntry> &entries,
-              Analyzer &analyzer, std::vector<Finding> &fresh,
-              std::vector<BaselineEntry> &stale)
-{
-    std::map<std::string, int> budget;
-    for (const BaselineEntry &e : entries)
-        budget[e.file + "\x01" + e.rule + "\x01" + e.excerpt] += e.count;
-    for (const Finding &f : findings) {
-        std::string k =
-            f.file + "\x01" + f.rule + "\x01" + analyzer.excerptOf(f);
-        auto it = budget.find(k);
-        if (it != budget.end() && it->second > 0)
-            --it->second;
-        else
-            fresh.push_back(f);
-    }
-    for (const BaselineEntry &e : entries) {
-        auto it =
-            budget.find(e.file + "\x01" + e.rule + "\x01" + e.excerpt);
-        if (it != budget.end() && it->second > 0) {
-            BaselineEntry s = e;
-            s.count = it->second;
-            stale.push_back(s);
-            it->second = 0; // report each key once.
-        }
-    }
-}
-
 } // namespace quasarlint

@@ -142,17 +142,6 @@ struct IncludeGraph
     std::map<std::string, std::vector<IncludeEdge>> edges;
 };
 
-/** Entry of a findings baseline: legacy findings are tracked by
- *  (file, rule, source-line excerpt) — not line number, so unrelated
- *  edits don't churn the file — with a count for duplicates. */
-struct BaselineEntry
-{
-    std::string file;
-    std::string rule;
-    std::string excerpt;
-    int count = 0;
-};
-
 /**
  * Whole-tree analyzer. Fill in the inputs, call run(); the index
  * accessors are valid afterwards.
@@ -182,10 +171,6 @@ class Analyzer
     {
         return derived_mutators_;
     }
-
-    /** Raw line excerpt backing a finding (baseline key; "" when the
-     *  file or line is unknown). */
-    std::string excerptOf(const Finding &f);
 
   private:
     const FileText *text(const std::string &path);
@@ -221,27 +206,5 @@ void collectInputs(const std::vector<std::string> &roots,
  *  exactly one finding, every rule must be exercised, zero over-fires
  *  tree-wide. Returns a process exit status. */
 int selfTest(const std::string &fixture_dir);
-
-/** @name Baseline + JSON I/O */
-/// @{
-std::string findingsToJson(std::vector<Finding> &findings,
-                           Analyzer &analyzer);
-bool writeBaseline(const std::string &path,
-                   std::vector<Finding> &findings, Analyzer &analyzer);
-/** False on malformed file; error receives a description. */
-bool loadBaseline(const std::string &path,
-                  std::vector<BaselineEntry> &entries,
-                  std::string &error);
-/**
- * Split findings against a baseline: `fresh` receives findings not
- * covered by the baseline (new violations), `stale` receives baseline
- * entries that no longer fire (the baseline is shrink-only, so stale
- * entries are an error too). Covered findings are dropped.
- */
-void applyBaseline(const std::vector<Finding> &findings,
-                   const std::vector<BaselineEntry> &entries,
-                   Analyzer &analyzer, std::vector<Finding> &fresh,
-                   std::vector<BaselineEntry> &stale);
-/// @}
 
 } // namespace quasarlint

@@ -67,7 +67,7 @@ void rulePragmaOnce(const FileText &f, std::vector<Finding> &out);
 void ruleIncludeHygiene(const FileText &f, std::vector<Finding> &out);
 /// @}
 
-/** Leading/trailing-whitespace trim (baseline excerpt keys). */
+/** Leading/trailing-whitespace trim. */
 std::string trim(const std::string &s);
 
 /**

@@ -2,20 +2,16 @@
  * @file
  * quasar-lint CLI. All analysis lives in the quasar_lint_core library
  * (analyzer.hh); this file parses flags, expands inputs, runs the
- * analyzer and applies the baseline/JSON/exit-code policy:
+ * analyzer and prints its findings:
  *
- *   quasar-lint [options] <file-or-dir>...
+ *   quasar-lint <file-or-dir>...
  *     --self-test [--fixture=DIR]  run the fixture self-test
  *     --list-rules                 print rule ids, one per line
- *     --json                       machine-readable findings
- *     --baseline=FILE              drop findings covered by FILE;
- *                                  fresh findings AND stale baseline
- *                                  entries fail (shrink-only)
- *     --write-baseline=FILE        write current findings as baseline
- *     --mutators                   print the derived journaled-mutator
- *                                  list (Server functions that bump)
  *
- * Exit status: 0 clean, 1 findings (or stale baseline), 2 usage/IO.
+ * A finding that is a deliberate exception is excused at its line with
+ * a `// quasar-lint: allow(<rule>)` comment carrying the reason.
+ *
+ * Exit status: 0 clean, 1 findings, 2 usage/IO.
  */
 
 #include "analyzer.hh"
@@ -30,23 +26,9 @@ namespace
 void
 usage(std::FILE *to)
 {
-    std::fprintf(
-        to,
-        "usage: quasar-lint [--json] [--baseline=FILE] "
-        "[--write-baseline=FILE]\n"
-        "                   [--mutators] <file-or-dir>...\n"
-        "       quasar-lint --self-test [--fixture=DIR]\n"
-        "       quasar-lint --list-rules\n");
-}
-
-bool
-flagValue(const std::string &arg, const char *flag, std::string *out)
-{
-    std::string prefix = std::string(flag) + "=";
-    if (arg.compare(0, prefix.size(), prefix) != 0)
-        return false;
-    *out = arg.substr(prefix.size());
-    return true;
+    std::fprintf(to, "usage: quasar-lint <file-or-dir>...\n"
+                     "       quasar-lint --self-test [--fixture=DIR]\n"
+                     "       quasar-lint --list-rules\n");
 }
 
 } // namespace
@@ -56,10 +38,9 @@ main(int argc, char **argv)
 {
     using namespace quasarlint;
 
-    bool self_test = false, list_rules = false, json = false;
-    bool print_mutators = false;
+    bool self_test = false, list_rules = false;
     std::string fixture = "tools/quasar-lint/fixture";
-    std::string baseline_path, write_baseline_path;
+    const std::string fixture_flag = "--fixture=";
     std::vector<std::string> roots;
 
     for (int i = 1; i < argc; ++i) {
@@ -68,15 +49,8 @@ main(int argc, char **argv)
             self_test = true;
         else if (arg == "--list-rules")
             list_rules = true;
-        else if (arg == "--json")
-            json = true;
-        else if (arg == "--mutators")
-            print_mutators = true;
-        else if (flagValue(arg, "--fixture", &fixture) ||
-                 flagValue(arg, "--baseline", &baseline_path) ||
-                 flagValue(arg, "--write-baseline",
-                           &write_baseline_path))
-            ;
+        else if (arg.compare(0, fixture_flag.size(), fixture_flag) == 0)
+            fixture = arg.substr(fixture_flag.size());
         else if (arg == "--help" || arg == "-h") {
             usage(stdout);
             return 0;
@@ -111,65 +85,11 @@ main(int argc, char **argv)
     }
     std::vector<Finding> findings = analyzer.run();
 
-    if (print_mutators) {
-        for (const std::string &m : analyzer.derivedMutators())
-            std::printf("%s\n", m.c_str());
-        return 0;
-    }
-    if (!write_baseline_path.empty()) {
-        if (!writeBaseline(write_baseline_path, findings, analyzer)) {
-            std::fprintf(stderr,
-                         "quasar-lint: cannot write baseline '%s'\n",
-                         write_baseline_path.c_str());
-            return 2;
-        }
-        std::fprintf(stderr,
-                     "quasar-lint: wrote %zu finding(s) to '%s'\n",
-                     findings.size(), write_baseline_path.c_str());
-        return 0;
-    }
-
-    std::vector<BaselineEntry> stale;
-    if (!baseline_path.empty()) {
-        std::vector<BaselineEntry> entries;
-        std::string error;
-        if (!loadBaseline(baseline_path, entries, error)) {
-            std::fprintf(stderr, "quasar-lint: baseline '%s': %s\n",
-                         baseline_path.c_str(), error.c_str());
-            return 2;
-        }
-        std::vector<Finding> fresh;
-        applyBaseline(findings, entries, analyzer, fresh, stale);
-        findings = std::move(fresh);
-    }
-
-    if (json) {
-        std::string doc = findingsToJson(findings, analyzer);
-        // Stale baseline entries ride along so CI can show both
-        // failure modes from one artifact.
-        if (!stale.empty()) {
-            doc.erase(doc.rfind('}'));
-            doc += ",\n  \"stale_baseline\": [\n";
-            for (size_t i = 0; i < stale.size(); ++i)
-                doc += "    {\"file\": \"" + stale[i].file +
-                       "\", \"rule\": \"" + stale[i].rule +
-                       "\", \"count\": " +
-                       std::to_string(stale[i].count) +
-                       (i + 1 < stale.size() ? "},\n" : "}\n");
-            doc += "  ]\n}\n";
-        }
-        std::fputs(doc.c_str(), stdout);
-    } else {
-        for (const Finding &f : findings)
-            std::printf("%s:%zu: [%s] %s\n", f.file.c_str(), f.line,
-                        f.rule.c_str(), f.message.c_str());
-        for (const BaselineEntry &e : stale)
-            std::printf("%s: [%s] stale baseline entry (x%d) no "
-                        "longer fires; remove it from the baseline\n",
-                        e.file.c_str(), e.rule.c_str(), e.count);
-        if (findings.empty() && stale.empty())
-            std::printf("quasar-lint: %zu file(s) clean\n",
-                        analyzer.paths.size());
-    }
-    return (findings.empty() && stale.empty()) ? 0 : 1;
+    for (const Finding &f : findings)
+        std::printf("%s:%zu: [%s] %s\n", f.file.c_str(), f.line,
+                    f.rule.c_str(), f.message.c_str());
+    if (findings.empty())
+        std::printf("quasar-lint: %zu file(s) clean\n",
+                    analyzer.paths.size());
+    return findings.empty() ? 0 : 1;
 }

@@ -12,9 +12,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace quasarlint;
@@ -383,77 +382,6 @@ TEST(MutationJournaling, CatchesNonAssignmentWrites)
     // readOnly (const iteration, non-mutating calls) stays clean.
     EXPECT_TRUE(rulesAt(fs, "src/sim/server.hh", 10).empty());
     EXPECT_TRUE(rulesAt(fs, "src/sim/server.hh", 11).empty());
-}
-
-// -------------------------------------------------------------------
-// Baseline semantics: shrink-only
-// -------------------------------------------------------------------
-
-TEST(Baseline, CoveredFindingsDropFreshAndStaleSurface)
-{
-    Analyzer a = makeVirtual({
-        {"src/core/decide.cc",
-         "bool f(double x) { return x == 0.25; }\n"
-         "bool g(double x) { return x == 0.75; }\n"},
-    });
-    std::vector<Finding> fs = a.run();
-    ASSERT_EQ(countRule(fs, "float-eq"), 2u);
-
-    // Baseline covering only line 1's finding: line 2 stays fresh.
-    std::vector<BaselineEntry> entries = {
-        {"src/core/decide.cc", "float-eq",
-         "bool f(double x) { return x == 0.25; }", 1},
-    };
-    std::vector<Finding> fresh;
-    std::vector<BaselineEntry> stale;
-    applyBaseline(fs, entries, a, fresh, stale);
-    ASSERT_EQ(fresh.size(), 1u);
-    EXPECT_EQ(fresh[0].line, 2u);
-    EXPECT_TRUE(stale.empty());
-
-    // Over-counted baseline entry: the surplus is stale (shrink-only).
-    entries[0].count = 3;
-    fresh.clear();
-    stale.clear();
-    applyBaseline(fs, entries, a, fresh, stale);
-    ASSERT_EQ(stale.size(), 1u);
-    EXPECT_EQ(stale[0].count, 2);
-
-    // An entry whose excerpt no longer exists is stale in full.
-    entries = {{"src/core/decide.cc", "float-eq", "gone line", 1}};
-    fresh.clear();
-    stale.clear();
-    applyBaseline(fs, entries, a, fresh, stale);
-    EXPECT_EQ(fresh.size(), 2u);
-    ASSERT_EQ(stale.size(), 1u);
-    EXPECT_EQ(stale[0].count, 1);
-}
-
-TEST(Baseline, RoundTripsThroughDisk)
-{
-    Analyzer a = makeVirtual({
-        {"src/core/decide.cc",
-         "bool f(double x) { return x == 0.25; }\n"},
-    });
-    std::vector<Finding> fs = a.run();
-    ASSERT_EQ(countRule(fs, "float-eq"), 1u);
-
-    std::string path = "lint_baseline_roundtrip_tmp.json";
-    ASSERT_TRUE(writeBaseline(path, fs, a));
-    std::vector<BaselineEntry> entries;
-    std::string error;
-    ASSERT_TRUE(loadBaseline(path, entries, error)) << error;
-    std::remove(path.c_str());
-    ASSERT_EQ(entries.size(), 1u);
-    EXPECT_EQ(entries[0].file, "src/core/decide.cc");
-    EXPECT_EQ(entries[0].rule, "float-eq");
-    EXPECT_EQ(entries[0].count, 1);
-
-    std::vector<Finding> fresh;
-    std::vector<BaselineEntry> stale;
-    applyBaseline(fs, entries, a, fresh, stale);
-    EXPECT_TRUE(fresh.empty());
-    EXPECT_TRUE(stale.empty());
 }
 
 // -------------------------------------------------------------------
