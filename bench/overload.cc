@@ -424,16 +424,15 @@ main(int argc, char **argv)
     std::string out_path = "BENCH_overload.json";
     std::string baseline_path;
     std::string traces_dir = QUASAR_TRACES_DIR;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--smoke")
-            smoke = true;
-        else if (arg.rfind("--out=", 0) == 0)
-            out_path = arg.substr(6);
-        else if (arg.rfind("--baseline=", 0) == 0)
-            baseline_path = arg.substr(11);
-        else if (arg.rfind("--traces=", 0) == 0)
-            traces_dir = arg.substr(9);
-    }
+    if (auto rc = bench::parseBenchArgs(
+            argc, argv,
+            {{"--smoke", "CI variant: the 200-server legs only", &smoke},
+             {"--out=PATH", "report path (default BENCH_overload.json)",
+              nullptr, &out_path},
+             {"--baseline=PATH", "gate against this committed report",
+              nullptr, &baseline_path},
+             {"--traces=DIR", "trace fixtures (default tests/traces)",
+              nullptr, &traces_dir}}))
+        return *rc;
     return runOverloadBench(smoke, out_path, baseline_path, traces_dir);
 }

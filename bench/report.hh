@@ -11,7 +11,8 @@
  * contract all four gated benches (those three plus bench/topology)
  * commit in their BENCH_*.json. `JsonRow` / `writeReport` write those
  * files, one row per line, and `findRow` reads a row back for the
- * baseline gates.
+ * baseline gates. `parseBenchArgs` is the four gated benches' command
+ * line.
  */
 
 #pragma once
@@ -23,6 +24,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -539,6 +541,66 @@ hashField(const Row &row, const std::string &key)
     }
     std::fprintf(stderr, "FAIL: baseline row has no hash \"%s\"\n",
                  key.c_str());
+    return std::nullopt;
+}
+
+/** One flag a gated bench accepts. */
+struct BenchFlag
+{
+    /** "--name" for a switch, "--name=ARG" for an option. */
+    std::string spelling;
+    /** One line for the usage text. */
+    std::string help;
+    /** A switch sets *on to true ... */
+    bool *on = nullptr;
+    /** ... an option sets *value to the text after its '='. */
+    std::string *value = nullptr;
+};
+
+/**
+ * Parse a bench's command line against the flags it accepts.
+ * `--help` prints the usage to stdout; any other argument that is not
+ * one of `flags` prints it to stderr, after the argument. Either way
+ * the bench must stop before it runs a leg or writes a file.
+ * @return nullopt to run; else the exit code (0 after --help, 2 for
+ *         an unknown argument).
+ */
+inline std::optional<int>
+parseBenchArgs(int argc, char **argv,
+               std::initializer_list<BenchFlag> flags)
+{
+    auto usage = [&](std::FILE *to) {
+        std::fprintf(to, "usage: %s", argv[0]);
+        for (const BenchFlag &f : flags)
+            std::fprintf(to, " [%s]", f.spelling.c_str());
+        std::fprintf(to, "\n");
+        for (const BenchFlag &f : flags)
+            std::fprintf(to, "  %-18s %s\n", f.spelling.c_str(),
+                         f.help.c_str());
+    };
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--help") {
+            usage(stdout);
+            return 0;
+        }
+        auto known = std::find_if(
+            flags.begin(), flags.end(), [&](const BenchFlag &f) {
+                if (f.on)
+                    return arg == f.spelling;
+                size_t eq = f.spelling.find('=');
+                return arg.compare(0, eq + 1, f.spelling, 0, eq + 1) == 0;
+            });
+        if (known == flags.end()) {
+            std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+            usage(stderr);
+            return 2;
+        }
+        if (known->on)
+            *known->on = true;
+        else
+            *known->value = arg.substr(known->spelling.find('=') + 1);
+    }
     return std::nullopt;
 }
 

@@ -453,14 +453,13 @@ main(int argc, char **argv)
     bool smoke = false;
     std::string out_path = "BENCH_topology.json";
     std::string baseline_path;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--smoke")
-            smoke = true;
-        else if (arg.rfind("--out=", 0) == 0)
-            out_path = arg.substr(6);
-        else if (arg.rfind("--baseline=", 0) == 0)
-            baseline_path = arg.substr(11);
-    }
+    if (auto rc = bench::parseBenchArgs(
+            argc, argv,
+            {{"--smoke", "CI variant: the thrash scenario only", &smoke},
+             {"--out=PATH", "report path (default BENCH_topology.json)",
+              nullptr, &out_path},
+             {"--baseline=PATH", "gate against this committed report",
+              nullptr, &baseline_path}}))
+        return *rc;
     return runTopologyBench(smoke, out_path, baseline_path);
 }

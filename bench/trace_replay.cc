@@ -234,19 +234,20 @@ int
 main(int argc, char **argv)
 {
     bool smoke = false;
-    bool diag_gate = true;
+    bool no_diag_gate = false;
     std::string out_path = "BENCH_trace_replay.json";
     std::string traces_dir = QUASAR_TRACES_DIR;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--smoke")
-            smoke = true;
-        else if (arg == "--no-diag-gate")
-            diag_gate = false;
-        else if (arg.rfind("--out=", 0) == 0)
-            out_path = arg.substr(6);
-        else if (arg.rfind("--traces=", 0) == 0)
-            traces_dir = arg.substr(9);
-    }
-    return runTraceReplayBench(smoke, out_path, traces_dir, diag_gate);
+    if (auto rc = bench::parseBenchArgs(
+            argc, argv,
+            {{"--smoke", "CI variant: both fixtures at 200 servers",
+              &smoke},
+             {"--no-diag-gate", "skip the fixtures' diagnostic counts",
+              &no_diag_gate},
+             {"--out=PATH", "report path (default BENCH_trace_replay.json)",
+              nullptr, &out_path},
+             {"--traces=DIR", "trace files (default tests/traces)",
+              nullptr, &traces_dir}}))
+        return *rc;
+    return runTraceReplayBench(smoke, out_path, traces_dir,
+                               !no_diag_gate);
 }

@@ -1,7 +1,6 @@
 #include "baselines/autoscale.hh"
 
 #include <algorithm>
-#include <cassert>
 
 namespace quasar::baselines
 {
@@ -27,9 +26,29 @@ constexpr double kMigrationFactor = 0.85;
 AutoScaleManager::AutoScaleManager(sim::Cluster &cluster,
                                    workload::WorkloadRegistry &registry,
                                    AutoScaleConfig cfg, uint64_t seed)
-    : cluster_(cluster), registry_(registry), cfg_(cfg), rng_(seed),
-      oracle_(cluster, registry)
+    : ReservationManager(cluster, registry, seed,
+                         tracegen::ReservationModel{},
+                         workload::FrameworkKnobs{}),
+      cfg_(cfg), oracle_(cluster, registry)
 {
+}
+
+Reservation
+AutoScaleManager::sizeReservation(const Workload &w, double t)
+{
+    // A service reserves one fixed-size instance; scale-out adds more.
+    if (workload::isLatencyCritical(w.type))
+        return Reservation{1, kInstanceCores, cfg_.instance_memory_gb};
+    return ReservationManager::sizeReservation(w, t);
+}
+
+bool
+AutoScaleManager::placeNodes(Workload &w, double t,
+                             const Reservation &res)
+{
+    if (workload::isLatencyCritical(w.type))
+        return addInstance(w, t);
+    return ReservationManager::placeNodes(w, t, res);
 }
 
 double
@@ -79,46 +98,9 @@ AutoScaleManager::removeInstance(Workload &w)
 }
 
 void
-AutoScaleManager::onSubmit(WorkloadId id, double t)
-{
-    Workload &w = registry_.get(id);
-    if (workload::isLatencyCritical(w.type)) {
-        if (!addInstance(w, t))
-            queue_.push_back(id);
-        w.last_progress_update = t;
-        return;
-    }
-    // Batch workloads: reservation + least-loaded placement.
-    Reservation res =
-        userReservation(w, cluster_.catalog(), model_, rng_);
-    if (placeLeastLoaded(cluster_, w, t, res, w.best_effort).empty())
-        queue_.push_back(id);
-    else
-        w.last_progress_update = t;
-}
-
-void
 AutoScaleManager::onTick(double t)
 {
-    // Retry queued submissions.
-    std::vector<WorkloadId> still_waiting;
-    for (WorkloadId id : queue_) {
-        Workload &w = registry_.get(id);
-        if (w.completed || w.killed)
-            continue;
-        bool ok;
-        if (workload::isLatencyCritical(w.type)) {
-            ok = addInstance(w, t);
-        } else {
-            Reservation res =
-                userReservation(w, cluster_.catalog(), model_, rng_);
-            ok = !placeLeastLoaded(cluster_, w, t, res, w.best_effort)
-                      .empty();
-        }
-        if (!ok)
-            still_waiting.push_back(id);
-    }
-    queue_ = std::move(still_waiting);
+    retryQueue(t);
 
     // Scale services on observed utilization.
     for (WorkloadId id : registry_.active()) {
@@ -144,41 +126,12 @@ AutoScaleManager::onTick(double t)
 }
 
 void
-AutoScaleManager::onCompletion(WorkloadId id, double)
+AutoScaleManager::onCompletion(WorkloadId id, double t)
 {
     hot_streak_.erase(id);
-}
-
-void
-AutoScaleManager::onServerDown(ServerId,
-                               const std::vector<WorkloadId> &displaced,
-                               double t)
-{
-    // Services that lost *some* instances recover through the normal
-    // utilization-driven scale-out loop; a service (or batch job) that
-    // lost *all* of them is invisible to that loop and must be
-    // relaunched here.
-    for (WorkloadId id : displaced) {
-        Workload &w = registry_.get(id);
-        if (w.completed || w.killed)
-            continue;
-        if (!cluster_.serversHosting(id).empty())
-            continue;
-        bool ok;
-        if (workload::isLatencyCritical(w.type)) {
-            ok = addInstance(w, t);
-        } else {
-            Reservation res =
-                userReservation(w, cluster_.catalog(), model_, rng_);
-            ok = !placeLeastLoaded(cluster_, w, t, res, w.best_effort)
-                      .empty();
-        }
-        if (ok)
-            w.last_progress_update = t;
-        else if (std::find(queue_.begin(), queue_.end(), id) ==
-                 queue_.end())
-            queue_.push_back(id);
-    }
+    // Retry the queue only: a completion is not a tick, and hot_ticks
+    // counts ticks.
+    ReservationManager::onCompletion(id, t);
 }
 
 int

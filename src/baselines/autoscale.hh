@@ -7,13 +7,14 @@
  * removing one when it falls below a low-water mark. The policy is
  * reactive, heterogeneity- and interference-unaware, and only scales
  * out — the weaknesses the paper demonstrates. Non-service workloads
- * are placed with the least-loaded policy.
+ * are sized and placed as under reservation + least-loaded, and every
+ * workload goes through the shared reservation lifecycle (submit,
+ * queue, crash recovery).
  */
 
 #pragma once
 
 #include <unordered_map>
-#include <vector>
 
 #include "baselines/reservation_ll.hh"
 #include "workload/workload.hh"
@@ -34,41 +35,40 @@ struct AutoScaleConfig
     int hot_ticks = 2;
 };
 
-/** The auto-scaling manager. */
-class AutoScaleManager : public driver::ClusterManager
+/**
+ * The auto-scaling manager: a ReservationManager whose services
+ * reserve one fixed-size instance each, and which scales those
+ * services on observed utilization after every tick's queue retry.
+ */
+class AutoScaleManager : public ReservationManager
 {
   public:
     AutoScaleManager(sim::Cluster &cluster,
                      workload::WorkloadRegistry &registry,
                      AutoScaleConfig cfg = {}, uint64_t seed = 55);
 
-    void onSubmit(WorkloadId id, double t) override;
     void onTick(double t) override;
     void onCompletion(WorkloadId id, double t) override;
-    /** Minimal recovery: relaunch instances of fully-lost workloads. */
-    void onServerDown(ServerId sid,
-                      const std::vector<WorkloadId> &displaced,
-                      double t) override;
     std::string name() const override { return "autoscale"; }
 
     /** Current instance count of a service. */
     int instancesOf(WorkloadId id) const;
 
   private:
+    Reservation sizeReservation(const workload::Workload &w,
+                                double t) override;
+    bool placeNodes(workload::Workload &w, double t,
+                    const Reservation &res) override;
+
     bool addInstance(workload::Workload &w, double t);
     void removeInstance(workload::Workload &w);
     /** Observed utilization: served load / current capacity. */
     double observedRho(const workload::Workload &w, double t) const;
 
-    sim::Cluster &cluster_;
-    workload::WorkloadRegistry &registry_;
     AutoScaleConfig cfg_;
-    stats::Rng rng_;
     workload::PerfOracle oracle_;
     /** Consecutive hot ticks per live service; erased on completion. */
     std::unordered_map<WorkloadId, int> hot_streak_;
-    std::vector<WorkloadId> queue_;
-    tracegen::ReservationModel model_;
 };
 
 } // namespace quasar::baselines

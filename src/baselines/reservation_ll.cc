@@ -191,7 +191,7 @@ ReservationManager::ReservationManager(sim::Cluster &cluster,
                                        uint64_t seed,
                                        tracegen::ReservationModel model,
                                        workload::FrameworkKnobs knobs)
-    : cluster_(cluster), rng_(seed), registry_(registry), model_(model),
+    : cluster_(cluster), registry_(registry), rng_(seed), model_(model),
       knobs_(knobs)
 {
 }
@@ -229,7 +229,7 @@ ReservationManager::tryPlace(WorkloadId id, double t)
 }
 
 void
-ReservationManager::onTick(double t)
+ReservationManager::retryQueue(double t)
 {
     std::vector<WorkloadId> still_waiting;
     for (WorkloadId id : queue_) {
@@ -243,9 +243,15 @@ ReservationManager::onTick(double t)
 }
 
 void
+ReservationManager::onTick(double t)
+{
+    retryQueue(t);
+}
+
+void
 ReservationManager::onCompletion(WorkloadId, double t)
 {
-    onTick(t); // retry queued reservations with the freed capacity
+    retryQueue(t); // the freed capacity may fit a queued reservation
 }
 
 void

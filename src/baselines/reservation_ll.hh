@@ -12,8 +12,9 @@
  * awareness, and never adapts at runtime.
  *
  * The reservation lifecycle itself (ReservationManager) is shared with
- * the framework self-scheduler and the Paragon baseline, which differ
- * only in sizing, assignment and the knobs they run with.
+ * the framework self-scheduler, the Paragon baseline and the
+ * auto-scaler, which differ only in sizing, assignment, the knobs they
+ * run with and (auto-scaling) a per-tick scaling round.
  */
 
 #pragma once
@@ -111,13 +112,16 @@ class ReservationManager : public driver::ClusterManager
     virtual bool placeNodes(workload::Workload &w, double t,
                             const Reservation &res);
 
+    /** Retry the queue in arrival order; onTick and onCompletion. */
+    void retryQueue(double t);
+
     sim::Cluster &cluster_;
+    workload::WorkloadRegistry &registry_;
     stats::Rng rng_;
 
   private:
     bool tryPlace(WorkloadId id, double t);
 
-    workload::WorkloadRegistry &registry_;
     tracegen::ReservationModel model_;
     /** Knobs a placed workload runs with (reservations: untuned). */
     workload::FrameworkKnobs knobs_;

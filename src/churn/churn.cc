@@ -16,6 +16,9 @@ using workload::Workload;
 namespace
 {
 
+/** Fraction of stochastic server faults that degrade, not crash. */
+constexpr double kDegradeFraction = 0.25;
+
 /** The catalog's fastest platform, for analytics targets. */
 const sim::Platform &
 bestPlatform(const sim::Cluster &cluster)
@@ -275,7 +278,7 @@ ChurnEngine::install(sim::Cluster &cluster,
         sim::FaultInjectorConfig fcfg;
         fcfg.mttf_s = cfg_.server_mttf_s;
         fcfg.mttr_s = cfg_.server_mttr_s;
-        fcfg.degrade_fraction = cfg_.degrade_fraction;
+        fcfg.degrade_fraction = kDegradeFraction;
         fcfg.horizon_s = cfg_.horizon_s;
         // Derived deterministically so the fault stream replays with
         // the rest of the plan.

@@ -119,11 +119,11 @@ struct ChurnConfig
     size_t closed_loop_target = 64;
     /// @}
 
-    /** @name Stochastic machine faults (0 mttf disables) */
+    /** @name Stochastic machine faults (0 mttf disables; a quarter of
+     *  the faults degrade a server instead of crashing it) */
     /// @{
     double server_mttf_s = 0.0; ///< mean time to failure per server.
     double server_mttr_s = 600.0;
-    double degrade_fraction = 0.25; ///< degrade instead of crash.
     /// @}
 };
 

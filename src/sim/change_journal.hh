@@ -28,8 +28,10 @@
  * at scale. The absolute-offset contract (base()/end()/at()) is
  * unchanged; only the retained window's physical layout moved.
  *
- * Multi-reader cursor contract (every scheduler instance — the
- * manager's, a zone-spread recovery walk's — keeps its own cursor):
+ * Multi-reader cursor contract. The readers today: each scheduler's
+ * MaintainedOrder keeps its own cursor; the failure memo and the
+ * PerfOracle stamp record end() as a "nothing changed since" mark;
+ * the QUASAR_VERIFY sweep reads the retained window whole.
  *
  *  1. Reads (base()/end()/at()/totalNoted()) are const and touch no
  *     mutable state, so one reader never perturbs another.

@@ -187,16 +187,6 @@ Server::findShare(WorkloadId w)
     return nullptr;
 }
 
-std::vector<WorkloadId>
-Server::bestEffortTasks() const
-{
-    std::vector<WorkloadId> out;
-    for (const TaskShare &t : tasks_)
-        if (t.best_effort)
-            out.push_back(t.workload);
-    return out;
-}
-
 int
 Server::coresAllocated() const
 {
@@ -413,22 +403,6 @@ Server::cpuReservedFraction() const
 {
     return platform_.cores > 0
                ? double(coresAllocated()) / double(platform_.cores)
-               : 0.0;
-}
-
-double
-Server::memoryUtilization() const
-{
-    return platform_.memory_gb > 0.0
-               ? memoryAllocated() / platform_.memory_gb
-               : 0.0;
-}
-
-double
-Server::storageUtilization() const
-{
-    return platform_.storage_gb > 0.0
-               ? storageAllocated() / platform_.storage_gb
                : 0.0;
 }
 

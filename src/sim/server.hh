@@ -164,8 +164,6 @@ class Server
     bool resize(WorkloadId w, int cores, double memory_gb);
     const TaskShare *share(WorkloadId w) const;
     const std::vector<TaskShare> &tasks() const { return tasks_; }
-    /** Ids of best-effort tasks, eviction candidates. */
-    std::vector<WorkloadId> bestEffortTasks() const;
     /// @}
 
     /** @name Capacity */
@@ -262,8 +260,6 @@ class Server
     double cpuUtilization() const;
     /** Allocated cores / total cores (the reservation view). */
     double cpuReservedFraction() const;
-    double memoryUtilization() const;
-    double storageUtilization() const;
     /// @}
 
   private:

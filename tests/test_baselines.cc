@@ -184,6 +184,96 @@ TEST(AutoScale, ScalesOutUnderLoadAndBackIn)
     EXPECT_GE(instances.meanOver(0.0, 20000.0), 1.0);
 }
 
+namespace
+{
+
+/**
+ * AutoScale on the local cluster with every core held by a blocker (a
+ * distributed job, one share per server), so a batch job submitted at
+ * t = 1 queues until the blocker is killed at t = 205, between two
+ * ticks. Neither finishes on its own.
+ */
+struct BlockedAutoScale
+{
+    sim::Cluster cluster = sim::Cluster::localCluster();
+    workload::WorkloadRegistry registry;
+    AutoScaleManager mgr{cluster, registry, AutoScaleConfig{}, 41};
+    driver::ScenarioDriver drv{cluster, registry, mgr,
+                               driver::DriverConfig{.tick_s = 10.0}};
+    WorkloadId blocker;
+    WorkloadId job;
+
+    BlockedAutoScale()
+    {
+        workload::WorkloadFactory f{stats::Rng(42)};
+        Workload b = f.hadoopJob("blocker", 10.0);
+        b.total_work = 1e18;
+        blocker = registry.add(b);
+        for (size_t s = 0; s < cluster.size(); ++s) {
+            sim::Server &srv = cluster.server(ServerId(s));
+            srv.place(nodeShare(registry.get(blocker), 0.0,
+                                srv.platform().cores, 1.0, false));
+        }
+        Workload j = f.singleNodeJob("job", "mix");
+        j.total_work = 1e18;
+        job = registry.add(j);
+        drv.addArrival(job, 1.0);
+        drv.events().schedule(205.0,
+                              [this] { drv.killWorkload(blocker, 205.0); });
+    }
+
+    /** The job's share on the cluster, or null while it waits. */
+    const sim::TaskShare *jobShare() const
+    {
+        for (size_t s = 0; s < cluster.size(); ++s)
+            for (const sim::TaskShare &t :
+                 cluster.server(ServerId(s)).tasks())
+                if (t.workload == job)
+                    return &t;
+        return nullptr;
+    }
+};
+
+} // namespace
+
+// A waiting job keeps the reservation drawn at its submit: retries
+// neither redraw it nor consume the manager's RNG stream.
+TEST(AutoScale, QueuedJobKeepsItsSubmitReservation)
+{
+    BlockedAutoScale s;
+    // The job is the manager's first draw from its seed.
+    stats::Rng rng(41);
+    const Reservation want = userReservation(
+        s.registry.get(s.job), s.cluster.catalog(),
+        tracegen::ReservationModel{}, rng);
+    int waiting_ticks = 0;
+    s.drv.setTickHook([&](double) {
+        if (s.jobShare())
+            return;
+        ++waiting_ticks;
+        const Reservation *res = s.mgr.reservationFor(s.job);
+        ASSERT_NE(res, nullptr);
+        EXPECT_EQ(res->cores_per_node, want.cores_per_node);
+        EXPECT_EQ(res->memory_per_node_gb, want.memory_per_node_gb);
+    });
+    s.drv.run(300.0);
+    EXPECT_EQ(waiting_ticks, 20);
+    const sim::TaskShare *share = s.jobShare();
+    ASSERT_NE(share, nullptr);
+    EXPECT_EQ(share->cores, want.cores_per_node);
+    EXPECT_EQ(share->memory_gb, want.memory_per_node_gb);
+}
+
+// Capacity a completion frees is offered to the queue at once, not at
+// the next tick (a kill reaches the manager as a completion).
+TEST(AutoScale, CompletionPlacesQueuedJobAtOnce)
+{
+    BlockedAutoScale s;
+    s.drv.run(300.0);
+    ASSERT_NE(s.jobShare(), nullptr);
+    EXPECT_EQ(s.registry.get(s.job).first_placed_at, 205.0);
+}
+
 TEST(FrameworkScheduler, DatasetDrivenReservation)
 {
     workload::WorkloadFactory f{stats::Rng(17)};
@@ -255,8 +345,9 @@ pinnedRun(driver::ClusterManager &mgr, sim::Cluster &cluster,
 
 // The reservation baselines' placements, pinned bit for bit. The
 // expected hashes were recorded before the baselines' shared
-// reservation lifecycle was factored out and must never move without
-// a deliberate, documented baseline refresh.
+// reservation lifecycle was factored out (AutoScale's when it joined
+// that lifecycle) and must never move without a deliberate,
+// documented baseline refresh.
 TEST(ReservationBaselines, ReservationLLIsPinned)
 {
     sim::Cluster cluster = sim::Cluster::localCluster();
@@ -310,7 +401,16 @@ TEST(ReservationBaselines, AutoScaleIsPinned)
     workload::WorkloadRegistry registry;
     AutoScaleManager mgr(cluster, registry);
     EXPECT_EQ(pinnedRun(mgr, cluster, registry, false),
-              0x34fa92a08d5d7c2bULL);
+              0x0ae3c11c767dbe3aULL);
+}
+
+TEST(ReservationBaselines, AutoScaleStormIsPinned)
+{
+    sim::Cluster cluster = sim::Cluster::localCluster();
+    workload::WorkloadRegistry registry;
+    AutoScaleManager mgr(cluster, registry);
+    EXPECT_EQ(pinnedRun(mgr, cluster, registry, true),
+              0x56304752cd85eaadULL);
 }
 
 TEST(Comparative, QuasarBeatsLLOnSharedScenario)

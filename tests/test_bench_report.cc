@@ -1,14 +1,17 @@
 /**
  * @file
  * The bench report harness (bench/report.hh): the BENCH_*.json row
- * writer and the baseline reader that reads it back, and the
- * placement fold whose values every committed hash depends on.
+ * writer and the baseline reader that reads it back, the placement
+ * fold whose values every committed hash depends on, and the gated
+ * benches' argument parser.
  */
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "bench/report.hh"
 
@@ -172,4 +175,60 @@ TEST(BenchReport, PlacementFoldWordsArePinned)
     // A second tick folds on top of the first.
     bench::foldPlacements(cluster, bench::FoldWord::Available, avail);
     EXPECT_EQ(avail, 0xad6033dec74d0673ULL);
+}
+
+// The gated benches' one command line: known flags set their targets,
+// --help and any unknown argument stop the bench before it runs (their
+// defaults write the committed BENCH_*.json in the current directory).
+TEST(BenchReport, ArgsParserStopsOnHelpAndUnknownArguments)
+{
+    struct Cli
+    {
+        bool smoke = false;
+        std::string out = "BENCH_demo.json";
+        std::optional<int> parse(std::vector<std::string> args)
+        {
+            args.insert(args.begin(), "demo");
+            std::vector<char *> argv;
+            for (std::string &a : args)
+                argv.push_back(a.data());
+            return bench::parseBenchArgs(
+                int(argv.size()), argv.data(),
+                {{"--smoke", "short run", &smoke},
+                 {"--out=PATH", "report path", nullptr, &out}});
+        }
+    };
+
+    Cli ok;
+    EXPECT_FALSE(ok.parse({"--smoke", "--out=x.json"}).has_value());
+    EXPECT_TRUE(ok.smoke);
+    EXPECT_EQ(ok.out, "x.json");
+
+    Cli help;
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(help.parse({"--help", "--smoke"}), 0);
+    std::string usage = testing::internal::GetCapturedStdout();
+    EXPECT_NE(usage.find("usage: demo [--smoke] [--out=PATH]"),
+              std::string::npos);
+    EXPECT_FALSE(help.smoke);
+
+    // A switch given a value, an option without one, a stray word and
+    // a typo are all unknown.
+    for (const char *bad : {"--smoke=1", "--out", "smoke", "--outt=x"}) {
+        Cli cli;
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(cli.parse({bad}), 2) << bad;
+        std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find(std::string("unknown argument: ") + bad),
+                  std::string::npos);
+        EXPECT_NE(err.find("usage: demo"), std::string::npos);
+        EXPECT_EQ(cli.out, "BENCH_demo.json");
+    }
+
+    // Parsing stops at the first unknown argument.
+    Cli partial;
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(partial.parse({"--bogus", "--smoke"}), 2);
+    testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(partial.smoke);
 }

@@ -115,7 +115,7 @@ TEST(ServerEdge, StorageBindsPlacement)
     s.storage_gb = 200.0;
     srv.place(s);
     EXPECT_FALSE(srv.canFit(1, 1.0, 100.0));
-    EXPECT_NEAR(srv.storageUtilization(), 0.8, 1e-12);
+    EXPECT_NEAR(srv.storageFree(), 50.0, 1e-12);
 }
 
 TEST(Monitor, AbsoluteMeasurementUnits)

@@ -258,7 +258,7 @@ TEST(Server, UsageAndUtilization)
     EXPECT_TRUE(srv.setUsage(1, 6.0));
     EXPECT_DOUBLE_EQ(srv.cpuUtilization(), 6.0 / 24.0);
     EXPECT_DOUBLE_EQ(srv.cpuReservedFraction(), 0.5);
-    EXPECT_DOUBLE_EQ(srv.memoryUtilization(), 0.5);
+    EXPECT_DOUBLE_EQ(srv.memoryFree(), 24.0);
     // Usage clamps to the allocation.
     srv.setUsage(1, 99.0);
     EXPECT_DOUBLE_EQ(srv.cpuUtilization(), 0.5);
@@ -271,7 +271,10 @@ TEST(Server, BestEffortListing)
     srv.place(makeShare(1, 2, 2.0, true));
     srv.place(makeShare(2, 2, 2.0, false));
     srv.place(makeShare(3, 2, 2.0, true));
-    auto be = srv.bestEffortTasks();
+    std::vector<WorkloadId> be;
+    for (const sim::TaskShare &t : srv.tasks())
+        if (t.best_effort)
+            be.push_back(t.workload);
     EXPECT_EQ(be, (std::vector<WorkloadId>{1, 3}));
 }
 
