@@ -18,7 +18,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -34,6 +36,7 @@
 #include "churn/churn.hh"
 #include "core/manager.hh"
 #include "driver/scenario.hh"
+#include "stats/summary.hh"
 #include "stats/timing.hh"
 
 namespace quasar::bench
@@ -97,6 +100,139 @@ foldPlacements(const sim::Cluster &cluster, FoldWord word, uint64_t &h)
     }
 }
 
+/** Per-entry classification errors, one sample set per core::Axis. */
+using AxisErrors = std::array<stats::Samples, core::kNumAxes>;
+
+/**
+ * Score one workload's estimate against the noise-free truth, the
+ * measure of paper Table 2: per entry, |est - true| / true of the
+ * scale-up performance, the scale-out speedup (distributed types only)
+ * and the platform factors, and the absolute error of the tolerated
+ * interference intensities (they live in [0, 1], where a relative
+ * error at 0.05 would mean nothing). `truth` is a noise-free Profiler
+ * over the estimating manager's catalog; `t` is when w was profiled.
+ */
+inline void
+scoreEstimate(const core::WorkloadEstimate &est, const workload::Workload &w,
+              double t, const profiling::Profiler &truth, AxisErrors &out)
+{
+    auto rel = [](double e, double v) {
+        return std::fabs(e - v) / std::max(std::fabs(v), 1e-9);
+    };
+    stats::Rng z(1); // noise-free rows ignore it
+    const size_t top = truth.scaleUpPlatform();
+
+    auto su = truth.denseScaleUpRow(w, t, z);
+    for (size_t c = 0; c < su.size(); ++c)
+        out[size_t(core::Axis::ScaleUp)].add(rel(est.scale_up_perf[c], su[c]));
+
+    auto ref = profiling::Profiler::referenceConfig(truth.catalog()[top],
+                                                    w.type);
+    if (workload::isDistributed(w.type)) {
+        auto so = truth.denseScaleOutRow(w, t, ref, z);
+        for (size_t c = 0; c < so.size(); ++c)
+            out[size_t(core::Axis::ScaleOut)].add(
+                rel(est.scale_out_speedup[c], so[c] / so[0]));
+    }
+
+    auto het = truth.denseHeterogeneityRow(w, t, z);
+    for (size_t c = 0; c < het.size(); ++c)
+        out[size_t(core::Axis::Heterogeneity)].add(
+            rel(est.platform_factor[c], het[c] / het[top]));
+
+    auto tol = truth.denseInterferenceRow(w, t, ref);
+    for (size_t c = 0; c < tol.size(); ++c)
+        out[size_t(core::Axis::Interference)].add(
+            std::fabs(est.tolerated[c] - tol[c]));
+}
+
+/** core::Axis names in reports: scale-up, scale-out, heterogeneity,
+ *  interference. */
+constexpr const char *kAxisNames[core::kNumAxes] = {"su", "so", "het",
+                                                    "if"};
+
+/** How accurately a stream's arrivals were classified (AccuracyProbe). */
+struct StreamAccuracy
+{
+    /** Errors of arrivals classified while the axis's history was
+     *  still growing, and once it held max_history_rows. */
+    AxisErrors growing;
+    AxisErrors at_cap;
+};
+
+/**
+ * Scores every arrival's classification as the stream runs: forwards
+ * each hook to the manager and, right after a submit, scores
+ * estimateFor(id) with scoreEstimate, split by
+ * Classifier::historyFull. It only reads the manager and the workload,
+ * so placements and decisions are the same with it on or off.
+ */
+class AccuracyProbe : public driver::ClusterManager
+{
+  public:
+    AccuracyProbe(core::QuasarManager &mgr,
+                  const workload::WorkloadRegistry &registry,
+                  profiling::ProfilerConfig cfg)
+        : mgr_(mgr), registry_(registry),
+          truth_(mgr.profiler().catalog(), noiseFree(cfg))
+    {
+    }
+
+    void onSubmit(WorkloadId id, double t) override
+    {
+        mgr_.onSubmit(id, t);
+        stats::ScopedTimer timer(time_);
+        const core::WorkloadEstimate *est = mgr_.estimateFor(id);
+        if (!est)
+            return;
+        const workload::Workload &w = registry_.get(id);
+        AxisErrors errs;
+        scoreEstimate(*est, w, t, truth_, errs);
+        for (size_t a = 0; a < core::kNumAxes; ++a) {
+            bool full = mgr_.classifier().historyFull(core::Axis(a), w.type);
+            (full ? acc_.at_cap : acc_.growing)[a].addAll(errs[a].values());
+        }
+    }
+    void onTick(double t) override { mgr_.onTick(t); }
+    void onCompletion(WorkloadId id, double t) override
+    {
+        mgr_.onCompletion(id, t);
+    }
+    void onServerDown(ServerId sid, const std::vector<WorkloadId> &displaced,
+                      double t) override
+    {
+        mgr_.onServerDown(sid, displaced, t);
+    }
+    void onServerUp(ServerId sid, double t) override
+    {
+        mgr_.onServerUp(sid, t);
+    }
+    void onServerDegraded(ServerId sid, double speed_factor,
+                          double t) override
+    {
+        mgr_.onServerDegraded(sid, speed_factor, t);
+    }
+    std::string name() const override { return mgr_.name(); }
+
+    /** The scores so far. */
+    const StreamAccuracy &accuracy() const { return acc_; }
+    /** Host seconds the probe itself spent scoring. */
+    double seconds() const { return time_.total_s; }
+
+  private:
+    static profiling::ProfilerConfig noiseFree(profiling::ProfilerConfig c)
+    {
+        c.noise_sigma = 0.0;
+        return c;
+    }
+
+    core::QuasarManager &mgr_;
+    const workload::WorkloadRegistry &registry_;
+    profiling::Profiler truth_;
+    StreamAccuracy acc_;
+    stats::TimerStat time_;
+};
+
 /** What one stream run reports (see runStream). */
 struct StreamReport
 {
@@ -138,6 +274,10 @@ struct StreamReport
     /** Failure-memo proof attempts: count and mean, milliseconds. */
     uint64_t proofs = 0;
     double proof_ms = 0.0;
+    /** Classification accuracy (empty unprobed). */
+    StreamAccuracy accuracy;
+    /** The classifier's fit work. */
+    core::FitCounters fits;
 
     double placementsPerSecond() const
     {
@@ -164,20 +304,24 @@ streamConfig(double horizon_s)
  * offline-seeded classifier) and score it. `source` installs the plan:
  * a churn::ChurnEngine or trace::TraceReplayer, used once. Every tick
  * samples the admission depth and folds the placements with `word`.
+ * With `probe`, an AccuracyProbe scores every arrival's classification
+ * into StreamReport::accuracy; its own time is kept out of wall_s.
  */
 template <typename PlanSource>
 StreamReport
 runStream(sim::Cluster cluster, PlanSource &source,
           const core::QuasarConfig &qcfg, double horizon_s, FoldWord word,
-          const AfterRun &after = {})
+          const AfterRun &after = {}, bool probe = true)
 {
     workload::WorkloadRegistry registry;
     core::QuasarManager mgr(cluster, registry, qcfg);
     workload::WorkloadFactory seeder{stats::Rng(4242)};
     mgr.seedOffline(seeder, 16);
 
+    AccuracyProbe prober(mgr, registry, qcfg.profiler);
     driver::ScenarioDriver drv(
-        cluster, registry, mgr,
+        cluster, registry,
+        probe ? static_cast<driver::ClusterManager &>(prober) : mgr,
         driver::DriverConfig{.tick_s = 15.0, .record_every = 2});
     source.install(cluster, registry, drv);
     const std::vector<churn::ChurnItem> &plan = source.plan();
@@ -198,7 +342,7 @@ runStream(sim::Cluster cluster, PlanSource &source,
         stats::ScopedTimer timer(run_time);
         drv.run(horizon_s);
     }
-    r.wall_s = run_time.total_s;
+    r.wall_s = run_time.total_s - prober.seconds();
     r.mean_admission_depth = depth_n ? depth_sum / double(depth_n) : 0.0;
 
     r.arrivals = plan.size();
@@ -246,6 +390,9 @@ runStream(sim::Cluster cluster, PlanSource &source,
     r.walk = mgr.scheduler().walkCounts();
     r.proofs = st.retry_proof_time.count;
     r.proof_ms = st.retry_proof_time.meanSeconds() * 1e3;
+    r.fits = mgr.classifier().fitCounters();
+    if (probe)
+        r.accuracy = prober.accuracy();
     if (after)
         after(mgr, drv, plan);
     return r;
@@ -285,6 +432,19 @@ printStream(const std::string &label, const StreamReport &r)
         (unsigned long long)r.walk[core::NodeReject::Cost],
         (unsigned long long)r.walk[core::NodeReject::Hosted],
         (unsigned long long)r.walk.skipped);
+    std::printf("        classify error p50/p90, growing | at cap:");
+    for (size_t a = 0; a < core::kNumAxes; ++a)
+        std::printf(" %s %.3f/%.3f | %.3f/%.3f", kAxisNames[a],
+                    r.accuracy.growing[a].percentile(50),
+                    r.accuracy.growing[a].percentile(90),
+                    r.accuracy.at_cap[a].percentile(50),
+                    r.accuracy.at_cap[a].percentile(90));
+    std::printf("\n        fits: %llu (%llu epochs, %llu capped, %llu "
+                "entry visits, %.3f s)\n",
+                (unsigned long long)r.fits.fits,
+                (unsigned long long)r.fits.epochs,
+                (unsigned long long)r.fits.capped_fits,
+                (unsigned long long)r.fits.entry_visits, r.fits.fit_s);
 }
 
 /** The arrival-accounting gate: no arrival leaks out of the outcome
@@ -365,7 +525,7 @@ class JsonRow
 inline JsonRow &
 streamColumns(JsonRow &row, const StreamReport &r)
 {
-    return row.count("arrivals", r.arrivals)
+    row.count("arrivals", r.arrivals)
         .count("completed", r.completed)
         .count("departed", r.departed)
         .count("shed", r.shed)
@@ -386,7 +546,20 @@ streamColumns(JsonRow &row, const StreamReport &r)
         .num("adapt_ms", r.adapt_ms, 5)
         .num("rank_ms", r.rank_ms, 5)
         .num("place_ms", r.place_ms, 5)
-        .num("tick_ms", r.tick_ms);
+        .num("tick_ms", r.tick_ms)
+        .count("fits", r.fits.fits)
+        .count("fit_epochs", r.fits.epochs)
+        .count("capped_fits", r.fits.capped_fits)
+        .count("entry_visits", r.fits.entry_visits)
+        .num("fit_s", r.fits.fit_s, 3);
+    for (size_t a = 0; a < core::kNumAxes; ++a) {
+        const std::string name = std::string("err_") + kAxisNames[a];
+        row.num(name + "_grow_p50", r.accuracy.growing[a].percentile(50))
+            .num(name + "_grow_p90", r.accuracy.growing[a].percentile(90))
+            .num(name + "_cap_p50", r.accuracy.at_cap[a].percentile(50))
+            .num(name + "_cap_p90", r.accuracy.at_cap[a].percentile(90));
+    }
+    return row;
 }
 
 /** A named array of rows in a report. */

@@ -46,9 +46,17 @@
 #      QoS-violation rate, or if that rate regresses more than 0.05
 #      (absolute) above the committed BENCH_topology.json (refresh
 #      with `bench/topology --smoke` when a shift is intentional).
-#      Stages 3-6 read their committed baselines with
+#   7. Run the Table 2 classification-accuracy gate (Release): the
+#      four-way and exhaustive classifiers over the 443 Table 2
+#      workloads. Fails if any error cell (avg / p90 / max per group
+#      and classification) differs from the committed
+#      BENCH_table2.json; decision times are not gated. The engine is
+#      deterministic, so any change to its accuracy must refresh the
+#      file (`bench/table2_classification_validation` from the repo
+#      root) as a named change.
+#      Stages 3-7 read their committed baselines with
 #      bench/report.hh's reader: a missing row fails, never skips.
-#   7. Static analysis + verification soak:
+#   8. Static analysis + verification soak:
 #      a. tools/quasar-lint (the structure-aware analyzer: token
 #         rules plus mutation-journaling, decision-purity and
 #         layering/include-cycle — see DESIGN.md §10) over src/
@@ -69,7 +77,7 @@
 #         every listed mutator provably trips the index audit when
 #         unjournaled, every PerfOracle memo hit is recomputed and
 #         compared bitwise, and any warning is an error.
-#   8. Fail if the run modified any tracked file: every stage writes
+#   9. Fail if the run modified any tracked file: every stage writes
 #      its outputs under build trees, so the checkout stays clean.
 #
 # Usage: ci/check.sh [jobs]   (defaults to nproc)
@@ -120,6 +128,12 @@ echo "== topology smoke: socket-aware QoS + replay-hash gates =="
 cmake --build build-release -j "$JOBS" --target topology
 ./build-release/bench/topology --smoke \
     --out=build-release/topology_smoke.json --baseline=BENCH_topology.json
+
+echo "== table2: classification-accuracy gate =="
+cmake --build build-release -j "$JOBS" \
+      --target table2_classification_validation
+./build-release/bench/table2_classification_validation \
+    --out=build-release/table2.json --baseline=BENCH_table2.json
 
 echo "== lint: structure-aware analyzer over the tree =="
 cmake --build build -j "$JOBS" --target quasar_lint lint_analyzer_tests

@@ -65,7 +65,7 @@ AutoScaleManager::addInstance(Workload &w, double t)
 {
     // Least-loaded server that fits a fixed-size instance; the policy
     // knows nothing about platform types or co-runner interference.
-    for (ServerId sid : leastLoadedOrder(cluster_)) {
+    for (ServerId sid : leastLoaded()) {
         sim::Server &srv = cluster_.server(sid);
         if (srv.hosts(w.id))
             continue;

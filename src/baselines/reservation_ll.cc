@@ -162,11 +162,11 @@ nodeShare(const Workload &w, double t, int cores, double memory_gb,
 }
 
 std::vector<ServerId>
-placeLeastLoaded(sim::Cluster &cluster, const Workload &w, double t,
-                 const Reservation &res, bool best_effort)
+placeLeastLoaded(sim::Cluster &cluster, const std::vector<ServerId> &order,
+                 const Workload &w, double t, const Reservation &res,
+                 bool best_effort)
 {
     // Down servers sort in too; canFit rejects them.
-    const std::vector<ServerId> order = leastLoadedOrder(cluster);
     auto fits = [&](ServerId sid) {
         const sim::Server &srv = cluster.server(sid);
         return !srv.hosts(w.id) &&
@@ -206,7 +206,19 @@ bool
 ReservationManager::placeNodes(Workload &w, double t,
                                const Reservation &res)
 {
-    return !placeLeastLoaded(cluster_, w, t, res, w.best_effort).empty();
+    return !placeLeastLoaded(cluster_, leastLoaded(), w, t, res,
+                             w.best_effort)
+                .empty();
+}
+
+const std::vector<ServerId> &
+ReservationManager::leastLoaded()
+{
+    if (ll_order_at_ != cluster_.journal().end()) {
+        ll_order_ = leastLoadedOrder(cluster_);
+        ll_order_at_ = cluster_.journal().end();
+    }
+    return ll_order_;
 }
 
 void

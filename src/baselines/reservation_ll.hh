@@ -19,6 +19,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -64,12 +65,14 @@ sim::TaskShare nodeShare(const workload::Workload &w, double t, int cores,
 
 /**
  * Least-loaded placement: fill `nodes` shares of (cores, memory) on
- * the servers with the lowest allocated-core fraction.
+ * the first servers of `order`, leastLoadedOrder(cluster) as of the
+ * call.
  * @return ids of servers used (possibly fewer than requested).
  */
 std::vector<ServerId>
-placeLeastLoaded(sim::Cluster &cluster, const workload::Workload &w,
-                 double t, const Reservation &res, bool best_effort);
+placeLeastLoaded(sim::Cluster &cluster, const std::vector<ServerId> &order,
+                 const workload::Workload &w, double t,
+                 const Reservation &res, bool best_effort);
 
 /**
  * The reservation lifecycle the reservation-based baselines share:
@@ -115,6 +118,13 @@ class ReservationManager : public driver::ClusterManager
     /** Retry the queue in arrival order; onTick and onCompletion. */
     void retryQueue(double t);
 
+    /**
+     * leastLoadedOrder(cluster_), sorted again only once the cluster's
+     * change journal has moved on: a retry round whose attempts all
+     * fail reuses one order for every queued reservation.
+     */
+    const std::vector<ServerId> &leastLoaded();
+
     sim::Cluster &cluster_;
     workload::WorkloadRegistry &registry_;
     stats::Rng rng_;
@@ -130,6 +140,9 @@ class ReservationManager : public driver::ClusterManager
      *  after the run (bench/fig01, the ReservationLL tests). */
     std::unordered_map<WorkloadId, Reservation> reservations_;
     std::vector<WorkloadId> queue_;
+    std::vector<ServerId> ll_order_;
+    /** Journal end() ll_order_ was sorted at (none yet: max). */
+    uint64_t ll_order_at_ = UINT64_MAX;
 };
 
 /** Reservation + least-loaded manager. */

@@ -71,6 +71,7 @@ void
 Classifier::History::addOnline(SparseRow row, size_t max_rows)
 {
     online.push_back(std::move(row));
+    ++online_added;
     if (online.size() > max_rows)
         online.erase(online.begin(),
                      online.begin() + (online.size() - max_rows));
@@ -156,16 +157,25 @@ Classifier::exhaustiveCols(WorkloadType t) const
 }
 
 std::vector<double>
-Classifier::completeRow(History &h, const SparseRow &observed) const
+Classifier::completeRow(History &h, const SparseRow &observed)
 {
-    size_t rows_now = h.seeds.size() + h.online.size();
-    bool stale = !h.has_model ||
-                 rows_now > h.fitted_rows + h.fitted_rows / 5 + 8;
+    const size_t rows_seen = h.seeds.size() + h.online_added;
+    bool stale = !h.has_model || rows_seen >= 2 * h.fitted_seen + 8;
     if (stale) {
+        auto start = std::chrono::steady_clock::now();
+        const linalg::MaskedMatrix m = h.build();
         h.model = linalg::PqModel(cfg_.pq);
-        h.model.fit(h.build());
-        h.fitted_rows = rows_now;
+        h.model.fit(m);
+        h.fitted_seen = rows_seen;
         h.has_model = true;
+        const size_t epochs = h.model.epochsRun();
+        ++fit_counters_.fits;
+        fit_counters_.epochs += epochs;
+        fit_counters_.capped_fits += epochs == cfg_.pq.max_epochs;
+        fit_counters_.entry_visits += epochs * m.numObserved();
+        fit_counters_.fit_s += std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count();
     }
     return h.model.foldInRow(observed.entries);
 }
@@ -475,6 +485,22 @@ Classifier::feedbackScaleUp(WorkloadEstimate &est, size_t column,
     // classifications see it (the paper's feedback loop).
     scaleUpHistory(est.type).addOnline(std::move(row),
                                        cfg_.max_history_rows);
+}
+
+bool
+Classifier::historyFull(Axis axis, WorkloadType t) const
+{
+    const History *h = &heterogeneity_;
+    if (cfg_.exhaustive)
+        h = t == WorkloadType::Analytics ? &exhaustive_analytics_
+                                         : &exhaustive_generic_;
+    else if (axis == Axis::ScaleUp)
+        h = &scaleUpHistory(t);
+    else if (axis == Axis::ScaleOut)
+        h = &scale_out_[size_t(t)];
+    else if (axis == Axis::Interference)
+        h = &interference_[size_t(t)];
+    return h->online.size() >= cfg_.max_history_rows;
 }
 
 size_t

@@ -26,6 +26,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/estimate.hh"
@@ -50,6 +51,26 @@ struct ClassifierConfig
     size_t max_history_rows = 300;
     /** Use the single exhaustive classification (ablation mode). */
     bool exhaustive = false;
+};
+
+/** The four parallel classifications (paper Sec. 3.2). */
+enum class Axis
+{
+    ScaleUp,
+    ScaleOut,
+    Heterogeneity,
+    Interference,
+};
+constexpr size_t kNumAxes = 4;
+
+/** Latent-factor fit work done so far, summed over every matrix. */
+struct FitCounters
+{
+    uint64_t fits = 0;         ///< PqModel::fit calls.
+    uint64_t epochs = 0;       ///< sum of PqModel::epochsRun().
+    uint64_t capped_fits = 0;  ///< fits whose SGD ran max_epochs.
+    uint64_t entry_visits = 0; ///< sum of epochs x observed entries.
+    double fit_s = 0.0;        ///< host wall-clock seconds in fit.
 };
 
 /** The four (or one, in exhaustive mode) CF classifications. */
@@ -88,6 +109,13 @@ class Classifier
     size_t onlineRows() const;
     size_t seedRows() const;
     const ClassifierConfig &config() const { return cfg_; }
+    const FitCounters &fitCounters() const { return fit_counters_; }
+    /**
+     * Whether the matrix that classifies workloads of type t along
+     * `axis` holds max_history_rows online rows (in exhaustive mode
+     * every axis reads the one exhaustive matrix).
+     */
+    bool historyFull(Axis axis, workload::WorkloadType t) const;
     /// @}
 
   private:
@@ -104,9 +132,12 @@ class Classifier
         std::vector<SparseRow> seeds;
         std::vector<SparseRow> online;
 
-        /** Cached latent-factor fit (refit as the history grows). */
+        /** Cached latent-factor fit (refit schedule: completeRow). */
         linalg::PqModel model;
-        size_t fitted_rows = 0;
+        /** Online rows ever added, evicted ones included. */
+        size_t online_added = 0;
+        /** Seed + online rows ever added when the model was fitted. */
+        size_t fitted_seen = 0;
         bool has_model = false;
 
         void addOnline(SparseRow row, size_t max_rows);
@@ -114,12 +145,17 @@ class Classifier
     };
 
     /**
-     * Fold the observed row into the history's cached model,
-     * refitting first when the history has grown materially since the
-     * last fit (amortized: per-arrival cost stays at a few msec).
+     * Fold the observed row into the history's cached model, refitting
+     * first on a doubling schedule: once the rows ever added (seeds
+     * included, evicted online rows too) reach 2 x their count at the
+     * last fit + 8. Below the history cap that is 2 x the rows the
+     * last fit saw + 8; at the cap the model keeps learning, with
+     * geometrically spaced refits. A fit is on at most the rows ever
+     * added at its time, and those counts at least double from fit to
+     * fit, so the rows fitted in total stay below twice the rows ever
+     * added: per-arrival fit work is bounded by a constant.
      */
-    std::vector<double> completeRow(History &h,
-                                    const SparseRow &observed) const;
+    std::vector<double> completeRow(History &h, const SparseRow &observed);
 
     WorkloadEstimate classifyParallel(const workload::Workload &w,
                                       const profiling::ProfilingData &d);
@@ -160,6 +196,8 @@ class Classifier
 
     History exhaustive_analytics_;
     History exhaustive_generic_;
+
+    FitCounters fit_counters_;
 };
 
 } // namespace quasar::core

@@ -232,3 +232,58 @@ TEST(BenchReport, ArgsParserStopsOnHelpAndUnknownArguments)
     testing::internal::GetCapturedStderr();
     EXPECT_FALSE(partial.smoke);
 }
+
+TEST(BenchReport, AccuracyProbeLeavesPlacementsAndDecisionsAlone)
+{
+    // A small overloaded churn stream with the controller on, so both
+    // the placement fold and the controller's decision hash move.
+    churn::ChurnConfig ccfg;
+    ccfg.seed = 515;
+    ccfg.arrival_rate_per_s = 0.5;
+    ccfg.horizon_s = 300.0;
+    ccfg.phase_change_fraction = 0.1;
+    ccfg.service_lifetime = tracegen::DurationSpec::lognormal(150.0, 0.6);
+    ccfg.batch_lifetime = tracegen::DurationSpec::exponential(60.0);
+    core::QuasarConfig qcfg = bench::streamConfig(ccfg.horizon_s);
+    qcfg.overload.enabled = true;
+    qcfg.overload.depth_pressured = 2;
+    qcfg.overload.depth_overloaded = 4;
+    qcfg.overload.brownout = true;
+
+    auto run = [&](bool probe, uint64_t &decisions) {
+        churn::ChurnEngine engine(ccfg);
+        return bench::runStream(
+            bench::clusterOfSize(40), engine, qcfg, ccfg.horizon_s,
+            bench::FoldWord::CoresAllocated,
+            [&](const core::QuasarManager &mgr,
+                const driver::ScenarioDriver &,
+                const std::vector<churn::ChurnItem> &) {
+                decisions = mgr.overload().decisionHash();
+            },
+            probe);
+    };
+    uint64_t on_decisions = 0;
+    uint64_t off_decisions = 0;
+    bench::StreamReport on = run(true, on_decisions);
+    bench::StreamReport off = run(false, off_decisions);
+
+    EXPECT_EQ(on.placement_hash, off.placement_hash);
+    EXPECT_EQ(on_decisions, off_decisions);
+    EXPECT_EQ(on.placements_ok, off.placements_ok);
+    EXPECT_EQ(on.fits.fits, off.fits.fits);
+    EXPECT_EQ(on.fits.epochs, off.fits.epochs);
+    EXPECT_GT(on.placements_ok, 0u);
+    EXPECT_NE(on_decisions, bench::kFnvBasis); // the controller acted
+
+    // The probe scored every arrival on the axes that apply to all of
+    // them; the unprobed run scored nothing.
+    size_t scored = on.accuracy.growing[0].count() +
+                    on.accuracy.at_cap[0].count();
+    EXPECT_GT(scored, 0u);
+    EXPECT_GT(on.accuracy.growing[size_t(core::Axis::Heterogeneity)].count(),
+              0u);
+    for (size_t a = 0; a < core::kNumAxes; ++a)
+        EXPECT_EQ(off.accuracy.growing[a].count() +
+                      off.accuracy.at_cap[a].count(),
+                  0u);
+}

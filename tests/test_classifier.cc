@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/classifier.hh"
+#include "linalg/pq_model.hh"
 #include "stats/summary.hh"
 #include "workload/factory.hh"
 
@@ -115,6 +117,97 @@ TEST(Classifier, HistoryGrowsAndIsBounded)
     // Online rows per matrix are capped at 10; generic scale-up, het,
     // interference (and no scale-out for single-node).
     EXPECT_LE(clf.onlineRows(), 3u * 10);
+}
+
+namespace
+{
+
+/**
+ * Classify `arrivals` single-node workloads with no offline seeds and
+ * return the arrival indices at which the matrices refit. The generic
+ * scale-up, heterogeneity and interference matrices each gain one row
+ * per arrival, so they refit together.
+ */
+std::vector<size_t>
+refitArrivals(size_t max_history_rows, size_t arrivals)
+{
+    World w;
+    ClassifierConfig cfg;
+    cfg.max_history_rows = max_history_rows;
+    Classifier clf(w.profiler, cfg, 1);
+    std::vector<size_t> fitted_at;
+    for (size_t i = 0; i < arrivals; ++i) {
+        uint64_t before = clf.fitCounters().fits;
+        Workload job = w.factory.singleNodeJob("s", "mix");
+        clf.classify(job, w.profiler.profile(job, 0.0, w.rng));
+        uint64_t fits = clf.fitCounters().fits - before;
+        EXPECT_TRUE(fits == 0 || fits == 3) << "at arrival " << i;
+        if (fits)
+            fitted_at.push_back(i);
+    }
+    return fitted_at;
+}
+
+} // namespace
+
+TEST(Classifier, RefitScheduleDoubles)
+{
+    // Below the cap arrival i sees i rows: the first fit, then one at
+    // 2 x the last fit's rows + 8.
+    const std::vector<size_t> fitted_at = refitArrivals(1000, 200);
+    EXPECT_EQ(fitted_at, (std::vector<size_t>{0, 8, 24, 56, 120}));
+    size_t fitted_total = 0;
+    for (size_t rows : fitted_at)
+        fitted_total += rows;
+    EXPECT_LE(fitted_total, 2 * 200u + 8);
+}
+
+TEST(Classifier, RefitKeepsLearningAtTheCap)
+{
+    // The schedule counts rows added, not rows held: with 20 rows
+    // kept, the matrices still refit at 24, 56 and 120 rows added,
+    // each time on the 20 rows they hold.
+    const std::vector<size_t> fitted_at = refitArrivals(20, 130);
+    EXPECT_EQ(fitted_at, (std::vector<size_t>{0, 8, 24, 56, 120}));
+    size_t fitted_total = 0;
+    for (size_t i : fitted_at)
+        fitted_total += std::min<size_t>(i, 20);
+    EXPECT_LE(fitted_total, 2 * 130u);
+}
+
+TEST(Classifier, FitCountersMatchTheModels)
+{
+    World w;
+    ClassifierConfig cfg;
+    cfg.pq.max_epochs = 12;
+    cfg.pq.tolerance = 0.0; // no early stop: every fit runs 12 epochs
+    Classifier clf(w.profiler, cfg, 1);
+    clf.seedOffline(w.seeds(), 0.0);
+    EXPECT_EQ(clf.fitCounters().fits, 0u);
+    for (int i = 0; i < 12; ++i) {
+        Workload job = w.factory.singleNodeJob("s", "mix");
+        clf.classify(job, w.profiler.profile(job, 0.0, w.rng));
+    }
+
+    // The same stop rule on a model fitted directly.
+    linalg::MaskedMatrix m(6, 5);
+    for (size_t r = 0; r < 6; ++r)
+        for (size_t c = 0; c < 5; ++c)
+            if ((r + c) % 2 == 0)
+                m.set(r, c, double(r + 1) * 0.3 + double(c));
+    linalg::PqModel model(cfg.pq);
+    model.fit(m);
+    ASSERT_EQ(model.epochsRun(), 12u);
+
+    const core::FitCounters &fc = clf.fitCounters();
+    // Each of the three matrices a single-node arrival reads fits on
+    // its seed rows at least.
+    EXPECT_GE(fc.fits, 3u);
+    EXPECT_EQ(fc.epochs, fc.fits * model.epochsRun());
+    EXPECT_EQ(fc.capped_fits, fc.fits);
+    EXPECT_EQ(fc.entry_visits % model.epochsRun(), 0u);
+    EXPECT_GT(fc.entry_visits, fc.epochs);
+    EXPECT_GT(fc.fit_s, 0.0);
 }
 
 TEST(Classifier, PlatformFactorsTrackSpeedOrdering)
