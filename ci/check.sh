@@ -184,7 +184,7 @@ cmake --build build-verify -j "$JOBS" --target quasar_tests
 # managers' pinned streams (and their crash storms) and the AutoScale
 # suite its scaling loop and queue retries under the per-tick sweeps.
 ./build-verify/tests/quasar_tests \
-    --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:FailureMemo*.*:FirstNodeVerdict.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:ChurnClosedLoop.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*:PerfOracle*.*:FoldInReference.*:JacobiReference.*:BucketSkip.*:WalkCounts.*:ManagerLifecycle.*:ReservationBaselines.*:AutoScale.*'
+    --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:FailureMemo*.*:FirstNodeVerdict.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:ChurnEngine.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*:PerfOracle*.*:FoldInReference.*:JacobiReference.*:BucketSkip.*:WalkCounts.*:ManagerLifecycle.*:ReservationBaselines.*:AutoScale.*'
 
 echo "== clean tree: no tracked file modified =="
 if [ "$(tracked_state)" != "$TRACKED_BEFORE" ]; then

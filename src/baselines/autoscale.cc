@@ -14,6 +14,8 @@ namespace
 constexpr double kScaleOutRho = 0.70;
 /** Remove one below this low-water mark, down to one instance. */
 constexpr double kScaleInRho = 0.25;
+/** Consecutive hot ticks required before scaling out. */
+constexpr int kHotTicks = 2;
 /** Cores of a fixed-size instance (capped at the machine's). */
 constexpr int kInstanceCores = 8;
 /** Stateful scale-out moves shards at this bandwidth, GB/s ... */
@@ -112,7 +114,7 @@ AutoScaleManager::onTick(double t)
             continue;
         double rho = observedRho(w, t);
         if (rho > kScaleOutRho) {
-            if (++hot_streak_[id] >= cfg_.hot_ticks &&
+            if (++hot_streak_[id] >= kHotTicks &&
                 int(hosting.size()) < cfg_.max_instances) {
                 addInstance(w, t);
                 hot_streak_[id] = 0;
@@ -129,7 +131,7 @@ void
 AutoScaleManager::onCompletion(WorkloadId id, double t)
 {
     hot_streak_.erase(id);
-    // Retry the queue only: a completion is not a tick, and hot_ticks
+    // Retry the queue only: a completion is not a tick, and kHotTicks
     // counts ticks.
     ReservationManager::onCompletion(id, t);
 }

@@ -23,16 +23,14 @@ namespace quasar::baselines
 {
 
 /**
- * Auto-scaling policy knobs. The utilization thresholds, the instance
- * core count, the one-instance floor and the stateful migration model
- * are constants in autoscale.cc.
+ * Auto-scaling policy knobs. The utilization thresholds, the hot-tick
+ * streak, the instance core count, the one-instance floor and the
+ * stateful migration model are constants in autoscale.cc.
  */
 struct AutoScaleConfig
 {
     int max_instances = 8;
     double instance_memory_gb = 16.0;
-    /** Consecutive hot ticks required before scaling out. */
-    int hot_ticks = 2;
 };
 
 /**

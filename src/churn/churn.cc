@@ -73,6 +73,29 @@ lifetimeSpec(const ChurnConfig &cfg, ChurnClass cls)
     return cfg.batch_lifetime;
 }
 
+/**
+ * Next inter-arrival gap as seen from time t: the process's raw gap,
+ * divided by the rate profile's multiplier at t (infinite when the
+ * process rate is zero).
+ */
+double
+pacedGap(const ChurnConfig &cfg, tracegen::ArrivalProcess &process,
+         stats::Rng &pacing, double t)
+{
+    double gap = process.nextGap(pacing);
+    if (!std::isfinite(gap) || !cfg.rate_pattern)
+        return gap;
+    // The profile is a unit-less multiplier on the configured rate:
+    // 2x the rate halves the gap. A (near-)zero profile value means
+    // "no arrivals right now" — step a fixed beat forward instead of
+    // dividing toward infinity, so the stream resumes when the
+    // profile does.
+    double mult = cfg.rate_pattern->qpsAt(t);
+    if (mult <= 1e-9)
+        return gap + 1.0 / std::max(cfg.arrival_rate_per_s, 1e-9);
+    return gap / mult;
+}
+
 } // namespace
 
 Workload
@@ -166,112 +189,56 @@ installPlanned(ChurnItem item, Workload w, double horizon_s,
 }
 
 void
-ChurnEngine::emitArrival(double t)
-{
-    ChurnItem item;
-    item.cls = drawClass(cfg_.mix, factory_->rng());
-    item.arrival_s = t;
-    Workload w =
-        makeChurnWorkload(item.cls, next_idx_, *factory_, *cluster_);
-
-    double life = tracegen::sampleDuration(
-        lifetimeSpec(cfg_, item.cls), *lifetimes_);
-    if (life > 0.0 && t + life < cfg_.horizon_s)
-        item.depart_s = t + life;
-    item.phase_change = phases_->chance(cfg_.phase_change_fraction);
-
-    installPlanned(item, std::move(w), cfg_.horizon_s, *factory_,
-                   *registry_, *driver_, plan_, counts_);
-    ++next_idx_;
-}
-
-double
-ChurnEngine::pacedGap(double t)
-{
-    double gap = process_->nextGap(*pacing_);
-    if (!std::isfinite(gap) || !cfg_.rate_pattern)
-        return gap;
-    // The profile is a unit-less multiplier on the configured rate:
-    // 2x the rate halves the gap. A (near-)zero profile value means
-    // "no arrivals right now" — step a fixed beat forward instead of
-    // dividing toward infinity, so the stream resumes when the
-    // profile does.
-    double mult = cfg_.rate_pattern->qpsAt(t);
-    if (mult <= 1e-9)
-        return gap + 1.0 / std::max(cfg_.arrival_rate_per_s, 1e-9);
-    return gap / mult;
-}
-
-void
-ChurnEngine::closedLoopStep()
-{
-    double t = driver_->events().now();
-    // Backpressure: a saturated admission queue makes the would-be
-    // tenant walk away (a deferral), not queue up. Pacing continues
-    // regardless, so the probe is consulted exactly once per instant
-    // and the stream stays deterministic for a deterministic manager.
-    if (depth_probe_ && depth_probe_() >= cfg_.closed_loop_target)
-        ++deferrals_;
-    else
-        emitArrival(t);
-
-    double gap = pacedGap(t);
-    if (!std::isfinite(gap))
-        return; // zero-rate process: the stream is over
-    double next = t + gap;
-    if (next < cfg_.horizon_s)
-        driver_->events().schedule(next,
-                                   [this]() { closedLoopStep(); });
-}
-
-void
 ChurnEngine::install(sim::Cluster &cluster,
                      workload::WorkloadRegistry &registry,
                      driver::ScenarioDriver &driver)
 {
-    assert(plan_.empty() && !factory_ &&
-           "install() must be called once");
-    cluster_ = &cluster;
-    registry_ = &registry;
-    driver_ = &driver;
+    assert(plan_.empty() && "install() must be called once");
 
     // Independent streams so a different mix draw never perturbs the
     // arrival clock (and vice versa): pacing, population, and
     // lifetimes each consume their own fork of the master seed.
     stats::Rng master(cfg_.seed);
-    pacing_ = std::make_unique<stats::Rng>(master.fork());
-    factory_ =
-        std::make_unique<workload::WorkloadFactory>(master.fork());
-    lifetimes_ = std::make_unique<stats::Rng>(master.fork());
-    phases_ = std::make_unique<stats::Rng>(master.fork());
+    stats::Rng pacing = master.fork();
+    workload::WorkloadFactory factory{master.fork()};
+    stats::Rng lifetimes = master.fork();
+    stats::Rng phases = master.fork();
 
+    std::unique_ptr<tracegen::ArrivalProcess> process;
     if (cfg_.arrivals == ArrivalKind::Pareto)
-        process_ = std::make_unique<tracegen::ParetoArrivals>(
+        process = std::make_unique<tracegen::ParetoArrivals>(
             cfg_.arrival_rate_per_s > 0.0
                 ? 1.0 / cfg_.arrival_rate_per_s
                 : 0.0,
             cfg_.pareto_alpha);
     else
-        process_ = std::make_unique<tracegen::PoissonArrivals>(
+        process = std::make_unique<tracegen::PoissonArrivals>(
             cfg_.arrival_rate_per_s);
 
-    if (cfg_.closed_loop) {
-        // Lazy generation: each pacing instant draws its arrival (or
-        // defers) with simulation-time knowledge of the probed depth.
-        if (cfg_.start_s < cfg_.horizon_s)
-            driver.events().schedule(cfg_.start_s,
-                                     [this]() { closedLoopStep(); });
-    } else {
-        // Open loop: the whole plan is generated here, before the
-        // run, and never consults simulation state.
-        double t = cfg_.start_s;
-        while (t < cfg_.horizon_s) {
-            emitArrival(t);
-            double gap = pacedGap(t);
-            if (!std::isfinite(gap))
-                break; // zero-rate process: the stream is over
-            t += gap;
-        }
+    // The whole plan is generated here, before the run, and never
+    // consults simulation state.
+    size_t idx = 0;
+    double t = cfg_.start_s;
+    while (t < cfg_.horizon_s) {
+        ChurnItem item;
+        item.cls = drawClass(cfg_.mix, factory.rng());
+        item.arrival_s = t;
+        Workload w = makeChurnWorkload(item.cls, idx, factory, cluster);
+
+        double life = tracegen::sampleDuration(
+            lifetimeSpec(cfg_, item.cls), lifetimes);
+        if (life > 0.0 && t + life < cfg_.horizon_s)
+            item.depart_s = t + life;
+        item.phase_change = phases.chance(cfg_.phase_change_fraction);
+
+        installPlanned(item, std::move(w), cfg_.horizon_s, factory,
+                       registry, driver, plan_, counts_);
+        ++idx;
+
+        double gap = pacedGap(cfg_, *process, pacing, t);
+        if (!std::isfinite(gap))
+            break; // zero-rate process: the stream is over
+        t += gap;
     }
 
     if (cfg_.server_mttf_s > 0.0) {

@@ -13,34 +13,23 @@
  * workloads (open-loop departures), optional mid-life phase changes,
  * and optional stochastic server faults riding the same stream.
  *
- * Open- vs closed-loop: by default the stream is OPEN-loop — the
- * entire plan is generated ahead of time from the config's seed and
- * never consults simulation state, so arrivals do not wait for
- * completions and an overloaded manager faces a growing admission
+ * The stream is OPEN-loop: install() generates the entire plan from
+ * the config's seed before the run and never consults simulation
+ * state, so the plan is complete after install(). Arrivals do not wait
+ * for completions; an overloaded manager faces a growing admission
  * queue instead of a conveniently throttled trace. That is also the
  * replay contract: identical (config, seed) produces the identical
  * event stream no matter which scheduler mode or manager runs
  * underneath, which is what lets the equivalence sweeps compare
  * decision paths event for event and the benches compare sustained
  * decision throughput.
- *
- * The CLOSED-loop variant (cfg.closed_loop) models tenants that back
- * off when the cluster is saturated: each pacing instant consults a
- * depth probe (typically the manager's admission-queue size) and
- * skips the arrival while depth >= closed_loop_target, counting it as
- * a deferral. Generation is lazy — each arrival is drawn at its
- * pacing instant from the same forked RNG streams — so the stream is
- * still a pure function of (config, seed, manager behavior): the same
- * manager under the same seed replays the identical stream.
  */
 
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "tracegen/arrivals.hh"
 #include "tracegen/load_pattern.hh"
 
 #include "driver/scenario.hh"
@@ -110,14 +99,6 @@ struct ChurnConfig
 
     /** Fraction of arrivals that morph mid-life (phase change). */
     double phase_change_fraction = 0.08;
-
-    /** @name Closed-loop pacing (see file comment) */
-    /// @{
-    /** Condition arrivals on the depth probe instead of open-loop. */
-    bool closed_loop = false;
-    /** Defer arrivals while the probed depth is >= this. */
-    size_t closed_loop_target = 64;
-    /// @}
 
     /** @name Stochastic machine faults (0 mttf disables; a quarter of
      *  the faults degrade a server instead of crashing it) */
@@ -204,63 +185,19 @@ class ChurnEngine
                  workload::WorkloadRegistry &registry,
                  driver::ScenarioDriver &driver);
 
-    /**
-     * Closed-loop depth source, consulted once per pacing instant
-     * (e.g. [&m] { return m.admission().size(); }). Set before
-     * install(); without a probe the closed loop never defers and
-     * degenerates to open-loop pacing.
-     */
-    void setDepthProbe(std::function<size_t()> probe)
-    {
-        depth_probe_ = std::move(probe);
-    }
-
-    /**
-     * The generated plan, in arrival order. Open-loop: complete after
-     * install(). Closed-loop: grows as the run generates lazily.
-     */
+    /** The generated plan, in arrival order; complete after install(). */
     const std::vector<ChurnItem> &plan() const { return plan_; }
 
     const ChurnCounts &counts() const { return counts_; }
-
-    /** Arrivals skipped by closed-loop backpressure so far. */
-    size_t deferrals() const { return deferrals_; }
 
     /** The armed fault injector; null when faults are disabled. */
     const sim::FaultInjector *faults() const { return faults_.get(); }
 
   private:
-    /** Draw + register + schedule one arrival at time t. */
-    void emitArrival(double t);
-    /** One closed-loop pacing instant: maybe emit, then re-arm. */
-    void closedLoopStep();
-    /**
-     * Next inter-arrival gap as seen from time t: the process's raw
-     * gap, divided by the rate profile's multiplier at t (infinite
-     * when the process rate is zero).
-     */
-    double pacedGap(double t);
-
     ChurnConfig cfg_;
     std::vector<ChurnItem> plan_;
     ChurnCounts counts_;
     std::unique_ptr<sim::FaultInjector> faults_;
-
-    /** @name Generation state (lazy generation keeps them live) */
-    /// @{
-    sim::Cluster *cluster_ = nullptr;
-    workload::WorkloadRegistry *registry_ = nullptr;
-    driver::ScenarioDriver *driver_ = nullptr;
-    std::unique_ptr<stats::Rng> pacing_;
-    std::unique_ptr<stats::Rng> lifetimes_;
-    std::unique_ptr<stats::Rng> phases_;
-    std::unique_ptr<workload::WorkloadFactory> factory_;
-    std::unique_ptr<tracegen::ArrivalProcess> process_;
-    /// @}
-
-    std::function<size_t()> depth_probe_;
-    size_t deferrals_ = 0;
-    size_t next_idx_ = 0;
 };
 
 } // namespace quasar::churn

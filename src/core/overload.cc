@@ -209,7 +209,7 @@ OverloadController::noteRestore(WorkloadId id, double t)
 bool
 OverloadController::beginScaleRound(double t)
 {
-    if (!cfg_.enabled || cfg_.policy == ScalingPolicyKind::None)
+    if (!cfg_.enabled)
         return false;
     if (last_scale_ >= 0.0 && t - last_scale_ < cfg_.scale_interval_s)
         return false;
@@ -221,7 +221,7 @@ double
 OverloadController::updateBoost(WorkloadId id, double measured_norm,
                                 double t)
 {
-    if (!cfg_.enabled || cfg_.policy == ScalingPolicyKind::None)
+    if (!cfg_.enabled)
         return 1.0;
     ServiceControl &sc = services_[id];
     double dt = sc.last_update >= 0.0 ? t - sc.last_update

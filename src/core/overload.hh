@@ -67,11 +67,10 @@ enum class OverloadState
 
 const char *overloadStateName(OverloadState s);
 
-/** Whether the service autoscaler runs. */
+/** The service autoscaler's control law. */
 enum class ScalingPolicyKind
 {
-    None, ///< autoscaler disabled (boost is always 1).
-    Pi,   ///< PI control with anti-windup (PerfEnforce-style).
+    Pi, ///< PI control with anti-windup (PerfEnforce-style).
 };
 
 /** All overload-control knobs (QuasarConfig::overload). */

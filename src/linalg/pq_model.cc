@@ -181,8 +181,7 @@ PqModel::foldInRow(
     const std::vector<std::pair<size_t, double>> &observed) const
 {
     const size_t k = q_.cols();
-    const double lambda =
-        std::max(cfg_.fold_in_regularization, 1e-4);
+    const double lambda = kFoldInRegularization;
     const double lambda_b = 1.0;
 
     // The ridge matrix P_o^T P_o + lambda n I does not depend on the

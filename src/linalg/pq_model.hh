@@ -24,6 +24,9 @@
 namespace quasar::linalg
 {
 
+/** Ridge strength (per observation) used when folding in rows. */
+constexpr double kFoldInRegularization = 0.01;
+
 /** Hyperparameters for PQ-reconstruction. */
 struct PqConfig
 {
@@ -33,8 +36,6 @@ struct PqConfig
     size_t max_epochs = 300;    ///< SGD epoch limit.
     double tolerance = 1e-6;    ///< stop when epoch RMSE delta is below.
     uint64_t seed = 42;         ///< entry-visit shuffle seed.
-    /** Ridge strength (per observation) used when folding in rows. */
-    double fold_in_regularization = 0.01;
 };
 
 /** Trained latent-factor model over a masked matrix. */

@@ -294,7 +294,7 @@ Server::contentionFor(WorkloadId w) const
 {
     const TaskShare *self = share(w);
     int socket = self ? self->socket : 0;
-    std::array<IVector, topology::kMaxSockets> local;
+    std::array<IVector, topology::kMaxSockets> local{};
     localPressureExcluding(w, local);
     return normalizeAt(viewFromLocal(local, socket), socket, self);
 }
@@ -309,7 +309,7 @@ IVector
 Server::contentionForNewcomerAt(int socket) const
 {
     assert(socket >= 0 && socket < num_sockets_);
-    std::array<IVector, topology::kMaxSockets> local;
+    std::array<IVector, topology::kMaxSockets> local{};
     localPressureExcluding(kInvalidWorkload, local);
     return normalizeAt(viewFromLocal(local, socket), socket, nullptr);
 }
@@ -319,7 +319,7 @@ Server::socketSnapshot() const
 {
     SocketSnapshot snap;
     snap.sockets = num_sockets_;
-    std::array<IVector, topology::kMaxSockets> local;
+    std::array<IVector, topology::kMaxSockets> local{};
     localPressureExcluding(kInvalidWorkload, local);
     for (int s = 0; s < num_sockets_; ++s)
         snap.contention[size_t(s)] =
@@ -332,7 +332,7 @@ Server::socketSnapshot() const
 IVector
 Server::freshSocketPressure(int socket) const
 {
-    std::array<IVector, topology::kMaxSockets> local;
+    std::array<IVector, topology::kMaxSockets> local{};
     localPressureExcluding(kInvalidWorkload, local);
     return local[size_t(socket)];
 }

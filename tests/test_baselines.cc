@@ -154,9 +154,7 @@ TEST(AutoScale, ScalesOutUnderLoadAndBackIn)
 {
     sim::Cluster cluster = sim::Cluster::localCluster();
     workload::WorkloadRegistry registry;
-    AutoScaleConfig cfg;
-    cfg.hot_ticks = 1;
-    AutoScaleManager mgr(cluster, registry, cfg, 15);
+    AutoScaleManager mgr(cluster, registry, AutoScaleConfig{}, 15);
     driver::ScenarioDriver drv(cluster, registry, mgr,
                                driver::DriverConfig{.tick_s = 10.0});
     workload::WorkloadFactory f{stats::Rng(16)};

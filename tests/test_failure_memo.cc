@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/report.hh"
 #include "churn/churn.hh"
 #include "core/classifier.hh"
 #include "core/failure_memo.hh"
@@ -457,7 +458,7 @@ namespace
 
 struct MemoRun
 {
-    uint64_t placement_hash = 0xCBF29CE484222325ULL;
+    uint64_t placement_hash = bench::kFnvBasis;
     uint64_t decision_hash = 0;
     size_t scheduled = 0;
     size_t queued = 0;
@@ -472,24 +473,6 @@ struct MemoRun
     uint64_t oracle_checks = 0;
 #endif
 };
-
-void
-foldCluster(const sim::Cluster &cluster, uint64_t &h)
-{
-    auto fold = [&h](uint64_t v) {
-        h ^= v;
-        h *= 0x100000001B3ULL;
-    };
-    for (size_t s = 0; s < cluster.size(); ++s) {
-        const sim::Server &srv = cluster.server(ServerId(s));
-        fold(uint64_t(s) << 32 | uint64_t(srv.coresAllocated()));
-        for (const sim::TaskShare &t : srv.tasks()) {
-            fold(uint64_t(t.workload));
-            fold(uint64_t(t.cores));
-            fold(uint64_t(t.socket));
-        }
-    }
-}
 
 enum class Stream
 {
@@ -523,7 +506,10 @@ runStream(Stream stream, bool memo, uint64_t seed)
 #ifdef QUASAR_VERIFY
     const uint64_t checks_before = verify::counters().skipped_retry_checks;
 #endif
-    drv.setTickHook([&](double) { foldCluster(cluster, r.placement_hash); });
+    drv.setTickHook([&](double) {
+        bench::foldPlacements(cluster, bench::FoldWord::CoresAllocated,
+                              r.placement_hash);
+    });
     if (stream == Stream::Azure) {
         trace::TraceStream s = trace::parseAzureVmFile(
             std::string(QUASAR_SOURCE_DIR) + "/tests/traces/azure_vmtable.csv");

@@ -424,8 +424,7 @@ referenceFoldIn(const PqModel &model,
     const size_t k = p.cols();
     std::vector<double> qu(k, 0.0);
     double bu = 0.0;
-    const double lambda =
-        std::max(model.config().fold_in_regularization, 1e-4);
+    const double lambda = kFoldInRegularization;
     for (int iter = 0; iter < 20; ++iter) {
         double acc = 0.0;
         for (const auto &[c, v] : observed) {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 
+#include "bench/report.hh"
 #include "churn/churn.hh"
 #include "core/manager.hh"
 #include "core/overload.hh"
@@ -209,14 +210,10 @@ TEST(ScalingPolicy, PiAntiWindupRecoversImmediately)
 
 TEST(ScalingPolicy, FactoryHonorsKind)
 {
-    // Kind::None switches the autoscaler off: no round is due and the
-    // boost stays 1; Kind::Pi runs the controller.
+    // Kind::Pi runs the controller: a round is due at once and a
+    // shortfall raises the boost above 1.
     OverloadConfig oc;
     oc.enabled = true;
-    oc.policy = core::ScalingPolicyKind::None;
-    core::OverloadController off(oc);
-    EXPECT_FALSE(off.beginScaleRound(0.0));
-    EXPECT_EQ(off.updateBoost(1, 0.2, 0.0), 1.0);
     oc.policy = core::ScalingPolicyKind::Pi;
     core::OverloadController on(oc);
     EXPECT_TRUE(on.beginScaleRound(0.0));
@@ -464,30 +461,13 @@ namespace
 
 struct ReplayResult
 {
-    uint64_t placement_hash = 0xCBF29CE484222325ULL;
+    uint64_t placement_hash = bench::kFnvBasis;
     uint64_t decision_hash = 0;
     size_t shed = 0;
     size_t deferred = 0;
     size_t arrivals = 0;
     size_t accounted = 0; ///< completed + departed + shed + active.
 };
-
-void
-foldCluster(const sim::Cluster &cluster, uint64_t &h)
-{
-    auto fold = [&h](uint64_t v) {
-        h ^= v;
-        h *= 0x100000001B3ULL;
-    };
-    for (size_t s = 0; s < cluster.size(); ++s) {
-        const sim::Server &srv = cluster.server(ServerId(s));
-        fold(uint64_t(s) << 32 | uint64_t(srv.coresAllocated()));
-        for (const sim::TaskShare &t : srv.tasks()) {
-            fold(uint64_t(t.workload));
-            fold(uint64_t(t.cores));
-        }
-    }
-}
 
 /** One seeded churn run with overload control on, in one mode. */
 ReplayResult
@@ -528,8 +508,10 @@ replayRun(uint64_t seed, bool full_rescan)
     churn_engine.install(cluster, registry, drv);
 
     ReplayResult r;
-    drv.setTickHook(
-        [&](double) { foldCluster(cluster, r.placement_hash); });
+    drv.setTickHook([&](double) {
+        bench::foldPlacements(cluster, bench::FoldWord::CoresAllocated,
+                              r.placement_hash);
+    });
     drv.run(ccfg.horizon_s);
 
     r.decision_hash = mgr.overload().decisionHash();
@@ -609,8 +591,11 @@ TEST(OverloadReplay, DisabledControllerLeavesDecisionsUntouched)
         ccfg.horizon_s = 300.0;
         churn::ChurnEngine eng(ccfg);
         eng.install(cluster, registry, drv);
-        uint64_t h = 0xCBF29CE484222325ULL;
-        drv.setTickHook([&](double) { foldCluster(cluster, h); });
+        uint64_t h = bench::kFnvBasis;
+        drv.setTickHook([&](double) {
+            bench::foldPlacements(cluster,
+                                  bench::FoldWord::CoresAllocated, h);
+        });
         drv.run(ccfg.horizon_s);
         return std::make_pair(h, mgr.overload().decisionHash());
     };

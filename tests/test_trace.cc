@@ -4,8 +4,9 @@
  * (table-driven malformed-row handling, diagnostics, never crash),
  * canonical-stream mapping (classification, pairing, rescaling),
  * replay determinism across scheduler modes and re-replays, the
- * trace synthesizer's fits, the closed-loop churn variant, and the
- * hosting-index / active-list fast paths behind them.
+ * trace synthesizer's fits, the churn plan's independence from the
+ * run and the manager, and the hosting-index / active-list fast paths
+ * behind them.
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +16,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #if defined(QUASAR_HAVE_ZLIB)
 #include <zlib.h>
 #endif
 
+#include "baselines/reservation_ll.hh"
 #include "churn/churn.hh"
 #include "core/manager.hh"
 #include "driver/scenario.hh"
@@ -779,116 +782,69 @@ TEST(TraceSynth, EmptyTraceYieldsDefaultsWithoutCrashing)
 }
 
 // ---------------------------------------------------------------------
-// Closed-loop churn
+// Churn plan
 // ---------------------------------------------------------------------
 
 namespace
 {
 
-struct ClosedLoopRun
-{
-    std::vector<double> arrivals;
-    std::vector<churn::ChurnClass> classes;
-    size_t deferrals = 0;
-};
+/** The manager-independent fields of one planned item. */
+using PlannedItem = std::tuple<double, churn::ChurnClass, double, bool>;
 
-ClosedLoopRun
-runClosedLoop(uint64_t seed, double rate, size_t target)
+/**
+ * Install one churn stream under mgr and run it to the horizon. The
+ * plan, the arrival count and the registry must agree right after
+ * install(), and the run must add nothing to any of them.
+ */
+std::vector<PlannedItem>
+planUnder(driver::ClusterManager &mgr, sim::Cluster &cluster,
+          workload::WorkloadRegistry &registry,
+          const churn::ChurnConfig &ccfg)
 {
-    sim::Cluster cluster = sim::Cluster::localCluster();
-    workload::WorkloadRegistry registry;
-    core::QuasarConfig cfg;
-    cfg.seed = 7;
-    core::QuasarManager mgr(cluster, registry, cfg);
-    workload::WorkloadFactory seeder{stats::Rng(8)};
-    mgr.seedOffline(seeder, 12);
     driver::ScenarioDriver drv(cluster, registry, mgr,
                                driver::DriverConfig{.tick_s = 10.0});
-
-    churn::ChurnConfig ccfg;
-    ccfg.seed = seed;
-    ccfg.arrival_rate_per_s = rate;
-    ccfg.horizon_s = 300.0;
-    ccfg.closed_loop = true;
-    ccfg.closed_loop_target = target;
     churn::ChurnEngine engine(ccfg);
-    engine.setDepthProbe([&mgr] { return mgr.admission().size(); });
     engine.install(cluster, registry, drv);
-    drv.run(ccfg.horizon_s);
+    const size_t planned = engine.plan().size();
+    EXPECT_GT(planned, 0u);
+    EXPECT_EQ(engine.counts().arrivals, planned);
+    EXPECT_EQ(registry.size(), planned);
 
-    ClosedLoopRun r;
-    for (const churn::ChurnItem &item : engine.plan()) {
-        r.arrivals.push_back(item.arrival_s);
-        r.classes.push_back(item.cls);
-    }
-    r.deferrals = engine.deferrals();
-    return r;
+    drv.run(ccfg.horizon_s);
+    EXPECT_EQ(engine.plan().size(), planned);
+    EXPECT_EQ(engine.counts().arrivals, planned);
+    EXPECT_EQ(registry.size(), planned);
+
+    std::vector<PlannedItem> out;
+    for (const churn::ChurnItem &item : engine.plan())
+        out.emplace_back(item.arrival_s, item.cls, item.depart_s,
+                         item.phase_change);
+    return out;
 }
 
 } // namespace
 
-TEST(ChurnClosedLoop, BackpressureDefersArrivalsUnderSaturation)
+TEST(ChurnEngine, PlanIsFixedAtInstall)
 {
-    // 2 arrivals/s at 40 servers floods the admission queue; a
-    // closed-loop target of 10 must start deferring, and the tight
-    // loop must admit strictly fewer tenants than a loose one.
-    ClosedLoopRun tight = runClosedLoop(3, 2.0, 10);
-    ClosedLoopRun loose = runClosedLoop(3, 2.0, 100000);
-    EXPECT_GT(tight.deferrals, 0u);
-    EXPECT_EQ(loose.deferrals, 0u);
-    EXPECT_LT(tight.arrivals.size(), loose.arrivals.size());
-    EXPECT_EQ(tight.arrivals.size() + tight.deferrals,
-              loose.arrivals.size() + loose.deferrals);
-}
+    // The stream is a pure function of (config, seed): complete once
+    // install() returns, and identical under managers that schedule it
+    // differently.
+    churn::ChurnConfig ccfg;
+    ccfg.seed = 21;
+    ccfg.arrival_rate_per_s = 0.4;
+    ccfg.horizon_s = 200.0;
 
-TEST(ChurnClosedLoop, SeededDeterminism)
-{
-    // Identical (config, seed, manager) must replay the identical
-    // stream: same arrival instants, same classes, same deferrals.
-    ClosedLoopRun a = runClosedLoop(5, 2.0, 10);
-    ClosedLoopRun b = runClosedLoop(5, 2.0, 10);
-    ASSERT_EQ(a.arrivals.size(), b.arrivals.size());
-    for (size_t i = 0; i < a.arrivals.size(); ++i) {
-        EXPECT_DOUBLE_EQ(a.arrivals[i], b.arrivals[i]) << i;
-        EXPECT_EQ(a.classes[i], b.classes[i]) << i;
-    }
-    EXPECT_EQ(a.deferrals, b.deferrals);
-}
+    sim::Cluster qc = sim::Cluster::localCluster();
+    workload::WorkloadRegistry qr;
+    core::QuasarManager quasar(qc, qr, core::QuasarConfig{});
+    std::vector<PlannedItem> a = planUnder(quasar, qc, qr, ccfg);
 
-TEST(ChurnClosedLoop, WithoutProbeMatchesOpenLoopStream)
-{
-    // No depth probe: the closed loop never defers, and its lazily
-    // generated stream must equal the open-loop plan for the same
-    // seed (same forked RNG streams, consumed in the same order).
-    churn::ChurnConfig base;
-    base.seed = 21;
-    base.arrival_rate_per_s = 0.4;
-    base.horizon_s = 200.0;
+    sim::Cluster lc = sim::Cluster::localCluster();
+    workload::WorkloadRegistry lr;
+    baselines::ReservationLLManager ll(lc, lr);
+    std::vector<PlannedItem> b = planUnder(ll, lc, lr, ccfg);
 
-    auto runStream = [&](bool closed) {
-        sim::Cluster cluster = sim::Cluster::localCluster();
-        workload::WorkloadRegistry registry;
-        core::QuasarConfig cfg;
-        core::QuasarManager mgr(cluster, registry, cfg);
-        driver::ScenarioDriver drv(cluster, registry, mgr);
-        churn::ChurnConfig ccfg = base;
-        ccfg.closed_loop = closed;
-        churn::ChurnEngine engine(ccfg);
-        engine.install(cluster, registry, drv);
-        if (closed)
-            drv.run(ccfg.horizon_s); // lazy generation needs the run
-        std::vector<std::pair<double, churn::ChurnClass>> out;
-        for (const churn::ChurnItem &item : engine.plan())
-            out.emplace_back(item.arrival_s, item.cls);
-        return out;
-    };
-    auto open = runStream(false);
-    auto closed = runStream(true);
-    ASSERT_EQ(open.size(), closed.size());
-    for (size_t i = 0; i < open.size(); ++i) {
-        EXPECT_DOUBLE_EQ(open[i].first, closed[i].first) << i;
-        EXPECT_EQ(open[i].second, closed[i].second) << i;
-    }
+    EXPECT_EQ(a, b);
 }
 
 // ---------------------------------------------------------------------
