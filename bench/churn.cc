@@ -33,6 +33,7 @@
 
 #include "bench/common.hh"
 #include "bench/report.hh"
+#include "bench/streams.hh"
 
 using namespace quasar;
 
@@ -42,33 +43,6 @@ namespace
 /** A dirty leg may lose at most this share of the committed
  *  placements per second. */
 constexpr double kMaxRateRegression = 0.25;
-
-churn::ChurnConfig
-streamFor(int servers, double horizon_s)
-{
-    churn::ChurnConfig cfg;
-    cfg.seed = 20260806;
-    cfg.arrivals = churn::ArrivalKind::Pareto;
-    cfg.pareto_alpha = 1.6;
-    // Open-loop pressure scales with the cluster so the decision path
-    // stays busy at every size.
-    cfg.arrival_rate_per_s = 0.6 * double(servers) / 1000.0;
-    cfg.horizon_s = horizon_s;
-    cfg.phase_change_fraction = 0.06;
-    cfg.server_mttf_s = 40.0 * horizon_s * double(servers);
-    cfg.server_mttr_s = horizon_s / 6.0;
-    // Short heavy-tailed lifetimes: steady arrival/departure churn
-    // within the bench horizon.
-    cfg.service_lifetime =
-        tracegen::DurationSpec::lognormal(0.4 * horizon_s, 0.6);
-    cfg.analytics_lifetime =
-        tracegen::DurationSpec::pareto(0.25 * horizon_s, 1.8);
-    cfg.batch_lifetime =
-        tracegen::DurationSpec::exponential(0.2 * horizon_s);
-    cfg.best_effort_lifetime =
-        tracegen::DurationSpec::exponential(0.15 * horizon_s);
-    return cfg;
-}
 
 /** Gate a dirty leg against its committed row: rate and hash. */
 bool
@@ -141,7 +115,7 @@ runChurnBench(bool smoke, const std::string &out_path,
     std::vector<bench::JsonRow> rows;
     bool ok = true;
     for (const Point &p : points) {
-        churn::ChurnEngine engine(streamFor(p.servers, horizon));
+        churn::ChurnEngine engine(bench::churnStream(p.servers, horizon));
         bench::StreamReport r = bench::runStream(
             bench::clusterOfSize(p.servers), engine,
             bench::streamConfig(horizon), horizon,

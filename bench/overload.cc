@@ -50,11 +50,11 @@
 
 #include "bench/common.hh"
 #include "bench/report.hh"
+#include "bench/streams.hh"
 #include "core/overload.hh"
 #include "trace/google.hh"
 #include "trace/mapper.hh"
 #include "trace/synth.hh"
-#include "tracegen/load_pattern.hh"
 
 using namespace quasar;
 
@@ -69,66 +69,6 @@ constexpr double kMaxQosRegression = 0.05;
  *  plus its recovery tail, where overload control earns its keep. */
 constexpr double kCrowdStart = 450.0;
 constexpr double kCrowdWindowEnd = 750.0;
-
-/** Diurnal swell with a 10x flash crowd at t in [450, 600). */
-tracegen::LoadPatternPtr
-diurnalFlashCrowd()
-{
-    return std::make_shared<tracegen::PiecewiseLoad>(
-        std::vector<std::pair<double, double>>{{0.0, 0.5},
-                                               {150.0, 0.9},
-                                               {300.0, 1.1},
-                                               {440.0, 1.0},
-                                               {450.0, 10.0},
-                                               {595.0, 10.0},
-                                               {600.0, 1.0},
-                                               {750.0, 0.7},
-                                               {900.0, 0.5}});
-}
-
-/** Best-effort-heavy open-loop stream shaped by the crowd pattern. */
-churn::ChurnConfig
-streamFor(int servers, double horizon_s)
-{
-    churn::ChurnConfig cfg;
-    cfg.seed = 20260808;
-    cfg.arrivals = churn::ArrivalKind::Poisson;
-    cfg.arrival_rate_per_s = 0.16 * double(servers) / 200.0;
-    cfg.rate_pattern = diurnalFlashCrowd();
-    cfg.horizon_s = horizon_s;
-    cfg.mix = {0.30, 0.15, 0.15, 0.40};
-    cfg.phase_change_fraction = 0.05;
-    cfg.service_lifetime =
-        tracegen::DurationSpec::lognormal(0.5 * horizon_s, 0.6);
-    cfg.analytics_lifetime =
-        tracegen::DurationSpec::pareto(0.25 * horizon_s, 1.8);
-    cfg.batch_lifetime =
-        tracegen::DurationSpec::exponential(0.2 * horizon_s);
-    cfg.best_effort_lifetime =
-        tracegen::DurationSpec::exponential(0.15 * horizon_s);
-    return cfg;
-}
-
-/** The controller configuration every "on" leg runs. */
-core::OverloadConfig
-controllerOn()
-{
-    core::OverloadConfig cfg;
-    cfg.enabled = true;
-    cfg.util_pressured = 0.85;
-    cfg.util_overloaded = 0.97;
-    cfg.depth_pressured = 8;
-    cfg.depth_overloaded = 24;
-    cfg.min_dwell_s = 30.0;
-    cfg.defer_base_s = 15.0;
-    cfg.defer_max_s = 60.0;
-    cfg.shed_deadline_s = 120.0;
-    cfg.aging_limit_s = 240.0;
-    cfg.brownout = true;
-    cfg.policy = core::ScalingPolicyKind::Pi;
-    cfg.scale_interval_s = 30.0;
-    return cfg;
-}
 
 /** A leg's stream report plus the overload-specific scores. */
 struct LegMetrics
@@ -166,7 +106,7 @@ runLeg(int servers, double horizon_s, const churn::ChurnConfig &ccfg,
 {
     core::QuasarConfig qcfg = bench::streamConfig(horizon_s);
     if (controller)
-        qcfg.overload = controllerOn();
+        qcfg.overload = bench::crowdController();
     churn::ChurnEngine engine(ccfg);
     LegMetrics m;
     auto score = [&m](const core::QuasarManager &mgr,
@@ -305,7 +245,7 @@ runOverloadBench(bool smoke, const std::string &out_path,
         std::printf("  running %s...\n", leg.name);
         std::fflush(stdout);
         leg.m = runLeg(leg.servers, horizon,
-                       streamFor(leg.servers, horizon),
+                       bench::crowdStream(leg.servers, horizon),
                        leg.controller);
     }
 
@@ -321,7 +261,7 @@ runOverloadBench(bool smoke, const std::string &out_path,
         trace::SynthFit fit =
             trace::fitChurnConfig(mapped, 20260808, horizon);
         churn::ChurnConfig synth = fit.config;
-        synth.rate_pattern = diurnalFlashCrowd();
+        synth.rate_pattern = bench::diurnalFlashCrowd();
         // The fitted rate reflects the trace's average
         // pressure; clamp it so the 10x crowd overlay lands in
         // the overload regime without drowning the off leg in a

@@ -440,11 +440,12 @@ printStream(const std::string &label, const StreamReport &r)
                     r.accuracy.at_cap[a].percentile(50),
                     r.accuracy.at_cap[a].percentile(90));
     std::printf("\n        fits: %llu (%llu epochs, %llu capped, %llu "
-                "entry visits, %.3f s)\n",
+                "entry visits, %.3f s, seed %.3f s)\n",
                 (unsigned long long)r.fits.fits,
                 (unsigned long long)r.fits.epochs,
                 (unsigned long long)r.fits.capped_fits,
-                (unsigned long long)r.fits.entry_visits, r.fits.fit_s);
+                (unsigned long long)r.fits.entry_visits, r.fits.fit_s,
+                r.fits.seed_s);
 }
 
 /** The arrival-accounting gate: no arrival leaks out of the outcome
@@ -551,7 +552,8 @@ streamColumns(JsonRow &row, const StreamReport &r)
         .count("fit_epochs", r.fits.epochs)
         .count("capped_fits", r.fits.capped_fits)
         .count("entry_visits", r.fits.entry_visits)
-        .num("fit_s", r.fits.fit_s, 3);
+        .num("fit_s", r.fits.fit_s, 3)
+        .num("seed_s", r.fits.seed_s, 3);
     for (size_t a = 0; a < core::kNumAxes; ++a) {
         const std::string name = std::string("err_") + kAxisNames[a];
         row.num(name + "_grow_p50", r.accuracy.growing[a].percentile(50))

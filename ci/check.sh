@@ -3,12 +3,14 @@
 #
 #   1. Configure + build the default tree and run the full ctest
 #      suite (the repo's tier-1 gate).
-#   2. Build the test binary, the fault-recovery bench and the
-#      quasar-lint analyzer with -fsanitize=address,undefined
-#      (QUASAR_SANITIZE=address; ON is a back-compat alias) and run
-#      all three (the analyzer runs its fixture self-test); any
-#      sanitizer report fails the script. The library starts no
-#      threads, so there is no TSan stage.
+#   2. Build the test binary, the fault-recovery bench, the Table 2
+#      classification bench and the quasar-lint analyzer with
+#      -fsanitize=address,undefined (QUASAR_SANITIZE=address; ON is a
+#      back-compat alias) and run all four (the analyzer runs its
+#      fixture self-test; Table 2 runs the fit's randomized SVD seed
+#      and the fold-in's elimination on 443 workloads, four-way and
+#      exhaustive); any sanitizer report fails the script. The
+#      library starts no threads, so there is no TSan stage.
 #   3. Run the churn-stream smoke (Release): a seeded open-loop
 #      arrival/departure/fault stream through the dirty-set decision
 #      path — a 1000-server leg, its dirty-rerun referee, and a
@@ -98,13 +100,15 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== sanitizer: ASan+UBSan build of tests + fault bench + lint =="
+echo "== sanitizer: ASan+UBSan build of tests + fault bench + table2 + lint =="
 cmake -B build-asan -S . -DQUASAR_SANITIZE=ON \
       -DCMAKE_BUILD_TYPE=Debug >/dev/null
-cmake --build build-asan -j "$JOBS" \
-      --target quasar_tests fault_recovery quasar_lint
+cmake --build build-asan -j "$JOBS" --target quasar_tests \
+      fault_recovery table2_classification_validation quasar_lint
 ./build-asan/tests/quasar_tests
 ./build-asan/bench/fault_recovery
+./build-asan/bench/table2_classification_validation \
+    --out=build-asan/table2.json
 ./build-asan/tools/quasar_lint --self-test \
     --fixture=tools/quasar-lint/fixture
 
@@ -172,9 +176,10 @@ cmake --build build-verify -j "$JOBS" --target quasar_tests
 # replay-equivalence sweep; the FailureMemo/
 # FirstNodeVerdict suites re-run every skipped retry through the
 # full_rescan oracle; the PerfOracle* suites prime and mutate the
-# rate memo under its bitwise recheck, and the FoldInReference/
-# JacobiReference suites hold the linear algebra bit-exact against
-# its straightforward references; the BucketSkip/WalkCounts suites
+# rate memo under its bitwise recheck, the FoldIn suite checks the
+# fold-in's joint solve against independent references and the
+# JacobiReference suite holds the Jacobi SVD bit-exact against its
+# straightforward reference; the BucketSkip/WalkCounts suites
 # run the walk's bucket drop (drop, resume, prio_any guard, fault-zone
 # rewind) with every dirty decision shadow-checked and the extended
 # order signature audited field for field; the ManagerLifecycle suite
@@ -184,7 +189,7 @@ cmake --build build-verify -j "$JOBS" --target quasar_tests
 # managers' pinned streams (and their crash storms) and the AutoScale
 # suite its scaling loop and queue retries under the per-tick sweeps.
 ./build-verify/tests/quasar_tests \
-    --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:FailureMemo*.*:FirstNodeVerdict.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:ChurnEngine.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*:PerfOracle*.*:FoldInReference.*:JacobiReference.*:BucketSkip.*:WalkCounts.*:ManagerLifecycle.*:ReservationBaselines.*:AutoScale.*'
+    --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:FailureMemo*.*:FirstNodeVerdict.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:ChurnEngine.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*:PerfOracle*.*:FoldIn.*:JacobiReference.*:BucketSkip.*:WalkCounts.*:ManagerLifecycle.*:ReservationBaselines.*:AutoScale.*'
 
 echo "== clean tree: no tracked file modified =="
 if [ "$(tracked_state)" != "$TRACKED_BEFORE" ]; then

@@ -173,6 +173,7 @@ Classifier::completeRow(History &h, const SparseRow &observed)
         fit_counters_.epochs += epochs;
         fit_counters_.capped_fits += epochs == cfg_.pq.max_epochs;
         fit_counters_.entry_visits += epochs * m.numObserved();
+        fit_counters_.seed_s += h.model.seedSeconds();
         fit_counters_.fit_s += std::chrono::duration<double>(
                                    std::chrono::steady_clock::now() - start)
                                    .count();

@@ -41,12 +41,7 @@ namespace quasar::core
 /** Classification-engine knobs. */
 struct ClassifierConfig
 {
-    linalg::PqConfig pq{.rank = 8,
-                        .learning_rate = 0.05,
-                        .regularization = 0.03,
-                        .max_epochs = 300,
-                        .tolerance = 1e-6,
-                        .seed = 42};
+    linalg::PqConfig pq;
     /** Online history rows kept per matrix (oldest evicted). */
     size_t max_history_rows = 300;
     /** Use the single exhaustive classification (ablation mode). */
@@ -71,6 +66,7 @@ struct FitCounters
     uint64_t capped_fits = 0;  ///< fits whose SGD ran max_epochs.
     uint64_t entry_visits = 0; ///< sum of epochs x observed entries.
     double fit_s = 0.0;        ///< host wall-clock seconds in fit.
+    double seed_s = 0.0;       ///< of fit_s, seconds in the SVD seed.
 };
 
 /** The four (or one, in exhaustive mode) CF classifications. */

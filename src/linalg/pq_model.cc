@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cmath>
 #include <random>
 
@@ -21,6 +22,7 @@ PqModel::fit(const MaskedMatrix &a)
         1, std::min({cfg_.rank, rows_, cols_}));
 
     mu_ = a.observedMean();
+    seed_s_ = 0.0;
     row_bias_.assign(rows_, 0.0);
     col_bias_.assign(cols_, 0.0);
 
@@ -65,18 +67,17 @@ PqModel::fit(const MaskedMatrix &a)
     }
 
     // Seed factors from the SVD of the fully-debiased residual with
-    // unobserved entries at zero (paper: P^T = Sigma V^T, Q = U).
+    // unobserved entries at zero (paper: P^T = Sigma V^T, Q = U). The
+    // randomized sketch costs O(m n k) against Jacobi's O(m n^2);
+    // Jacobi runs only on its k x n core.
+    const auto seed_start = std::chrono::steady_clock::now();
     Matrix centered(rows_, cols_);
     for (size_t r = 0; r < rows_; ++r)
         for (size_t c = 0; c < cols_; ++c)
             if (a.observed(r, c))
                 centered.at(r, c) = a.value(r, c) - mu_ -
                                     row_bias_[r] - col_bias_[c];
-    // Jacobi is exact but O(m n^2); fall back to randomized truncated
-    // SVD for the wide matrices of the exhaustive classification.
-    SvdResult s = (cols_ > 64 || rows_ * cols_ > 20000)
-                      ? randomizedSvd(centered, k, 2, cfg_.seed)
-                      : svd(centered, k);
+    SvdResult s = randomizedSvd(centered, k, 2, cfg_.seed);
 
     // Split the singular values symmetrically (Q = U sqrt(S),
     // P = V sqrt(S)); the paper's asymmetric split (P^T = S V^T)
@@ -91,6 +92,9 @@ PqModel::fit(const MaskedMatrix &a)
         for (size_t c = 0; c < cols_; ++c)
             p_.at(c, f) = s.v.at(c, f) * root;
     }
+    seed_s_ = std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - seed_start)
+                  .count();
 
     // Collect observed entries once.
     struct Entry { size_t r, c; double v; };
@@ -180,94 +184,65 @@ std::vector<double>
 PqModel::foldInRow(
     const std::vector<std::pair<size_t, double>> &observed) const
 {
+    // With the column factors fixed, the row bias b and latent vector
+    // q minimize
+    //   sum_o (r_c - b - q . p_c)^2 + lambda_b b^2 + lambda n |q|^2,
+    // r_c = v - mu - col_bias_c: one SPD system in x = [b, q], solved
+    // by Gaussian elimination with partial pivoting on the augmented
+    // (k+1) x (k+2) matrix a (row-major).
     const size_t k = q_.cols();
-    const double lambda = kFoldInRegularization;
-    const double lambda_b = 1.0;
-
-    // The ridge matrix P_o^T P_o + lambda n I does not depend on the
-    // bias, so it is built and eliminated once per call: each step's
-    // pivot row and multipliers are recorded, and every iteration
-    // replays them on its right-hand side. These are the floating-
-    // point operations, in the same order, of eliminating the
-    // augmented system afresh per iteration (DESIGN.md §9).
-    std::vector<double> u(k * k, 0.0); // row-major, becomes U
-    for (size_t f = 0; f < k; ++f)
-        u[f * k + f] = lambda * double(observed.size());
-    for (const auto &[c, v] : observed)
+    const size_t dim = k + 1;
+    const size_t w = dim + 1;
+    const double n = double(observed.size());
+    std::vector<double> a(dim * w, 0.0);
+    a[0] = n + 1.0; // lambda_b = 1
+    for (size_t f = 1; f < dim; ++f)
+        a[f * w + f] = kFoldInRegularization * n;
+    for (const auto &[c, v] : observed) {
+        const double r = v - mu_ - col_bias_[c];
+        a[dim] += r;
         for (size_t f = 0; f < k; ++f) {
-            double pf = p_.at(c, f);
+            const double pf = p_.at(c, f);
+            a[f + 1] += pf;
+            a[(f + 1) * w] += pf;
+            a[(f + 1) * w + dim] += pf * r;
             for (size_t g = 0; g < k; ++g)
-                u[f * k + g] += pf * p_.at(c, g);
-        }
-    std::vector<size_t> pivot(k);
-    // mult[i * k + r]: row r's multiplier at step i; 0 = no update.
-    std::vector<double> mult(k * k, 0.0);
-    for (size_t i = 0; i < k; ++i) {
-        size_t piv = i;
-        for (size_t r = i + 1; r < k; ++r)
-            if (std::fabs(u[r * k + i]) > std::fabs(u[piv * k + i]))
-                piv = r;
-        pivot[i] = piv;
-        std::swap_ranges(u.begin() + ptrdiff_t(i * k),
-                         u.begin() + ptrdiff_t(i * k + k),
-                         u.begin() + ptrdiff_t(piv * k));
-        double d = u[i * k + i];
-        if (std::fabs(d) < 1e-12)
-            continue;
-        for (size_t r = i + 1; r < k; ++r) {
-            double f = u[r * k + i] / d;
-            mult[i * k + r] = f;
-            if (f == 0.0)
-                continue;
-            for (size_t c = i; c < k; ++c)
-                u[r * k + c] -= f * u[i * k + c];
+                a[(f + 1) * w + g + 1] += pf * p_.at(c, g);
         }
     }
-
-    std::vector<double> qu(k, 0.0);
-    std::vector<double> b(k);
-    double bu = 0.0;
-    for (int iter = 0; iter < 20; ++iter) {
-        // Bias given factors.
-        double acc = 0.0;
-        for (const auto &[c, v] : observed) {
-            double dot = 0.0;
-            for (size_t f = 0; f < k; ++f)
-                dot += qu[f] * p_.at(c, f);
-            acc += v - mu_ - col_bias_[c] - dot;
+    for (size_t i = 0; i < dim; ++i) {
+        size_t piv = i;
+        for (size_t r = i + 1; r < dim; ++r)
+            if (std::fabs(a[r * w + i]) > std::fabs(a[piv * w + i]))
+                piv = r;
+        std::swap_ranges(a.begin() + ptrdiff_t(i * w),
+                         a.begin() + ptrdiff_t(i * w + w),
+                         a.begin() + ptrdiff_t(piv * w));
+        const double d = a[i * w + i];
+        if (std::fabs(d) < 1e-12)
+            continue;
+        for (size_t r = i + 1; r < dim; ++r) {
+            const double m = a[r * w + i] / d;
+            if (m != 0.0)
+                for (size_t c = i; c < w; ++c)
+                    a[r * w + c] -= m * a[i * w + c];
         }
-        bu = acc / (double(observed.size()) + lambda_b);
-
-        // Ridge solve for the latent vector given the bias.
-        std::fill(b.begin(), b.end(), 0.0);
-        for (const auto &[c, v] : observed) {
-            double y = v - mu_ - bu - col_bias_[c];
-            for (size_t f = 0; f < k; ++f)
-                b[f] += p_.at(c, f) * y;
-        }
-        for (size_t i = 0; i < k; ++i) {
-            std::swap(b[i], b[pivot[i]]);
-            for (size_t r = i + 1; r < k; ++r) {
-                double f = mult[i * k + r];
-                if (f != 0.0)
-                    b[r] -= f * b[i];
-            }
-        }
-        for (size_t ii = k; ii-- > 0;) {
-            double x = b[ii];
-            for (size_t c = ii + 1; c < k; ++c)
-                x -= u[ii * k + c] * qu[c];
-            double d = u[ii * k + ii];
-            qu[ii] = std::fabs(d) < 1e-12 ? 0.0 : x / d;
-        }
+    }
+    std::vector<double> x(dim, 0.0);
+    for (size_t i = dim; i-- > 0;) {
+        double acc = a[i * w + dim];
+        for (size_t c = i + 1; c < dim; ++c)
+            acc -= a[i * w + c] * x[c];
+        const double d = a[i * w + i];
+        x[i] = std::fabs(d) < 1e-12 ? 0.0 : acc / d;
     }
 
     std::vector<double> row(cols_);
     for (size_t c = 0; c < cols_; ++c) {
         double dot = 0.0;
         for (size_t f = 0; f < k; ++f)
-            dot += qu[f] * p_.at(c, f);
-        row[c] = mu_ + bu + col_bias_[c] + dot;
+            dot += x[f + 1] * p_.at(c, f);
+        row[c] = mu_ + x[0] + col_bias_[c] + dot;
     }
     // Observed entries are measurements: keep them exact.
     for (const auto &[c, v] : observed)

@@ -8,9 +8,10 @@
  *   p_u <- p_u + eta * (eps_ui * q_i - lambda * p_u)
  *
  * with global mean mu and per-row (user) bias b_u. Factors are seeded
- * from the SVD of the mean-centered observed matrix (P^T = Sigma V^T,
- * Q = U), then SGD iterates over observed entries until the L2 error
- * becomes marginal.
+ * from a randomized truncated SVD of the mean-centered observed matrix
+ * (P^T = Sigma V^T, Q = U), then SGD iterates over observed entries,
+ * reshuffled every epoch, until the L2 error becomes marginal. A new
+ * row is folded in by one joint ridge solve for its bias and factors.
  */
 
 #pragma once
@@ -31,11 +32,11 @@ constexpr double kFoldInRegularization = 0.01;
 struct PqConfig
 {
     size_t rank = 8;            ///< number of latent factors.
-    double learning_rate = 0.05;///< initial eta (decays on plateaus).
+    double learning_rate = 0.1; ///< initial eta (decays on overshoot).
     double regularization = 0.03; ///< lambda.
-    size_t max_epochs = 300;    ///< SGD epoch limit.
+    size_t max_epochs = 100;    ///< SGD epoch limit.
     double tolerance = 1e-6;    ///< stop when epoch RMSE delta is below.
-    uint64_t seed = 42;         ///< entry-visit shuffle seed.
+    uint64_t seed = 42;         ///< SVD sketch and entry-visit shuffle seed.
 };
 
 /** Trained latent-factor model over a masked matrix. */
@@ -55,11 +56,11 @@ class PqModel
 
     /**
      * Fold in a new row that was not part of training: with item
-     * factors fixed, alternately fit the row bias and ridge-solve the
-     * row's latent vector from its observed entries, then predict the
-     * full row. This is how the classifier estimates an incoming
-     * workload from two profiling samples without refitting the whole
-     * model.
+     * factors fixed, solve the joint ridge system for the row's bias
+     * (strength 1) and latent vector (kFoldInRegularization per
+     * observation) from its observed entries, then predict the full
+     * row. This is how the classifier estimates an incoming workload
+     * from two profiling samples without refitting the whole model.
      *
      * @param observed (column, value) pairs for the new row.
      * @return predicted value for every column.
@@ -82,6 +83,11 @@ class PqModel
     /** Number of SGD epochs actually run. */
     size_t epochsRun() const { return epochs_run_; }
 
+    /** Host wall-clock seconds the last fit spent seeding the factors
+     *  (the residual matrix, its randomized SVD and the split of the
+     *  singular values). */
+    double seedSeconds() const { return seed_s_; }
+
     const PqConfig &config() const { return cfg_; }
 
   private:
@@ -95,6 +101,7 @@ class PqModel
     Matrix q_; ///< user (row) factors: rows x rank.
     double train_rmse_ = 0.0;
     size_t epochs_run_ = 0;
+    double seed_s_ = 0.0;
 };
 
 } // namespace quasar::linalg

@@ -53,10 +53,9 @@ SvdResult svd(const Matrix &a, size_t max_rank = 0, double tol = 1e-10,
 /**
  * Randomized truncated SVD (Halko-Martinsson-Tropp): Gaussian sketch,
  * power iterations, then an exact SVD of the small projected matrix.
- * Costs O(m n k) instead of Jacobi's O(m n^2); used to seed
- * PQ-reconstruction when the classification matrix is large (notably
- * the exhaustive single-classification ablation, whose column count
- * grows combinatorially).
+ * Costs O(m n k) instead of Jacobi's O(m n^2); seeds every
+ * PQ-reconstruction fit, from two-row histories to the exhaustive
+ * ablation's combinatorially wide matrices.
  */
 SvdResult randomizedSvd(const Matrix &a, size_t rank,
                         size_t power_iters = 2, uint64_t seed = 7);

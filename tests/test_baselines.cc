@@ -390,7 +390,7 @@ TEST(ReservationBaselines, ParagonIsPinned)
     workload::WorkloadFactory seeder{stats::Rng(13)};
     mgr.seedOffline(bench::standardSeeds(seeder, 3), 0.0);
     EXPECT_EQ(pinnedRun(mgr, cluster, registry, false),
-              0x97ec128a27f0676bULL);
+              0x2b8b4a6e089bc8d4ULL);
 }
 
 TEST(ReservationBaselines, AutoScaleIsPinned)

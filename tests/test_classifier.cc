@@ -208,6 +208,8 @@ TEST(Classifier, FitCountersMatchTheModels)
     EXPECT_EQ(fc.entry_visits % model.epochsRun(), 0u);
     EXPECT_GT(fc.entry_visits, fc.epochs);
     EXPECT_GT(fc.fit_s, 0.0);
+    EXPECT_GT(fc.seed_s, 0.0);
+    EXPECT_LE(fc.seed_s, fc.fit_s);
 }
 
 TEST(Classifier, PlatformFactorsTrackSpeedOrdering)

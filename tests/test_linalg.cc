@@ -206,6 +206,42 @@ TEST(RandomizedSvd, NoisyMatrixCapturesStructure)
     EXPECT_LT(relErr(a, s.reconstruct()), 0.05);
 }
 
+TEST(RandomizedSvd, SeedsClassifierShapes)
+{
+    // Every PqModel fit seeds from randomizedSvd(centered, k, 2, seed),
+    // down to a two-row history: on the classifier's matrix shapes the
+    // rank-k error must stay close to the exact truncated SVD's.
+    auto residual = [](const Matrix &a, const SvdResult &s) {
+        Matrix r = s.reconstruct();
+        for (size_t i = 0; i < a.rows(); ++i)
+            for (size_t j = 0; j < a.cols(); ++j)
+                r.at(i, j) = a.at(i, j) - r.at(i, j);
+        return r.frobeniusNorm();
+    };
+    uint64_t seed = 70;
+    for (auto [m, n] : {std::pair<size_t, size_t>{2, 16}, {3, 20},
+                        {16, 14}, {120, 16}, {316, 14}, {303, 20}})
+        for (size_t rank : {2, 4, 8, 12})
+            for (double noise : {0.01, 0.1, 0.5}) {
+                const Matrix a = lowRank(m, n, rank, ++seed, noise);
+                const size_t k = std::min<size_t>({8, m, n});
+                const SvdResult got = randomizedSvd(a, k, 2, 42);
+                const SvdResult exact = svd(a, k);
+                ASSERT_EQ(got.rank(), k);
+                EXPECT_LE(residual(a, got),
+                          1.25 * residual(a, exact) +
+                              1e-12 * a.frobeniusNorm())
+                    << m << "x" << n << " rank " << rank << " noise "
+                    << noise;
+                for (size_t f = 0; f < k; ++f) {
+                    EXPECT_GE(got.singular[f], 0.0);
+                    if (f > 0) {
+                        EXPECT_LE(got.singular[f], got.singular[f - 1]);
+                    }
+                }
+            }
+}
+
 TEST(PqModel, CompletesLowRankMatrix)
 {
     // 30x20 rank-3, 40% observed: reconstruction must recover the
@@ -339,13 +375,14 @@ TEST_P(CompletionDensity, ErrorShrinksWithDensity)
 INSTANTIATE_TEST_SUITE_P(Densities, CompletionDensity,
                          ::testing::Values(0.25, 0.4, 0.6, 0.8));
 
-// ------------------------------------------- bit-exact reference checks
+// ------------------------------------------- fold-in and Jacobi checks
 //
-// foldInRow factors its ridge matrix once and replays the elimination
-// on each iteration's right-hand side, and jacobiTall keeps W and V
-// column-major. Both claim the same floating-point operations in the
-// same order as the straightforward versions below, which are kept
-// here as references: results must match bit for bit.
+// foldInRow solves one joint ridge system for a row's bias and latent
+// vector; it is checked against a normal-equation solve and an
+// alternating (block Gauss-Seidel) solver built here independently.
+// jacobiTall keeps W and V column-major and claims the same floating-
+// point operations in the same order as the straightforward row-major
+// version below, kept as a reference: results must match bit for bit.
 
 namespace
 {
@@ -366,100 +403,143 @@ expectSameBits(const std::vector<double> &got,
             << what << "[" << i << "]: " << got[i] << " vs " << want[i];
 }
 
-/** Which elimination branches a reference solve took. */
-struct SolveBranches
-{
-    size_t small_pivots = 0;
-    size_t zero_multipliers = 0;
-};
+using Observed = std::vector<std::pair<size_t, double>>;
 
-/** Reference: Gaussian elimination with partial pivoting, afresh. */
-std::vector<double>
-solveSmall(std::vector<std::vector<double>> a, std::vector<double> b,
-           SolveBranches &branches)
+/** Lower Cholesky factor of an SPD matrix. */
+std::vector<std::vector<double>>
+cholesky(const std::vector<std::vector<double>> &a)
 {
-    const size_t k = b.size();
-    for (size_t i = 0; i < k; ++i) {
-        size_t piv = i;
-        for (size_t r = i + 1; r < k; ++r)
-            if (std::fabs(a[r][i]) > std::fabs(a[piv][i]))
-                piv = r;
-        std::swap(a[i], a[piv]);
-        std::swap(b[i], b[piv]);
-        double d = a[i][i];
-        if (std::fabs(d) < 1e-12) {
-            ++branches.small_pivots;
-            continue;
+    const size_t n = a.size();
+    std::vector<std::vector<double>> l(n, std::vector<double>(n, 0.0));
+    for (size_t i = 0; i < n; ++i)
+        for (size_t j = 0; j <= i; ++j) {
+            double s = a[i][j];
+            for (size_t t = 0; t < j; ++t)
+                s -= l[i][t] * l[j][t];
+            l[i][j] = i == j ? std::sqrt(s) : s / l[j][j];
         }
-        for (size_t r = i + 1; r < k; ++r) {
-            double f = a[r][i] / d;
-            if (f == 0.0) {
-                ++branches.zero_multipliers;
-                continue;
-            }
-            for (size_t c = i; c < k; ++c)
-                a[r][c] -= f * a[i][c];
-            b[r] -= f * b[i];
-        }
-    }
-    std::vector<double> x(k, 0.0);
-    for (size_t ii = k; ii-- > 0;) {
-        double acc = b[ii];
-        for (size_t c = ii + 1; c < k; ++c)
-            acc -= a[ii][c] * x[c];
-        x[ii] = std::fabs(a[ii][ii]) < 1e-12 ? 0.0 : acc / a[ii][ii];
-    }
-    return x;
+    return l;
 }
 
-/** Reference fold-in: rebuild and re-eliminate every iteration. */
+/** Solve L L^T x = b. */
 std::vector<double>
-referenceFoldIn(const PqModel &model,
-                const std::vector<std::pair<size_t, double>> &observed,
-                SolveBranches &branches)
+choleskySolve(const std::vector<std::vector<double>> &l,
+              std::vector<double> b)
+{
+    const size_t n = b.size();
+    for (size_t i = 0; i < n; ++i) {
+        for (size_t t = 0; t < i; ++t)
+            b[i] -= l[i][t] * b[t];
+        b[i] /= l[i][i];
+    }
+    for (size_t i = n; i-- > 0;) {
+        for (size_t t = i + 1; t < n; ++t)
+            b[i] -= l[t][i] * b[t];
+        b[i] /= l[i][i];
+    }
+    return b;
+}
+
+/** The full row a fold-in with bias b and latent vector q predicts. */
+std::vector<double>
+predictedRow(const PqModel &model, double b, const std::vector<double> &q,
+             const Observed &observed)
 {
     const Matrix &p = model.columnFactors();
-    const std::vector<double> &col_bias = model.columnBias();
-    const double mu = model.globalMean();
-    const size_t k = p.cols();
-    std::vector<double> qu(k, 0.0);
-    double bu = 0.0;
-    const double lambda = kFoldInRegularization;
-    for (int iter = 0; iter < 20; ++iter) {
-        double acc = 0.0;
-        for (const auto &[c, v] : observed) {
-            double dot = 0.0;
-            for (size_t f = 0; f < k; ++f)
-                dot += qu[f] * p.at(c, f);
-            acc += v - mu - col_bias[c] - dot;
-        }
-        bu = acc / (double(observed.size()) + 1.0);
-        std::vector<std::vector<double>> ata(
-            k, std::vector<double>(k, 0.0));
-        std::vector<double> atb(k, 0.0);
-        for (size_t f = 0; f < k; ++f)
-            ata[f][f] = lambda * double(observed.size());
-        for (const auto &[c, v] : observed) {
-            double y = v - mu - bu - col_bias[c];
-            for (size_t f = 0; f < k; ++f) {
-                double pf = p.at(c, f);
-                atb[f] += pf * y;
-                for (size_t g = 0; g < k; ++g)
-                    ata[f][g] += pf * p.at(c, g);
-            }
-        }
-        qu = solveSmall(std::move(ata), std::move(atb), branches);
-    }
     std::vector<double> row(p.rows());
     for (size_t c = 0; c < p.rows(); ++c) {
         double dot = 0.0;
-        for (size_t f = 0; f < k; ++f)
-            dot += qu[f] * p.at(c, f);
-        row[c] = mu + bu + col_bias[c] + dot;
+        for (size_t f = 0; f < q.size(); ++f)
+            dot += q[f] * p.at(c, f);
+        row[c] = model.globalMean() + b + model.columnBias()[c] + dot;
     }
     for (const auto &[c, v] : observed)
         row[c] = v;
     return row;
+}
+
+/** Reference: least squares on the design matrix [1, p_c] stacked
+ *  over the ridge rows, by Cholesky of its normal equations. */
+std::vector<double>
+normalEquationFoldIn(const PqModel &model, const Observed &observed)
+{
+    const Matrix &p = model.columnFactors();
+    const size_t k = p.cols();
+    const double n = double(observed.size());
+    std::vector<std::vector<double>> design;
+    std::vector<double> target;
+    for (const auto &[c, v] : observed) {
+        std::vector<double> x = {1.0};
+        for (size_t f = 0; f < k; ++f)
+            x.push_back(p.at(c, f));
+        design.push_back(x);
+        target.push_back(v - model.globalMean() - model.columnBias()[c]);
+    }
+    for (size_t j = 0; j <= k; ++j) {
+        std::vector<double> x(k + 1, 0.0);
+        x[j] = std::sqrt(j == 0 ? 1.0 : kFoldInRegularization * n);
+        design.push_back(x);
+        target.push_back(0.0);
+    }
+    std::vector<std::vector<double>> g(k + 1,
+                                       std::vector<double>(k + 1, 0.0));
+    std::vector<double> h(k + 1, 0.0);
+    for (size_t o = 0; o < design.size(); ++o)
+        for (size_t i = 0; i <= k; ++i) {
+            h[i] += design[o][i] * target[o];
+            for (size_t j = 0; j <= k; ++j)
+                g[i][j] += design[o][i] * design[o][j];
+        }
+    std::vector<double> x = choleskySolve(cholesky(g), h);
+    return predictedRow(model, x[0],
+                        std::vector<double>(x.begin() + 1, x.end()),
+                        observed);
+}
+
+/** Reference: alternate the bias and the ridge solve for the latent
+ *  vector until neither moves (block Gauss-Seidel on the same system;
+ *  on the shapes below it reaches a bitwise fixed point within ~150
+ *  rounds or cycles in the last bits, which the cap ends). */
+std::vector<double>
+alternatingFoldIn(const PqModel &model, const Observed &observed)
+{
+    const Matrix &p = model.columnFactors();
+    const size_t k = p.cols();
+    const double n = double(observed.size());
+    std::vector<std::vector<double>> ridge(k, std::vector<double>(k, 0.0));
+    for (size_t f = 0; f < k; ++f)
+        ridge[f][f] = kFoldInRegularization * n;
+    for (const auto &[c, v] : observed)
+        for (size_t f = 0; f < k; ++f)
+            for (size_t g = 0; g < k; ++g)
+                ridge[f][g] += p.at(c, f) * p.at(c, g);
+    const std::vector<std::vector<double>> l = cholesky(ridge);
+    double b = 0.0;
+    std::vector<double> q(k, 0.0);
+    for (int iter = 0; iter < 10000; ++iter) {
+        double acc = 0.0;
+        for (const auto &[c, v] : observed) {
+            double dot = 0.0;
+            for (size_t f = 0; f < k; ++f)
+                dot += q[f] * p.at(c, f);
+            acc += v - model.globalMean() - model.columnBias()[c] - dot;
+        }
+        const double next_b = acc / (n + 1.0);
+        std::vector<double> rhs(k, 0.0);
+        for (const auto &[c, v] : observed) {
+            double y = v - model.globalMean() - next_b -
+                       model.columnBias()[c];
+            for (size_t f = 0; f < k; ++f)
+                rhs[f] += p.at(c, f) * y;
+        }
+        std::vector<double> next_q = choleskySolve(l, rhs);
+        const bool fixed = next_b == b && next_q == q;
+        b = next_b;
+        q = std::move(next_q);
+        if (fixed)
+            break;
+    }
+    return predictedRow(model, b, q, observed);
 }
 
 /** A classifier-shaped history: dense head rows, sparse tail. */
@@ -597,7 +677,7 @@ expectSvdSameBits(const Matrix &a, size_t max_rank)
 
 } // namespace
 
-TEST(FoldInReference, RandomObservedSetsMatchBitwise)
+TEST(FoldIn, SolvesTheJointRidgeSystem)
 {
     quasar::stats::Rng rng(2718);
     for (auto [rows, cols] : {std::pair<size_t, size_t>{300, 16},
@@ -605,39 +685,51 @@ TEST(FoldInReference, RandomObservedSetsMatchBitwise)
         PqModel model = fittedModel(rows, cols, rows * 131 + cols);
         ASSERT_EQ(model.columnFactors().cols(), 8u);
         for (int trial = 0; trial < 25; ++trial) {
-            auto obs = randomObserved(cols, rng);
-            SolveBranches branches;
-            expectSameBits(model.foldInRow(obs),
-                           referenceFoldIn(model, obs, branches),
-                           "fold-in row");
+            const Observed obs = randomObserved(cols, rng);
+            const std::vector<double> got = model.foldInRow(obs);
+            const std::vector<double> normal =
+                normalEquationFoldIn(model, obs);
+            const std::vector<double> alternating =
+                alternatingFoldIn(model, obs);
+            ASSERT_EQ(got.size(), cols);
+            for (size_t c = 0; c < cols; ++c) {
+                EXPECT_NEAR(got[c], normal[c], 1e-10)
+                    << rows << "x" << cols << " trial " << trial;
+                EXPECT_NEAR(got[c], alternating[c], 1e-9)
+                    << rows << "x" << cols << " trial " << trial;
+            }
         }
     }
 }
 
-TEST(FoldInReference, SmallPivotBranchMatchesBitwise)
+TEST(FoldIn, NothingObservedPredictsMeanPlusColumnBias)
 {
-    // Nothing observed: the ridge matrix is all zeros, so every
-    // pivot is below 1e-12 and the solve returns the zero vector.
     PqModel model = fittedModel(60, 12, 5);
-    SolveBranches branches;
-    std::vector<std::pair<size_t, double>> none;
-    expectSameBits(model.foldInRow(none),
-                   referenceFoldIn(model, none, branches), "row");
-    EXPECT_GT(branches.small_pivots, 0u);
+    std::vector<double> want(12);
+    for (size_t c = 0; c < 12; ++c)
+        want[c] = model.globalMean() + model.columnBias()[c];
+    expectSameBits(model.foldInRow({}), want, "row");
 }
 
-TEST(FoldInReference, ZeroMultiplierBranchMatchesBitwise)
+TEST(FoldIn, ZeroFactorModel)
 {
-    // A model fit on nothing has all-zero factors, so the ridge
-    // matrix is diagonal and every multiplier is exactly zero.
+    // A model fit on nothing has all-zero factors and biases, so the
+    // joint solve reduces to the bias alone: sum r / (n + 1).
     PqModel model;
     model.fit(MaskedMatrix(6, 6));
-    SolveBranches branches;
-    std::vector<std::pair<size_t, double>> obs = {{1, 0.7}, {4, 1.9}};
-    expectSameBits(model.foldInRow(obs),
-                   referenceFoldIn(model, obs, branches), "row");
-    EXPECT_GT(branches.zero_multipliers, 0u);
-    EXPECT_EQ(branches.small_pivots, 0u);
+    for (double v : model.columnFactors().data())
+        ASSERT_EQ(v, 0.0);
+    const Observed obs = {{1, 0.7}, {4, 1.9}};
+    double sum = 0.0;
+    for (const auto &[c, v] : obs)
+        sum += v - model.globalMean() - model.columnBias()[c];
+    const double bias = sum / (double(obs.size()) + 1.0);
+    std::vector<double> want(6);
+    for (size_t c = 0; c < 6; ++c)
+        want[c] = model.globalMean() + bias + model.columnBias()[c];
+    for (const auto &[c, v] : obs)
+        want[c] = v;
+    expectSameBits(model.foldInRow(obs), want, "row");
 }
 
 TEST(JacobiReference, TallMatchesRowMajorBitwise)
