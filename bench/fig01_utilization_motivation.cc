@@ -17,7 +17,7 @@
 #include "baselines/reservation_ll.hh"
 #include "bench/common.hh"
 #include "driver/scenario.hh"
-#include "stats/histogram.hh"
+#include "stats/summary.hh"
 
 using namespace quasar;
 using workload::Workload;

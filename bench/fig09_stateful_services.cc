@@ -16,7 +16,7 @@
 #include "bench/common.hh"
 #include "core/manager.hh"
 #include "driver/scenario.hh"
-#include "stats/histogram.hh"
+#include "stats/summary.hh"
 
 using namespace quasar;
 using workload::Workload;

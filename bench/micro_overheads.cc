@@ -180,7 +180,7 @@ BM_GreedyAllocate(benchmark::State &state)
     auto est = clf.classify(w, data);
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            sched.allocate(w, est, w.total_work / 600.0, nullptr,
+            sched.allocate(w, est, w.total_work / 600.0,
                            true));
 }
 BENCHMARK(BM_GreedyAllocate)->Arg(40)->Arg(200)->Arg(1000);
@@ -200,7 +200,7 @@ BM_OracleCurrentRate(benchmark::State &state)
     workload::Workload &w = registry.get(id);
     auto data = f.profiler.profile(w, 0.0, f.rng);
     auto est = f.clf.classify(w, data);
-    auto alloc = sched.allocate(w, est, w.total_work / 600.0, nullptr,
+    auto alloc = sched.allocate(w, est, w.total_work / 600.0,
                                 true);
     for (const auto &node : alloc->nodes) {
         sim::TaskShare share;

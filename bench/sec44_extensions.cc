@@ -47,8 +47,7 @@ main()
         registry.get(cost_id).cost_cap_per_hour = cap;
         const auto &est = cost_est;
         core::GreedyScheduler sched(cluster, {}, &registry);
-        auto alloc = sched.allocate(registry.get(cost_id), est, 1e12,
-                                    nullptr, false);
+        auto alloc = sched.allocate(registry.get(cost_id), est, 1e12, false);
         if (cap > 0.0)
             std::printf("%12.1f %10.1f %10d %8zu\n", cap,
                         alloc->predicted_perf, alloc->totalCores(),
@@ -81,8 +80,7 @@ main()
         auto [id, est] = classify(std::move(vip));
         core::GreedyScheduler sched(cluster, {}, &registry);
         auto alloc = sched.allocate(registry.get(id), est,
-                                    0.5 * est.scale_up_perf[0],
-                                    nullptr, true);
+                                    0.5 * est.scale_up_perf[0], true);
         std::printf("priority-3 job displaced %zu priority-1 tasks to "
                     "claim %zu high-end nodes\n",
                     alloc->evictions.size(), alloc->nodes.size());
@@ -100,8 +98,7 @@ main()
         peer.priority = 3; // equal: must NOT displace the vip job
         auto [id2, est2] = classify(std::move(peer));
         auto alloc2 = sched.allocate(registry.get(id2), est2,
-                                     0.5 * est2.scale_up_perf[0],
-                                     nullptr, true);
+                                     0.5 * est2.scale_up_perf[0], true);
         bool touched_vip = false;
         if (alloc2)
             for (const auto &[sid, victim] : alloc2->evictions)
@@ -121,7 +118,7 @@ main()
         for (bool spread : {false, true}) {
             core::GreedyScheduler sched(cluster, {}, &registry);
             auto alloc = sched.allocate(registry.get(id), est,
-                                        5.0 * best, nullptr, false,
+                                        5.0 * best, false,
                                         spread);
             std::set<int> zones;
             for (const auto &n : alloc->nodes)

@@ -183,13 +183,19 @@ cmake --build build-verify -j "$JOBS" --target quasar_tests
 # run the walk's bucket drop (drop, resume, prio_any guard, fault-zone
 # rewind) with every dirty decision shadow-checked and the extended
 # order signature audited field for field; the ManagerLifecycle suite
-# runs a churn stream with departures and overload sheds under the
-# sweeps and checks that every finished workload leaves no manager
-# state behind; the ReservationBaselines suite runs the baseline
+# runs a churn stream with departures, faults and overload sheds under
+# the sweeps and checks that every hosted workload has an estimate on
+# every tick and every finished one leaves no manager state behind;
+# the Scheduler suite and the tests/test_extensions.cc suites
+# (CostTarget, FaultZones, Priorities, Partitioning, LoadPredictor,
+# Platform) drive residents' estimates (the scheduler's
+# EstimateTable), priority preemption, cost caps and fault-zone
+# spreading, so each of their decisions is shadow-checked through the
+# same table; the ReservationBaselines suite runs the baseline
 # managers' pinned streams (and their crash storms) and the AutoScale
 # suite its scaling loop and queue retries under the per-tick sweeps.
 ./build-verify/tests/quasar_tests \
-    --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:FailureMemo*.*:FirstNodeVerdict.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:ChurnEngine.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*:PerfOracle*.*:FoldIn.*:JacobiReference.*:BucketSkip.*:WalkCounts.*:ManagerLifecycle.*:ReservationBaselines.*:AutoScale.*'
+    --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:FailureMemo*.*:FirstNodeVerdict.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:ChurnEngine.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*:PerfOracle*.*:FoldIn.*:JacobiReference.*:BucketSkip.*:WalkCounts.*:ManagerLifecycle.*:ReservationBaselines.*:AutoScale.*:Scheduler.*:CostTarget.*:FaultZones.*:Priorities.*:Partitioning.*:LoadPredictor.*:Platform.*'
 
 echo "== clean tree: no tracked file modified =="
 if [ "$(tracked_state)" != "$TRACKED_BEFORE" ]; then

@@ -11,7 +11,6 @@
 
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "core/classifier.hh"
@@ -52,7 +51,7 @@ class ParagonManager : public ReservationManager
     /** The submit-time estimate, per workload ever submitted. Kept
      *  after completion on purpose: estimateFor() is read after the
      *  run (the Paragon tests). */
-    std::unordered_map<WorkloadId, core::WorkloadEstimate> estimates_;
+    core::EstimateTable estimates_;
 };
 
 } // namespace quasar::baselines

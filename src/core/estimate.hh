@@ -9,8 +9,10 @@
 #pragma once
 
 #include <cstddef>
+#include <unordered_map>
 #include <vector>
 
+#include "common/types.hh"
 #include "interference/source.hh"
 #include "sim/platform.hh"
 #include "workload/scale_up_config.hh"
@@ -94,6 +96,13 @@ struct WorkloadEstimate
      */
     double jobPerf(const std::vector<double> &node_perfs) const;
 };
+
+/**
+ * The classifications of the workloads a manager currently knows, by
+ * id. The manager writes it; its scheduler holds it by reference and
+ * reads residents' tolerances from it in the residents' check.
+ */
+using EstimateTable = std::unordered_map<WorkloadId, WorkloadEstimate>;
 
 } // namespace quasar::core
 

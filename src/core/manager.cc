@@ -1,7 +1,6 @@
 #include "core/manager.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "workload/queueing.hh"
@@ -80,7 +79,7 @@ QuasarManager::QuasarManager(sim::Cluster &cluster,
     : cluster_(cluster), registry_(registry), cfg_(cfg),
       profiler_(cluster.catalog(), cfg.profiler),
       classifier_(profiler_, cfg.classifier, cfg.seed ^ 0xC1A55),
-      scheduler_(cluster, cfg.scheduler, &registry),
+      scheduler_(cluster, cfg.scheduler, &registry, estimates_),
       monitor_(cluster, registry, cfg.monitor,
                stats::Rng(cfg.seed ^ 0x3017)),
       overload_(cfg.overload), rng_(cfg.seed)
@@ -180,23 +179,18 @@ QuasarManager::requiredPerf(const Workload &w, double t) const
     return w.target.rate;
 }
 
-EstimateLookup
-QuasarManager::estimateLookup() const
-{
-    return [this](WorkloadId id) { return estimateFor(id); };
-}
-
-std::optional<WorkloadEstimate> &
+WorkloadEstimate &
 QuasarManager::estimateForWrite(WorkloadId id)
 {
     memo_.forget(id);
-    return tracked_[id].estimate;
+    return estimates_[id];
 }
 
 void
 QuasarManager::forget(WorkloadId id)
 {
     tracked_.erase(id);
+    estimates_.erase(id);
     browned_out_.erase(id);
     memo_.forget(id);
     overload_.forget(id);
@@ -231,15 +225,16 @@ bool
 QuasarManager::trySchedule(WorkloadId id, double t, bool requeue_on_fail)
 {
     Workload &w = registry_.get(id);
-    const Tracked &rec = tracked_.find(id)->second;
-    assert(rec.estimate);
-    const WorkloadEstimate &est = *rec.estimate;
+    const WorkloadEstimate &est = estimates_.at(id);
 
     double required = requiredPerf(w, t);
     // Re-placement after a failure spreads latency-critical replicas
     // across fault zones so a repeat outage of one rack/PDU cannot
-    // take the whole service down again (Sec. 4.4).
-    const bool spread = rec.displaced_at.has_value() &&
+    // take the whole service down again (Sec. 4.4). A workload without
+    // a record was never displaced.
+    auto rec = tracked_.find(id);
+    const bool spread = rec != tracked_.end() &&
+                        rec->second.displaced_at.has_value() &&
                         workload::isLatencyCritical(w.type);
     if (retryProvenFutile(w, est, required, spread)) {
         ++stats_.retries_skipped;
@@ -254,8 +249,8 @@ QuasarManager::trySchedule(WorkloadId id, double t, bool requeue_on_fail)
     {
         stats::ScopedTimer timer(stats_.schedule_time);
         const uint64_t before = scheduler_.walkCounts()[NodeReject::Evict];
-        alloc = scheduler_.allocate(w, est, required, estimateLookup(),
-                                    !w.best_effort, spread);
+        alloc = scheduler_.allocate(w, est, required, !w.best_effort,
+                                    spread);
         evict_rejects = scheduler_.walkCounts()[NodeReject::Evict] - before;
     }
     if (!admits(w, alloc, required)) {
@@ -304,18 +299,16 @@ QuasarManager::retryProvenFutile(const Workload &w,
     if (!cfg_.failure_memo || !memo_.recorded(w.id))
         return false;
     stats::ScopedTimer timer(stats_.retry_proof_time);
-    const EstimateLookup estimates = estimateLookup();
     const bool futile = memo_.provenFutile(
         w.id, cluster_.journal(), required, [&](ServerId sid) {
             return scheduler_.firstNodeVerdict(cluster_.server(sid), w,
-                                               est, required, estimates,
+                                               est, required,
                                                !w.best_effort);
         });
 #ifdef QUASAR_VERIFY
     if (futile)
         verify::checkSkippedRetry(
-            cluster_, scheduler_.config(), &registry_, w, est, required,
-            estimates, !w.best_effort, spread,
+            scheduler_, w, est, required, !w.best_effort, spread,
             [&](const std::optional<Allocation> &alloc) {
                 return admits(w, alloc, required);
             });
@@ -514,8 +507,7 @@ QuasarManager::tryScaleOut(Workload &w, const WorkloadEstimate &est,
     // host a second share).
     auto hosting = cluster_.serversHosting(w.id);
     double residual = required - current;
-    auto alloc = scheduler_.allocate(w, est, residual, estimateLookup(),
-                                     !w.best_effort);
+    auto alloc = scheduler_.allocate(w, est, residual, !w.best_effort);
     if (!alloc)
         return false;
     // Filter nodes on servers that already host w.
@@ -644,14 +636,10 @@ QuasarManager::shrinkAllocation(Workload &w, const WorkloadEstimate &est,
 }
 
 void
-QuasarManager::adjust(Workload &w, double t)
+QuasarManager::adjust(Workload &w, Tracked &rec,
+                      const WorkloadEstimate &est, double t)
 {
     stats::ScopedTimer timer(stats_.adapt_time);
-    auto it = tracked_.find(w.id);
-    if (it == tracked_.end() || !it->second.estimate)
-        return;
-    Tracked &rec = it->second;
-    const WorkloadEstimate &est = *rec.estimate;
     double required = requiredPerf(w, t);
 
     // Feedback loop: reconcile the estimate with the measured
@@ -666,7 +654,7 @@ QuasarManager::adjust(Workload &w, double t)
             // the measurement, so only half the (log) deviation is
             // attributed to misclassification.
             double scale = std::sqrt(measured / predicted);
-            WorkloadEstimate &fixed = *estimateForWrite(w.id);
+            WorkloadEstimate &fixed = estimateForWrite(w.id);
             for (double &v : fixed.scale_up_perf)
                 v *= scale;
             for (double &v : fixed.cross_perf)
@@ -738,13 +726,12 @@ QuasarManager::reclassifyAndReschedule(Workload &w, double t)
         old_predicted = predictCurrent(w, est);
         releaseWorkload(w.id);
     }
-    std::optional<WorkloadEstimate> &fresh = estimateForWrite(w.id);
+    WorkloadEstimate &fresh = estimateForWrite(w.id);
     fresh = std::move(est);
     ++stats_.rescheduled;
 
     double required = requiredPerf(w, t);
-    auto alloc = scheduler_.allocate(w, *fresh, required,
-                                     estimateLookup(), !w.best_effort);
+    auto alloc = scheduler_.allocate(w, fresh, required, !w.best_effort);
     bool better = alloc.has_value() &&
                   (alloc->predicted_perf >=
                        kRescheduleHysteresis * old_predicted ||
@@ -953,17 +940,20 @@ QuasarManager::onTick(double t)
             continue;
         Tracked &rec = tracked_[id];
         Alert alert = monitor_.check(w, t);
+        // The estimate is looked up only when the alert acts on it. A
+        // share placed outside the manager (a test's background load)
+        // has none: it is measured, never adapted.
         if (alert == Alert::Underperforming && !w.best_effort) {
             if (t - rec.last_adjust >= kAdjustCooldownS) {
                 rec.last_adjust = t;
-                adjust(w, t);
+                if (const WorkloadEstimate *est = estimateFor(id))
+                    adjust(w, rec, *est, t);
             }
         } else if (alert == Alert::Overprovisioned) {
             if (t - rec.last_adjust >= kShrinkCooldownS) {
                 rec.last_adjust = t;
-                if (rec.estimate)
-                    shrinkAllocation(w, *rec.estimate,
-                                     requiredPerf(w, t), t);
+                if (const WorkloadEstimate *est = estimateFor(id))
+                    shrinkAllocation(w, *est, requiredPerf(w, t), t);
             }
             rec.strikes = 0;
         } else {
@@ -981,6 +971,7 @@ QuasarManager::onTick(double t)
             Workload &w = registry_.get(id);
             if (cluster_.serversHosting(id).empty())
                 continue;
+            // Placed outside the manager: unclassified, never probed.
             const WorkloadEstimate *est = estimateFor(id);
             if (!est)
                 continue;
@@ -1016,7 +1007,9 @@ QuasarManager::onServerDown(ServerId,
     ++stats_.server_failures;
     for (WorkloadId id : displaced) {
         Workload &w = registry_.get(id);
-        if (w.completed || w.killed)
+        // A share placed outside the manager (unclassified) is not the
+        // manager's to re-place, as it is not its to adapt.
+        if (w.completed || w.killed || !estimateFor(id))
             continue;
         ++stats_.tasks_displaced;
         std::optional<double> &since = tracked_[id].displaced_at;
@@ -1030,22 +1023,16 @@ void
 QuasarManager::replaceDisplaced(WorkloadId id, double t)
 {
     Workload &w = registry_.get(id);
-    const WorkloadEstimate *est = estimateFor(id);
-    if (!est) {
-        // Crashed before it was ever classified; take the full
-        // submission path (profiles in sandboxed copies as usual).
-        onSubmit(id, t);
-        return;
-    }
     // A machine loss is not a phase change: keep the existing
     // classification and skip re-profiling entirely.
+    const WorkloadEstimate &est = estimates_.at(id);
     if (!cluster_.serversHosting(id).empty()) {
         // Partial loss of a multi-node job: still holding resources,
         // so top up scale-out-first; if capacity is tight the
         // reactive monitoring path keeps working on it.
         double required = requiredPerf(w, t);
-        if (predictCurrent(w, *est) < required)
-            tryScaleOut(w, *est, required, t);
+        if (predictCurrent(w, est) < required)
+            tryScaleOut(w, est, required, t);
         noteRecovered(id, t);
         return;
     }
@@ -1089,10 +1076,8 @@ QuasarManager::onServerDegraded(ServerId sid, double, double t)
 const WorkloadEstimate *
 QuasarManager::estimateFor(WorkloadId id) const
 {
-    auto it = tracked_.find(id);
-    return it == tracked_.end() || !it->second.estimate
-               ? nullptr
-               : &*it->second.estimate;
+    auto it = estimates_.find(id);
+    return it == estimates_.end() ? nullptr : &it->second;
 }
 
 } // namespace quasar::core

@@ -184,9 +184,6 @@ class QuasarManager : public driver::ClusterManager
     /** Everything the manager keeps about one workload. */
     struct Tracked
     {
-        /** Classification; empty until submission (a service's load
-         *  predictor may start observing before it arrives). */
-        std::optional<WorkloadEstimate> estimate;
         /** Consecutive below-target checks (noise filter). */
         int strikes = 0;
         /** Last grow/shrink adjustment and reclassify+reschedule. */
@@ -200,17 +197,18 @@ class QuasarManager : public driver::ClusterManager
     };
 
     /**
-     * The one exit of a workload: drop its record and every trace the
-     * failure memo, the overload controller and the admission queue
-     * keep of it. Completions, churn departures and sheds all end here.
+     * The one exit of a workload: drop its record, its estimate and
+     * every trace the failure memo, the overload controller and the
+     * admission queue keep of it. Completions, churn departures and
+     * sheds all end here.
      */
     void forget(WorkloadId id);
     /**
-     * Write access to id's estimate, the only one. A recorded failure
-     * was decided against the old estimate, so the failure memo forgets
-     * it here (core/failure_memo.hh).
+     * Write access to id's estimate, the only one (created on first
+     * use). A recorded failure was decided against the old estimate,
+     * so the failure memo forgets it here (core/failure_memo.hh).
      */
-    std::optional<WorkloadEstimate> &estimateForWrite(WorkloadId id);
+    WorkloadEstimate &estimateForWrite(WorkloadId id);
 
     double requiredPerf(const workload::Workload &w, double t) const;
     bool trySchedule(WorkloadId id, double t, bool requeue_on_fail);
@@ -255,9 +253,10 @@ class QuasarManager : public driver::ClusterManager
     void shrinkAllocation(workload::Workload &w,
                           const WorkloadEstimate &est, double required,
                           double t);
-    void adjust(workload::Workload &w, double t);
+    /** One reactive adjustment of w (record rec, estimate est). */
+    void adjust(workload::Workload &w, Tracked &rec,
+                const WorkloadEstimate &est, double t);
     void reclassifyAndReschedule(workload::Workload &w, double t);
-    EstimateLookup estimateLookup() const;
 
     /**
      * One admission retry pass (tick / completion / server-up), with
@@ -283,6 +282,11 @@ class QuasarManager : public driver::ClusterManager
     QuasarConfig cfg_;
     profiling::Profiler profiler_;
     Classifier classifier_;
+    /** The classification of every workload submitted and not yet
+     *  forgotten: onSubmit writes it before any placement or deferral,
+     *  so every placed, queued or displaced workload has an entry.
+     *  Declared before scheduler_, which holds it by reference. */
+    EstimateTable estimates_;
     GreedyScheduler scheduler_;
     Monitor monitor_;
     AdmissionQueue admission_;

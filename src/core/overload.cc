@@ -6,20 +6,6 @@
 namespace quasar::core
 {
 
-const char *
-overloadStateName(OverloadState s)
-{
-    switch (s) {
-    case OverloadState::Normal:
-        return "normal";
-    case OverloadState::Pressured:
-        return "pressured";
-    case OverloadState::Overloaded:
-        break;
-    }
-    return "overloaded";
-}
-
 OverloadDetector::OverloadDetector(const OverloadConfig &cfg)
     : cfg_(cfg), dwell_(3, size_t(OverloadState::Normal))
 {

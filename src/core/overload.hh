@@ -65,8 +65,6 @@ enum class OverloadState
     Overloaded = 2,
 };
 
-const char *overloadStateName(OverloadState s);
-
 /** The service autoscaler's control law. */
 enum class ScalingPolicyKind
 {

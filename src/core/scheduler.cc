@@ -83,6 +83,13 @@ chooseSocket(
 
 } // namespace
 
+const EstimateTable &
+noEstimates()
+{
+    static const EstimateTable empty;
+    return empty;
+}
+
 bool
 GreedyScheduler::evictable(const sim::TaskShare &victim,
                            const workload::Workload &w) const
@@ -274,11 +281,8 @@ GreedyScheduler::pickNodeConfig(const sim::Server &srv,
 bool
 GreedyScheduler::residentsTolerate(const sim::Server &srv,
                                    const WorkloadEstimate &est,
-                                   double cores, int socket,
-                                   const EstimateLookup &estimates) const
+                                   double cores, int socket) const
 {
-    if (!estimates)
-        return true;
     // Per-socket view of the newcomer's caused pressure: full
     // strength on its home socket, attenuated by the cross-socket
     // factor elsewhere, each over that socket's capacity. The flat
@@ -299,14 +303,14 @@ GreedyScheduler::residentsTolerate(const sim::Server &srv,
     for (const sim::TaskShare &t : srv.tasks()) {
         if (t.best_effort)
             continue; // evictable anyway; protected residents only
-        const WorkloadEstimate *res = estimates(t.workload);
-        if (!res)
+        auto res = estimates_.find(t.workload);
+        if (res == estimates_.end())
             continue;
         interference::IVector now = srv.contentionFor(t.workload);
         const interference::IVector &add = added[size_t(t.socket)];
         double loss = 1.0;
         for (size_t i = 0; i < interference::kNumSources; ++i) {
-            double excess = now[i] + add[i] - res->tolerated[i];
+            double excess = now[i] + add[i] - res->second.tolerated[i];
             if (excess > 0.0)
                 loss *= std::max(0.05,
                                  1.0 - cfg_.slope_guess * excess);
@@ -319,20 +323,18 @@ GreedyScheduler::residentsTolerate(const sim::Server &srv,
 
 std::optional<Allocation>
 GreedyScheduler::allocate(const Workload &w, const WorkloadEstimate &est,
-                          double required_perf,
-                          const EstimateLookup &estimates,
-                          bool may_evict, bool spread) const
+                          double required_perf, bool may_evict,
+                          bool spread) const
 {
     std::optional<Allocation> decision =
-        allocateImpl(w, est, required_perf, estimates, may_evict, spread);
+        allocateImpl(w, est, required_perf, may_evict, spread);
 #ifdef QUASAR_VERIFY
     // Shadow scheduler oracle: every maintained-order decision is
     // re-derived through the sorted full scan; any divergence aborts.
     // Full-scan decisions are the oracle, so they are never shadowed
     // (also what makes this non-recursive).
     if (!cfg_.full_rescan)
-        verify::shadowCheckAllocation(cluster_, cfg_, registry_, w,
-                                      est, required_perf, estimates,
+        verify::shadowCheckAllocation(*this, w, est, required_perf,
                                       may_evict, spread, decision);
 #endif
     return decision;
@@ -341,8 +343,8 @@ GreedyScheduler::allocate(const Workload &w, const WorkloadEstimate &est,
 NodeReject
 GreedyScheduler::nodeVerdict(
     const sim::Server &srv, const ServerCacheEntry &e, const Workload &w,
-    const WorkloadEstimate &est, WalkState &so_far,
-    const EstimateLookup &estimates, bool may_evict, NodePick &pick,
+    const WorkloadEstimate &est, WalkState &so_far, bool may_evict,
+    NodePick &pick,
     std::vector<std::pair<ServerId, WorkloadId>> &planned) const
 {
     pick = pickNodeConfig(srv, e, w, est, may_evict,
@@ -368,7 +370,7 @@ GreedyScheduler::nodeVerdict(
         if (!fixed)
             return NodeReject::Knob;
     }
-    if (!residentsTolerate(srv, est, pick.cores, pick.socket, estimates))
+    if (!residentsTolerate(srv, est, pick.cores, pick.socket))
         return NodeReject::Intolerant;
 
     // Diminishing returns: when this node's marginal contribution
@@ -406,7 +408,6 @@ GreedyScheduler::firstNodeVerdict(const sim::Server &srv,
                                   const Workload &w,
                                   const WorkloadEstimate &est,
                                   double required_perf,
-                                  const EstimateLookup &estimates,
                                   bool may_evict) const
 {
     // allocateImpl's candidate test with no node chosen yet: the
@@ -422,16 +423,14 @@ GreedyScheduler::firstNodeVerdict(const sim::Server &srv,
     first.target = std::max(required_perf, 1e-9) * cfg_.headroom;
     NodePick pick;
     std::vector<std::pair<ServerId, WorkloadId>> planned;
-    return nodeVerdict(srv, e, w, est, first, estimates, may_evict, pick,
-                       planned);
+    return nodeVerdict(srv, e, w, est, first, may_evict, pick, planned);
 }
 
 std::optional<Allocation>
 GreedyScheduler::allocateImpl(const Workload &w,
                               const WorkloadEstimate &est,
-                              double required_perf,
-                              const EstimateLookup &estimates,
-                              bool may_evict, bool spread) const
+                              double required_perf, bool may_evict,
+                              bool spread) const
 {
     assert(est.scale_up_grid.size() == est.scale_up_perf.size());
     WalkState so_far;
@@ -508,8 +507,8 @@ GreedyScheduler::allocateImpl(const Workload &w,
             const ServerCacheEntry &e = order_->serverView(srv, scratch);
             NodePick pick;
             std::vector<std::pair<ServerId, WorkloadId>> planned;
-            NodeReject r = nodeVerdict(srv, e, w, est, so_far, estimates,
-                                       may_evict, pick, planned);
+            NodeReject r = nodeVerdict(srv, e, w, est, so_far, may_evict,
+                                       pick, planned);
             if (r != NodeReject::None) {
                 ++walk_.rejected[size_t(r)];
                 if (!spread &&

@@ -34,7 +34,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -166,12 +165,9 @@ struct SchedulerTiming
     stats::TimerStat place;
 };
 
-/**
- * Lookup for the estimates of currently-placed workloads (needed for
- * the caused-interference check against residents).
- */
-using EstimateLookup =
-    std::function<const WorkloadEstimate *(WorkloadId)>;
+/** The empty table: a scheduler built on it has no resident's
+ *  estimate to check a newcomer against. */
+const EstimateTable &noEstimates();
 
 /** The greedy joint allocator/assigner. */
 class GreedyScheduler
@@ -181,10 +177,15 @@ class GreedyScheduler
      * @param registry optional: when provided, placements may evict
      *        residents of strictly lower priority (Sec. 4.4), not just
      *        best-effort tasks.
+     * @param estimates residents' classifications, read at decision
+     *        time by the residents' check; a resident without an entry
+     *        is not protected. Must outlive the scheduler.
      */
     GreedyScheduler(const sim::Cluster &cluster, SchedulerConfig cfg = {},
-                    const workload::WorkloadRegistry *registry = nullptr)
+                    const workload::WorkloadRegistry *registry = nullptr,
+                    const EstimateTable &estimates = noEstimates())
         : cluster_(cluster), cfg_(cfg), registry_(registry),
+          estimates_(estimates),
           order_(CandidateOrder::make(cfg.full_rescan, cluster, registry,
                                       cfg.slope_guess))
     {
@@ -198,7 +199,6 @@ class GreedyScheduler
      * @param w the workload being placed.
      * @param est its classification output.
      * @param required_perf performance the allocation must reach.
-     * @param estimates lookup for residents' estimates (may be null).
      * @param may_evict allow evicting best-effort residents.
      * @param spread spread the nodes across fault zones (Sec. 4.4):
      *        first walk only servers in zones the allocation does not
@@ -208,8 +208,8 @@ class GreedyScheduler
      */
     std::optional<Allocation>
     allocate(const workload::Workload &w, const WorkloadEstimate &est,
-             double required_perf, const EstimateLookup &estimates,
-             bool may_evict, bool spread = false) const;
+             double required_perf, bool may_evict,
+             bool spread = false) const;
 
     /**
      * Whether srv would take w's first node right now, and if not,
@@ -226,7 +226,6 @@ class GreedyScheduler
                                 const workload::Workload &w,
                                 const WorkloadEstimate &est,
                                 double required_perf,
-                                const EstimateLookup &estimates,
                                 bool may_evict) const;
 
     /**
@@ -250,6 +249,9 @@ class GreedyScheduler
                          const WorkloadEstimate &est) const;
 
     const SchedulerConfig &config() const { return cfg_; }
+    const sim::Cluster &cluster() const { return cluster_; }
+    const workload::WorkloadRegistry *registry() const { return registry_; }
+    const EstimateTable &estimates() const { return estimates_; }
 
     /** Decision-phase wall-clock timing since construction. */
     const SchedulerTiming &timing() const { return timing_; }
@@ -313,8 +315,7 @@ class GreedyScheduler
     std::optional<Allocation>
     allocateImpl(const workload::Workload &w,
                  const WorkloadEstimate &est, double required_perf,
-                 const EstimateLookup &estimates, bool may_evict,
-                 bool spread) const;
+                 bool may_evict, bool spread) const;
 
     /**
      * Best per-node configuration on a server given free resources
@@ -336,8 +337,7 @@ class GreedyScheduler
      */
     bool residentsTolerate(const sim::Server &srv,
                            const WorkloadEstimate &est, double cores,
-                           int socket,
-                           const EstimateLookup &estimates) const;
+                           int socket) const;
 
     /** True when victim may be evicted to make room for w. */
     bool evictable(const sim::TaskShare &victim,
@@ -375,8 +375,7 @@ class GreedyScheduler
                            const ServerCacheEntry &e,
                            const workload::Workload &w,
                            const WorkloadEstimate &est, WalkState &so_far,
-                           const EstimateLookup &estimates, bool may_evict,
-                           NodePick &pick,
+                           bool may_evict, NodePick &pick,
                            std::vector<std::pair<ServerId, WorkloadId>>
                                &planned) const;
 
@@ -386,6 +385,7 @@ class GreedyScheduler
     const sim::Cluster &cluster_;
     SchedulerConfig cfg_;
     const workload::WorkloadRegistry *registry_;
+    const EstimateTable &estimates_;
 
     /** The candidate source, chosen once from cfg_.full_rescan. */
     std::unique_ptr<CandidateOrder> order_;

@@ -77,7 +77,7 @@ PqModel::fit(const MaskedMatrix &a)
             if (a.observed(r, c))
                 centered.at(r, c) = a.value(r, c) - mu_ -
                                     row_bias_[r] - col_bias_[c];
-    SvdResult s = randomizedSvd(centered, k, 2, cfg_.seed);
+    SvdResult s = randomizedSvd(centered, k, 2, kPqSeed);
 
     // Split the singular values symmetrically (Q = U sqrt(S),
     // P = V sqrt(S)); the paper's asymmetric split (P^T = S V^T)
@@ -111,9 +111,9 @@ PqModel::fit(const MaskedMatrix &a)
         return;
     }
 
-    stats::Rng rng(cfg_.seed);
-    double eta = cfg_.learning_rate;
-    const double lambda = cfg_.regularization;
+    stats::Rng rng(kPqSeed);
+    double eta = kPqLearningRate;
+    const double lambda = kPqRegularization;
     double prev_rmse = std::numeric_limits<double>::infinity();
 
     for (epochs_run_ = 0; epochs_run_ < cfg_.max_epochs; ++epochs_run_) {
@@ -163,7 +163,7 @@ PqModel::fit(const MaskedMatrix &a)
         train_rmse_ = rmse;
         if (rmse > prev_rmse * 1.02)
             eta = std::max(eta * 0.7,
-                           cfg_.learning_rate / 20.0); // overshooting
+                           kPqLearningRate / 20.0); // overshooting
         if (std::fabs(prev_rmse - rmse) < cfg_.tolerance)
             break;
         prev_rmse = rmse;

@@ -27,16 +27,19 @@ namespace quasar::linalg
 
 /** Ridge strength (per observation) used when folding in rows. */
 constexpr double kFoldInRegularization = 0.01;
+/** Initial SGD step eta (decays on overshoot). */
+constexpr double kPqLearningRate = 0.1;
+/** SGD regularization lambda. */
+constexpr double kPqRegularization = 0.03;
+/** Seed of the SVD sketch and of the entry-visit shuffle. */
+constexpr uint64_t kPqSeed = 42;
 
 /** Hyperparameters for PQ-reconstruction. */
 struct PqConfig
 {
     size_t rank = 8;            ///< number of latent factors.
-    double learning_rate = 0.1; ///< initial eta (decays on overshoot).
-    double regularization = 0.03; ///< lambda.
     size_t max_epochs = 100;    ///< SGD epoch limit.
     double tolerance = 1e-6;    ///< stop when epoch RMSE delta is below.
-    uint64_t seed = 42;         ///< SVD sketch and entry-visit shuffle seed.
 };
 
 /** Trained latent-factor model over a masked matrix. */

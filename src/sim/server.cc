@@ -344,12 +344,6 @@ Server::rawPressure() const
 }
 
 void
-Server::injectPressure(const IVector &normalized)
-{
-    injectPressureAt(0, normalized);
-}
-
-void
 Server::injectPressureAt(int socket, const IVector &normalized)
 {
     assert(socket >= 0 && socket < num_sockets_);

@@ -200,12 +200,10 @@ class Server
     interference::IVector contentionForNewcomerAt(int socket) const;
 
     /**
-     * Inject raw pressure on socket 0 (microbenchmark probes);
+     * Inject raw pressure homed on a socket (microbenchmark probes);
      * intensity is normalized, i.e. scaled by the socket's capacity
      * internally (== platform capacity on a flat machine).
      */
-    void injectPressure(const interference::IVector &normalized);
-    /** Inject pressure homed on a specific socket. */
     void injectPressureAt(int socket,
                           const interference::IVector &normalized);
     void clearInjectedPressure();

@@ -175,4 +175,21 @@ formatErrorReport(const ErrorReport &r)
     return buf;
 }
 
+std::string
+formatCdfTable(const std::vector<double> &values,
+               const std::string &value_label, size_t rows)
+{
+    Samples s;
+    s.addAll(values);
+    std::string out = "  pctl   " + value_label + "\n";
+    char buf[64];
+    for (size_t i = 0; i <= rows; ++i) {
+        double p = 100.0 * double(i) / double(rows);
+        std::snprintf(buf, sizeof(buf), "  %5.1f  %10.3f\n", p,
+                      s.percentile(p));
+        out += buf;
+    }
+    return out;
+}
+
 } // namespace quasar::stats

@@ -125,5 +125,10 @@ ErrorReport makeErrorReport(const Samples &errors);
 /** Render an ErrorReport as "a% / b% / c%" for bench output. */
 std::string formatErrorReport(const ErrorReport &r);
 
+/** Render samples as an ASCII CDF table with the given column labels. */
+std::string formatCdfTable(const std::vector<double> &values,
+                           const std::string &value_label,
+                           size_t rows = 10);
+
 } // namespace quasar::stats
 

@@ -87,6 +87,22 @@ sameAllocation(const std::optional<core::Allocation> &a,
            a->degraded == b->degraded;
 }
 
+/**
+ * The oracle both decision checks re-decide with: a fresh scheduler on
+ * the sorted full scan over the primary's cluster, registry and
+ * estimate table. It has no shared cache and no journal cursor, so it
+ * inherits no primary-path bug, and its own verify hook is a no-op
+ * (full_rescan never shadows), so the checks cannot recurse.
+ */
+core::GreedyScheduler
+fullRescanTwin(const core::GreedyScheduler &primary)
+{
+    core::SchedulerConfig cfg = primary.config();
+    cfg.full_rescan = true;
+    return core::GreedyScheduler(primary.cluster(), cfg,
+                                 primary.registry(), primary.estimates());
+}
+
 } // namespace
 
 void
@@ -256,28 +272,16 @@ sweepCluster(const sim::Cluster &cluster,
 }
 
 void
-shadowCheckAllocation(const sim::Cluster &cluster,
-                      const core::SchedulerConfig &cfg,
-                      const workload::WorkloadRegistry *registry,
+shadowCheckAllocation(const core::GreedyScheduler &scheduler,
                       const workload::Workload &w,
                       const core::WorkloadEstimate &est,
-                      double required_perf,
-                      const core::EstimateLookup &estimates,
-                      bool may_evict, bool spread,
+                      double required_perf, bool may_evict, bool spread,
                       const std::optional<core::Allocation> &primary)
 {
     ++counters().shadow_checks;
-
-    // Fresh scheduler on the legacy recompute-everything path: no
-    // shared cache, no journal cursor, nothing to inherit a primary-
-    // path bug from. Its own verify hook is a no-op (full_rescan never
-    // shadows), so this cannot recurse.
-    core::SchedulerConfig shadow_cfg = cfg;
-    shadow_cfg.full_rescan = true;
-    core::GreedyScheduler shadow(cluster, shadow_cfg, registry);
     std::optional<core::Allocation> expected =
-        shadow.allocate(w, est, required_perf, estimates, may_evict,
-                        spread);
+        fullRescanTwin(scheduler).allocate(w, est, required_perf,
+                                           may_evict, spread);
 
     if (!sameAllocation(primary, expected)) {
         ++counters().shadow_divergences;
@@ -292,21 +296,16 @@ shadowCheckAllocation(const sim::Cluster &cluster,
 
 void
 checkSkippedRetry(
-    const sim::Cluster &cluster, const core::SchedulerConfig &cfg,
-    const workload::WorkloadRegistry *registry,
-    const workload::Workload &w, const core::WorkloadEstimate &est,
-    double required_perf, const core::EstimateLookup &estimates,
+    const core::GreedyScheduler &scheduler, const workload::Workload &w,
+    const core::WorkloadEstimate &est, double required_perf,
     bool may_evict, bool spread,
     const std::function<bool(const std::optional<core::Allocation> &)>
         &admitted)
 {
     ++counters().skipped_retry_checks;
-    core::SchedulerConfig shadow_cfg = cfg;
-    shadow_cfg.full_rescan = true;
-    core::GreedyScheduler shadow(cluster, shadow_cfg, registry);
     std::optional<core::Allocation> decision =
-        shadow.allocate(w, est, required_perf, estimates, may_evict,
-                        spread);
+        fullRescanTwin(scheduler).allocate(w, est, required_perf,
+                                           may_evict, spread);
     if (admitted(decision))
         fail("admission failure memo skipped a retry of workload " +
              std::to_string(w.id) + " (" + w.name +

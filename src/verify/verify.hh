@@ -74,33 +74,32 @@ void sweepCluster(const sim::Cluster &cluster,
                   const workload::WorkloadRegistry *registry);
 
 /**
- * Re-run one allocation decision (same may_evict and spread inputs)
- * through the full_rescan sorted scan and abort unless the primary
- * decision matches it exactly (node list, sizing columns, evictions,
- * knobs, predicted performance — doubles compared bitwise). Called by
+ * Re-run one allocation decision of `scheduler` (same may_evict and
+ * spread inputs) through a full_rescan twin on the same cluster,
+ * registry and estimate table, and abort unless the primary decision
+ * matches it exactly (node list, sizing columns, evictions, knobs,
+ * predicted performance — doubles compared bitwise). Called by
  * GreedyScheduler::allocate for every decision the maintained order
  * takes.
  */
-void shadowCheckAllocation(
-    const sim::Cluster &cluster, const core::SchedulerConfig &cfg,
-    const workload::WorkloadRegistry *registry,
-    const workload::Workload &w, const core::WorkloadEstimate &est,
-    double required_perf, const core::EstimateLookup &estimates,
-    bool may_evict, bool spread,
-    const std::optional<core::Allocation> &primary);
+void shadowCheckAllocation(const core::GreedyScheduler &scheduler,
+                           const workload::Workload &w,
+                           const core::WorkloadEstimate &est,
+                           double required_perf, bool may_evict,
+                           bool spread,
+                           const std::optional<core::Allocation> &primary);
 
 /**
  * Re-run a schedule call the admission failure memo skipped as proven
- * futile (core/failure_memo.hh) through the full_rescan path, and
- * abort if the manager would have admitted the result — `admitted` is
- * the manager's own acceptance test. Turns the memo's proof from an
- * argument into a checked fact on every verify-build run.
+ * futile (core/failure_memo.hh) through a full_rescan twin of
+ * `scheduler`, and abort if the manager would have admitted the
+ * result — `admitted` is the manager's own acceptance test. Turns the
+ * memo's proof from an argument into a checked fact on every
+ * verify-build run.
  */
 void checkSkippedRetry(
-    const sim::Cluster &cluster, const core::SchedulerConfig &cfg,
-    const workload::WorkloadRegistry *registry,
-    const workload::Workload &w, const core::WorkloadEstimate &est,
-    double required_perf, const core::EstimateLookup &estimates,
+    const core::GreedyScheduler &scheduler, const workload::Workload &w,
+    const core::WorkloadEstimate &est, double required_perf,
     bool may_evict, bool spread,
     const std::function<bool(const std::optional<core::Allocation> &)>
         &admitted);

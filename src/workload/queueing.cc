@@ -19,15 +19,6 @@ percentileLatency(double offered_qps, double capacity_qps, double p)
 }
 
 double
-meanLatency(double offered_qps, double capacity_qps)
-{
-    if (capacity_qps <= 0.0 || offered_qps >= capacity_qps)
-        return kSaturatedLatency;
-    return std::min(1.0 / (capacity_qps - offered_qps),
-                    kSaturatedLatency);
-}
-
-double
 maxQpsWithinQos(double capacity_qps, double qos_s, double p)
 {
     assert(qos_s > 0.0);

@@ -27,9 +27,6 @@ constexpr double kSaturatedLatency = 60.0;
 double percentileLatency(double offered_qps, double capacity_qps,
                          double p = 99.0);
 
-/** Mean sojourn time (seconds). */
-double meanLatency(double offered_qps, double capacity_qps);
-
 /**
  * Highest offered load (QPS) whose p-th percentile latency stays
  * within qos_s; 0 when the capacity cannot meet the QoS at any load.

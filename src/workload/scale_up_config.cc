@@ -2,19 +2,9 @@
 
 #include <array>
 #include <cassert>
-#include <cstdio>
 
 namespace quasar::workload
 {
-
-const std::string &
-workloadTypeName(WorkloadType t)
-{
-    static const std::array<std::string, 4> names = {
-        "analytics", "latency-service", "stateful-service", "single-node",
-    };
-    return names[static_cast<size_t>(t)];
-}
 
 bool
 isDistributed(WorkloadType t)
@@ -35,21 +25,6 @@ compressionName(Compression c)
     static const std::array<std::string, 3> names = {"none", "lzo",
                                                      "gzip"};
     return names[static_cast<size_t>(c)];
-}
-
-std::string
-ScaleUpConfig::describe(WorkloadType t) const
-{
-    char buf[128];
-    if (t == WorkloadType::Analytics) {
-        std::snprintf(buf, sizeof(buf),
-                      "%dc/%.1fGB m=%d heap=%.2f %s", cores, memory_gb,
-                      knobs.mappers_per_node, knobs.heap_gb,
-                      compressionName(knobs.compression).c_str());
-    } else {
-        std::snprintf(buf, sizeof(buf), "%dc/%.1fGB", cores, memory_gb);
-    }
-    return buf;
 }
 
 namespace

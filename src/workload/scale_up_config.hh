@@ -29,8 +29,6 @@ enum class WorkloadType
     SingleNode,      ///< single-server batch (SPEC/PARSEC style).
 };
 
-const std::string &workloadTypeName(WorkloadType t);
-
 /** True when the type can use more than one server. */
 bool isDistributed(WorkloadType t);
 
@@ -67,8 +65,6 @@ struct ScaleUpConfig
     FrameworkKnobs knobs; ///< meaningful for Analytics only.
 
     bool operator==(const ScaleUpConfig &) const = default;
-
-    std::string describe(WorkloadType t) const;
 };
 
 /**

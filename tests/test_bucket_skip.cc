@@ -183,8 +183,8 @@ struct SkipWorld
         GreedyScheduler full(cluster, full_cfg, &registry);
         Run r;
         r.dirty =
-            dirty.allocate(w, est, required, nullptr, may_evict, spread);
-        r.full = full.allocate(w, est, required, nullptr, may_evict, spread);
+            dirty.allocate(w, est, required, may_evict, spread);
+        r.full = full.allocate(w, est, required, may_evict, spread);
         r.dirty_walk = dirty.walkCounts();
         r.full_walk = full.walkCounts();
         return r;
@@ -431,8 +431,8 @@ TEST(BucketSkip, RandomizedStreamMatchesFullRescan)
                 w.total_work > 0.0 ? w.total_work / 300.0 : 1.0;
             bool may_evict = p % 2 == 0;
             WalkCounts d0 = dirty.walkCounts(), f0 = full.walkCounts();
-            auto a = dirty.allocate(w, est, target, nullptr, may_evict);
-            auto b = full.allocate(w, est, target, nullptr, may_evict);
+            auto a = dirty.allocate(w, est, target, may_evict);
+            auto b = full.allocate(w, est, target, may_evict);
             std::string ctx = "seed " + std::to_string(seed) +
                               " placement " + std::to_string(p);
             expectSameAllocation(a, b, ctx);

@@ -209,11 +209,11 @@ TEST(ChangeJournal, LaggardSchedulerCursorFallsBackToFullScan)
 
     // Prime the dirty index with one decision, then commit it.
     auto [id0, est0] = w.make(w.factory.hadoopJob("warm", 40.0));
-    auto a0 = dirty.allocate(w.registry.get(id0), est0, 40.0, nullptr,
+    auto a0 = dirty.allocate(w.registry.get(id0), est0, 40.0,
                              false);
     expectSameAllocation(a0,
                          rescan.allocate(w.registry.get(id0), est0,
-                                         40.0, nullptr, false),
+                                         40.0, false),
                          "warmup");
     ASSERT_TRUE(a0.has_value());
     w.apply(id0, *a0);
@@ -226,7 +226,7 @@ TEST(ChangeJournal, LaggardSchedulerCursorFallsBackToFullScan)
     poke[0] = 0.05;
     for (int round = 0; round < 80; ++round) {
         for (size_t s = 0; s < w.cluster.size(); ++s) {
-            w.cluster.server(ServerId(s)).injectPressure(poke);
+            w.cluster.server(ServerId(s)).injectPressureAt(0, poke);
             w.cluster.server(ServerId(s)).clearInjectedPressure();
         }
     }
@@ -237,9 +237,9 @@ TEST(ChangeJournal, LaggardSchedulerCursorFallsBackToFullScan)
     // and still pick the exact placement the legacy path picks.
     auto [id1, est1] = w.make(w.factory.hadoopJob("after-storm", 55.0));
     expectSameAllocation(dirty.allocate(w.registry.get(id1), est1, 55.0,
-                                        nullptr, false),
+                                        false),
                          rescan.allocate(w.registry.get(id1), est1,
-                                         55.0, nullptr, false),
+                                         55.0, false),
                          "laggard decision");
 }
 
@@ -258,7 +258,7 @@ TEST(ChangeJournal, SchedulerCreatedMidStreamMatchesFullRescan)
             auto [id, est] =
                 w.make(w.factory.hadoopJob("pre", 20.0 + 10.0 * i));
             auto a = warm.allocate(w.registry.get(id), est,
-                                   20.0 + 10.0 * i, nullptr, false);
+                                   20.0 + 10.0 * i, false);
             if (a)
                 w.apply(id, *a);
         }
@@ -276,10 +276,10 @@ TEST(ChangeJournal, SchedulerCreatedMidStreamMatchesFullRescan)
         auto [id, est] =
             w.make(w.factory.hadoopJob("mid", 30.0 + 15.0 * i));
         auto a = dirty.allocate(w.registry.get(id), est,
-                                30.0 + 15.0 * i, nullptr, false);
+                                30.0 + 15.0 * i, false);
         expectSameAllocation(a,
                              rescan.allocate(w.registry.get(id), est,
-                                             30.0 + 15.0 * i, nullptr,
+                                             30.0 + 15.0 * i,
                                              false),
                              "mid-stream decision " + std::to_string(i));
         if (a)
@@ -311,11 +311,11 @@ TEST(ChangeJournal, DirtySetTracksJournalAcrossDifferentCatalogs)
             auto [id, est] =
                 w.make(w.factory.hadoopJob("cat", 25.0 + 12.0 * i));
             auto a = dirty.allocate(w.registry.get(id), est,
-                                    25.0 + 12.0 * i, nullptr, false);
+                                    25.0 + 12.0 * i, false);
             expectSameAllocation(
                 a,
                 rescan.allocate(w.registry.get(id), est,
-                                25.0 + 12.0 * i, nullptr, false),
+                                25.0 + 12.0 * i, false),
                 "testbed " + std::to_string(testbed) + " decision " +
                     std::to_string(i));
             if (a)
@@ -343,15 +343,15 @@ TEST(ChangeJournal, LaggardCursorAmongMultipleReadersFallsBackAlone)
 
     // Prime both dirty readers.
     auto [id0, est0] = w.make(w.factory.hadoopJob("prime", 35.0));
-    auto p1 = laggard.allocate(w.registry.get(id0), est0, 35.0, nullptr,
+    auto p1 = laggard.allocate(w.registry.get(id0), est0, 35.0,
                                false);
     expectSameAllocation(p1,
                          current.allocate(w.registry.get(id0), est0,
-                                          35.0, nullptr, false),
+                                          35.0, false),
                          "prime laggard vs current");
     expectSameAllocation(p1,
                          rescan.allocate(w.registry.get(id0), est0,
-                                         35.0, nullptr, false),
+                                         35.0, false),
                          "prime vs rescan");
     ASSERT_TRUE(p1.has_value());
     w.apply(id0, *p1);
@@ -365,7 +365,7 @@ TEST(ChangeJournal, LaggardCursorAmongMultipleReadersFallsBackAlone)
     (void)probe_id;
     for (int burst = 0; burst < 40; ++burst) {
         for (size_t s = 0; s < w.cluster.size(); ++s) {
-            w.cluster.server(ServerId(s)).injectPressure(poke);
+            w.cluster.server(ServerId(s)).injectPressureAt(0, poke);
             w.cluster.server(ServerId(s)).clearInjectedPressure();
         }
         // Read-only probe: keeps current's cursor at end() without
@@ -374,12 +374,11 @@ TEST(ChangeJournal, LaggardCursorAmongMultipleReadersFallsBackAlone)
     }
 
     auto [id1, est1] = w.make(w.factory.hadoopJob("decide", 45.0));
-    auto want = rescan.allocate(w.registry.get(id1), est1, 45.0,
-                                nullptr, false);
+    auto want = rescan.allocate(w.registry.get(id1), est1, 45.0, false);
     expectSameAllocation(laggard.allocate(w.registry.get(id1), est1,
-                                          45.0, nullptr, false),
+                                          45.0, false),
                          want, "laggard after compaction");
     expectSameAllocation(current.allocate(w.registry.get(id1), est1,
-                                          45.0, nullptr, false),
+                                          45.0, false),
                          want, "current reader after compaction");
 }

@@ -182,9 +182,9 @@ TEST(DecisionPath, IncrementalMatchesFullRescanAcrossSeeds)
                                 ? job.total_work / 600.0
                                 : 1.0;
             bool may_evict = (p % 2 == 0);
-            auto a = inc.allocate(job, est, target, nullptr,
+            auto a = inc.allocate(job, est, target,
                                   may_evict);
-            auto b = full.allocate(job, est, target, nullptr,
+            auto b = full.allocate(job, est, target,
                                    may_evict);
             std::string ctx = "seed " + std::to_string(seed) +
                               " placement " + std::to_string(p);

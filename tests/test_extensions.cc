@@ -76,7 +76,7 @@ TEST(FaultZones, SpreadingUsesDistinctZones)
     for (double v : est.scale_up_perf)
         best = std::max(best, v);
     auto alloc = sched.allocate(w.registry.get(id), est, 3.0 * best,
-                                nullptr, false, true);
+                                false, true);
     ASSERT_TRUE(alloc.has_value());
     ASSERT_GE(alloc->nodes.size(), 3u);
     std::set<int> zones;
@@ -113,7 +113,7 @@ TEST(FaultZones, RelaxesWhenZonesExhausted)
     for (double v : est.scale_up_perf)
         best = std::max(best, v);
     auto alloc = sched.allocate(registry.get(id), est, 4.0 * best,
-                                nullptr, false, true);
+                                false, true);
     ASSERT_TRUE(alloc.has_value());
     EXPECT_GE(alloc->nodes.size(), 3u);
 }
@@ -125,7 +125,7 @@ TEST(CostTarget, CapBoundsSpending)
     job.cost_cap_per_hour = 1.0; // roughly one high-end server-hour
     auto [id, est] = w.make(std::move(job));
     GreedyScheduler sched(w.cluster, {}, &w.registry);
-    auto alloc = sched.allocate(w.registry.get(id), est, 1e12, nullptr,
+    auto alloc = sched.allocate(w.registry.get(id), est, 1e12,
                                 false);
     ASSERT_TRUE(alloc.has_value());
     double cost = 0.0;
@@ -148,9 +148,9 @@ TEST(CostTarget, UncappedSpendsMore)
     auto [idc, estc] = w.make(std::move(capped));
     auto [ido, esto] = w.make(std::move(open_job));
     GreedyScheduler sched(w.cluster, {}, &w.registry);
-    auto a = sched.allocate(w.registry.get(idc), estc, 1e12, nullptr,
+    auto a = sched.allocate(w.registry.get(idc), estc, 1e12,
                             false);
-    auto b = sched.allocate(w.registry.get(ido), esto, 1e12, nullptr,
+    auto b = sched.allocate(w.registry.get(ido), esto, 1e12,
                             false);
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value());
@@ -197,7 +197,7 @@ TEST(Priorities, HighPriorityEvictsLower)
     auto [id, est] = w.make(std::move(vip));
     GreedyScheduler sched(w.cluster, {}, &w.registry);
     auto alloc = sched.allocate(w.registry.get(id), est,
-                                0.3 * est.scale_up_perf[0], nullptr,
+                                0.3 * est.scale_up_perf[0],
                                 true);
     ASSERT_TRUE(alloc.has_value());
     EXPECT_FALSE(alloc->evictions.empty());
@@ -228,7 +228,7 @@ TEST(Priorities, EqualPriorityNotEvictable)
     auto [id, est] = w.make(std::move(peer));
     GreedyScheduler sched(w.cluster, {}, &w.registry);
     auto alloc = sched.allocate(w.registry.get(id), est,
-                                0.2 * est.scale_up_perf[0], nullptr,
+                                0.2 * est.scale_up_perf[0],
                                 true);
     ASSERT_TRUE(alloc.has_value());
     for (const auto &[esid, victim] : alloc->evictions)

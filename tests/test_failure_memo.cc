@@ -165,7 +165,7 @@ struct VerdictWorld
     core::Classifier clf{profiler, {}, 3};
     workload::WorkloadFactory factory;
     stats::Rng rng;
-    std::map<WorkloadId, core::WorkloadEstimate> estimates;
+    core::EstimateTable estimates;
     core::SchedulerConfig cfg;
 
     explicit VerdictWorld(uint64_t seed, bool full_rescan)
@@ -181,14 +181,6 @@ struct VerdictWorld
         for (int i = 0; i < 6; ++i)
             seeds.push_back(factory.singleNodeJob("seed", fams[i % 4]));
         clf.seedOffline(seeds, 0.0);
-    }
-
-    core::EstimateLookup lookup() const
-    {
-        return [this](WorkloadId id) -> const core::WorkloadEstimate * {
-            auto it = estimates.find(id);
-            return it == estimates.end() ? nullptr : &it->second;
-        };
     }
 
     /** A random arrival: batch, analytics, service or best-effort,
@@ -231,7 +223,7 @@ struct VerdictWorld
             WorkloadId id = draw(i);
             const Workload &w = registry.get(id);
             auto alloc = sched.allocate(w, estimates[id],
-                                        rng.uniform(0.5, 40.0), lookup(),
+                                        rng.uniform(0.5, 40.0),
                                         !w.best_effort);
             if (!alloc)
                 continue;
@@ -267,7 +259,7 @@ TEST(FirstNodeVerdict, AgreesWithAllocateOverPerturbedClusters)
         for (bool full_rescan : {false, true}) {
             VerdictWorld world(seed, full_rescan);
             GreedyScheduler sched(world.cluster, world.cfg,
-                                  &world.registry);
+                                  &world.registry, world.estimates);
             world.populate(sched, 60 + int(seed) * 5);
             for (int i = 0; i < 24; ++i) {
                 WorkloadId id = world.draw(i + 1);
@@ -275,14 +267,12 @@ TEST(FirstNodeVerdict, AgreesWithAllocateOverPerturbedClusters)
                 const core::WorkloadEstimate &est = world.estimates[id];
                 double required = world.rng.uniform(0.1, 200.0);
                 bool may_evict = !w.best_effort;
-                auto alloc = sched.allocate(w, est, required,
-                                            world.lookup(), may_evict);
+                auto alloc = sched.allocate(w, est, required, may_evict);
                 ServerId first = FailureMemo::kNoAnchor;
                 for (const auto &[q, sid] : sched.rankedCandidates(est)) {
                     (void)q;
                     if (sched.firstNodeVerdict(world.cluster.server(sid),
                                                w, est, required,
-                                               world.lookup(),
                                                may_evict) ==
                         NodeReject::None) {
                         first = sid;
@@ -316,7 +306,8 @@ TEST(FirstNodeVerdict, MonotoneRejectionsHoldAtLargerRequirements)
     size_t checked = 0, lifted_smaller = 0;
     for (uint64_t seed = 21; seed <= 28; ++seed) {
         VerdictWorld world(seed, false);
-        GreedyScheduler sched(world.cluster, world.cfg, &world.registry);
+        GreedyScheduler sched(world.cluster, world.cfg, &world.registry,
+                              world.estimates);
         world.populate(sched, 80);
         for (int i = 0; i < 12; ++i) {
             WorkloadId id = world.draw(i + 2);
@@ -325,20 +316,18 @@ TEST(FirstNodeVerdict, MonotoneRejectionsHoldAtLargerRequirements)
             double r0 = world.rng.uniform(0.1, 50.0);
             for (size_t s = 0; s < world.cluster.size(); ++s) {
                 const sim::Server &srv = world.cluster.server(ServerId(s));
-                NodeReject v0 = sched.firstNodeVerdict(
-                    srv, w, est, r0, world.lookup(), !w.best_effort);
+                NodeReject v0 = sched.firstNodeVerdict(srv, w, est, r0,
+                                                       !w.best_effort);
                 if (!GreedyScheduler::holdsAtLargerRequirement(v0))
                     continue;
                 ++checked;
                 for (double k : {1.0000001, 1.5, 4.0, 1e3})
                     EXPECT_NE(sched.firstNodeVerdict(srv, w, est, r0 * k,
-                                                     world.lookup(),
                                                      !w.best_effort),
                               NodeReject::None)
                         << "seed " << seed << " server " << s
                         << " reason " << int(v0) << " x" << k;
                 if (sched.firstNodeVerdict(srv, w, est, r0 / 50.0,
-                                           world.lookup(),
                                            !w.best_effort) ==
                     NodeReject::None)
                     ++lifted_smaller;
@@ -360,7 +349,7 @@ TEST(FirstNodeVerdict, ClosedIsExactlyTheRankTimeFilter)
         for (bool full_rescan : {false, true}) {
             VerdictWorld world(seed, full_rescan);
             GreedyScheduler sched(world.cluster, world.cfg,
-                                  &world.registry);
+                                  &world.registry, world.estimates);
             world.populate(sched, 90);
             for (int i = 0; i < 8; ++i) {
                 WorkloadId id = world.draw(i + 3);
@@ -379,8 +368,7 @@ TEST(FirstNodeVerdict, ClosedIsExactlyTheRankTimeFilter)
                     const bool expect = !srv.available() || free < 1;
                     const bool got =
                         sched.firstNodeVerdict(srv, w, world.estimates[id],
-                                               1.0, world.lookup(),
-                                               may_evict) ==
+                                               1.0, may_evict) ==
                         NodeReject::Closed;
                     EXPECT_EQ(got, expect)
                         << "seed " << seed << " server " << s
@@ -425,10 +413,10 @@ TEST(FirstNodeVerdict, FullRescanReadsLiveStateNotACachedEntry)
     est.platform_factor.assign(cluster.catalog().size(), 1.0);
 
     // Preemptible resident (priority 0 < 5): the class filter admits.
-    EXPECT_NE(oracle.firstNodeVerdict(srv, w, est, 1.0, nullptr, true),
+    EXPECT_NE(oracle.firstNodeVerdict(srv, w, est, 1.0, true),
               NodeReject::Closed);
     registry.get(rid).priority = 10; // no journal note, no epoch bump
-    EXPECT_EQ(oracle.firstNodeVerdict(srv, w, est, 1.0, nullptr, true),
+    EXPECT_EQ(oracle.firstNodeVerdict(srv, w, est, 1.0, true),
               NodeReject::Closed)
         << "full_rescan served a stale server view";
 }
@@ -436,7 +424,8 @@ TEST(FirstNodeVerdict, FullRescanReadsLiveStateNotACachedEntry)
 TEST(WalkCounts, EveryCandidateIsTakenOrRejectedOnce)
 {
     VerdictWorld world(5, false);
-    GreedyScheduler sched(world.cluster, world.cfg, &world.registry);
+    GreedyScheduler sched(world.cluster, world.cfg, &world.registry,
+                          world.estimates);
     world.populate(sched, 90);
     const core::WalkCounts &c = sched.walkCounts();
     uint64_t rejected = 0;

@@ -257,6 +257,81 @@ TEST(ManagerLifecycle, FinishedWorkloadsLeaveNoState)
     EXPECT_GT(placed, 0u);
 }
 
+TEST(ManagerLifecycle, EveryPlacedWorkloadHasAnEstimate)
+{
+    // The manager classifies at submit, before any placement or
+    // deferral, and only forget() erases an estimate. So under churn,
+    // machine faults (crash re-placement) and the overload controller
+    // (defers, sheds, brownouts), every hosted workload has an
+    // estimate on every tick, and no finished one keeps it.
+    sim::Cluster cluster = sim::Cluster::localCluster();
+    workload::WorkloadRegistry registry;
+    core::QuasarConfig cfg;
+    cfg.overload.enabled = true;
+    cfg.overload.util_pressured = 0.85;
+    cfg.overload.util_overloaded = 0.97;
+    cfg.overload.depth_pressured = 4;
+    cfg.overload.depth_overloaded = 8;
+    cfg.overload.min_dwell_s = 20.0;
+    cfg.overload.defer_base_s = 10.0;
+    cfg.overload.defer_max_s = 40.0;
+    cfg.overload.shed_deadline_s = 60.0;
+    cfg.overload.aging_limit_s = 100.0;
+    core::QuasarManager mgr(cluster, registry, cfg);
+    workload::WorkloadFactory seeder{stats::Rng(4242)};
+    mgr.seedOffline(seeder, 16);
+    driver::ScenarioDriver drv(cluster, registry, mgr,
+                               driver::DriverConfig{.tick_s = 10.0});
+
+    churn::ChurnConfig ccfg;
+    ccfg.seed = 2029;
+    ccfg.arrival_rate_per_s = 0.2;
+    ccfg.horizon_s = 600.0;
+    ccfg.mix = {0.35, 0.15, 0.15, 0.35};
+    ccfg.rate_pattern = std::make_shared<tracegen::PiecewiseLoad>(
+        std::vector<std::pair<double, double>>{{0.0, 0.6},
+                                               {90.0, 1.0},
+                                               {140.0, 6.0},
+                                               {200.0, 6.0},
+                                               {240.0, 0.8},
+                                               {600.0, 0.8}});
+    ccfg.server_mttf_s = 2000.0;
+    ccfg.server_mttr_s = 120.0;
+    churn::ChurnEngine engine(ccfg);
+    engine.install(cluster, registry, drv);
+
+    size_t ticks = 0, hosted = 0;
+    drv.setTickHook([&](double t) {
+        ++ticks;
+        for (ServerId sid : cluster.busyServers())
+            for (const sim::TaskShare &share :
+                 cluster.server(sid).tasks()) {
+                ++hosted;
+                EXPECT_NE(mgr.estimateFor(share.workload), nullptr)
+                    << "workload " << share.workload << " on server "
+                    << sid << " at t=" << t;
+            }
+    });
+    drv.run(900.0);
+
+    size_t finished = 0;
+    for (const churn::ChurnItem &item : engine.plan()) {
+        if (driver::outcomeOf(registry.get(item.id)) ==
+            driver::WorkloadOutcome::Active)
+            continue;
+        ++finished;
+        EXPECT_EQ(mgr.estimateFor(item.id), nullptr)
+            << "workload " << item.id;
+    }
+    // The run only pins the invariant if every path was taken.
+    EXPECT_EQ(ticks, 90u);
+    EXPECT_GT(hosted, 0u);
+    EXPECT_GT(finished, 0u);
+    EXPECT_GT(mgr.stats().tasks_displaced, 0u);
+    EXPECT_GT(mgr.stats().shed, 0u);
+    EXPECT_GT(mgr.stats().overload_deferred, 0u);
+}
+
 TEST(Manager, EstimatesClearedLookup)
 {
     World w;

@@ -1,19 +1,19 @@
 /**
  * @file
- * Edge-case coverage: event-queue cancellation corners, histogram
+ * Edge-case coverage: event-queue cancellation corners, CDF-table
  * formatting, admission accounting, estimate helpers, classifier
  * model-cache amortization, monitor absolute measurements, and
- * miscellaneous string/describe helpers.
+ * miscellaneous string helpers.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "core/classifier.hh"
 #include "core/monitor.hh"
 #include "sim/event_queue.hh"
-#include "stats/histogram.hh"
 #include "stats/summary.hh"
 #include "workload/factory.hh"
 
@@ -63,34 +63,6 @@ TEST(HistogramEdge, CdfTableCoversPercentiles)
     // Header plus five rows (0, 25, 50, 75, 100).
     EXPECT_EQ(std::count(table.begin(), table.end(), '\n'), 6);
     EXPECT_NE(table.find("value"), std::string::npos);
-}
-
-TEST(HistogramEdge, SingleBinAbsorbsEverything)
-{
-    stats::Histogram h(0.0, 1.0, 1);
-    h.add(0.2);
-    h.add(0.9);
-    EXPECT_DOUBLE_EQ(h.count(0), 2.0);
-    EXPECT_DOUBLE_EQ(h.cdfAt(1.0), 1.0);
-    EXPECT_DOUBLE_EQ(h.binLo(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.binHi(0), 1.0);
-}
-
-TEST(Describe, ConfigStringsCarryKnobs)
-{
-    workload::ScaleUpConfig cfg;
-    cfg.cores = 8;
-    cfg.memory_gb = 16.0;
-    cfg.knobs.mappers_per_node = 12;
-    cfg.knobs.compression = workload::Compression::Gzip;
-    std::string a = cfg.describe(workload::WorkloadType::Analytics);
-    EXPECT_NE(a.find("m=12"), std::string::npos);
-    EXPECT_NE(a.find("gzip"), std::string::npos);
-    std::string b = cfg.describe(workload::WorkloadType::SingleNode);
-    EXPECT_EQ(b.find("gzip"), std::string::npos);
-    EXPECT_EQ(workload::workloadTypeName(
-                  workload::WorkloadType::StatefulService),
-              "stateful-service");
 }
 
 TEST(TruthEdge, CapacityQpsScalesInverselyWithCost)

@@ -177,8 +177,7 @@ TEST_P(SeedSweep, SchedulerFeasibilityInvariants)
 
     core::GreedyScheduler sched(w.cluster, {}, &w.registry);
     double required = rng.uniform(0.1, 20.0) * est.reference_value;
-    auto alloc = sched.allocate(w.registry.get(id), est, required,
-                                nullptr, false);
+    auto alloc = sched.allocate(w.registry.get(id), est, required, false);
     if (!alloc.has_value())
         return; // nothing placeable is a legal outcome
 

@@ -199,7 +199,7 @@ TEST(RankingOrder, IncrementalMatchesFromScratchUnderRandomMutations)
                 "job", w.rng.uniform(10.0, 80.0)));
             w.registry.get(id).priority = 1;
             auto a = dirty.allocate(w.registry.get(id), est,
-                                    w.rng.uniform(10.0, 80.0), nullptr,
+                                    w.rng.uniform(10.0, 80.0),
                                     false);
             if (a) {
                 w.apply(id, *a);
@@ -258,7 +258,7 @@ TEST(RankingOrder, IncrementalMatchesFromScratchUnderRandomMutations)
         default: { // transient pressure spike + decay
             ServerId s = ServerId(w.rng.uniformInt(
                 0, int64_t(w.cluster.size()) - 1));
-            w.cluster.server(s).injectPressure(poke);
+            w.cluster.server(s).injectPressureAt(0, poke);
             if (w.rng.uniformInt(0, 1) == 0)
                 w.cluster.server(s).clearInjectedPressure();
             break;
@@ -330,8 +330,8 @@ TEST(RankingOrder, PriorityEvictionPlacementsIdenticalAcrossModes)
     GreedyScheduler dirty(w.cluster, SchedulerConfig{}, &w.registry);
     GreedyScheduler rescan(w.cluster, rescan_cfg, &w.registry);
 
-    auto a = dirty.allocate(job, est, 50.0, nullptr, true);
-    auto b = rescan.allocate(job, est, 50.0, nullptr, true);
+    auto a = dirty.allocate(job, est, 50.0, true);
+    auto b = rescan.allocate(job, est, 50.0, true);
     expectSameAllocation(a, b, "dirty vs full_rescan");
 
     // The scenario must actually preempt: an allocation that fit in
@@ -350,5 +350,5 @@ TEST(RankingOrder, PriorityEvictionPlacementsIdenticalAcrossModes)
     // really saturated the machines and the free < 1 guard was the
     // only gate.
     EXPECT_FALSE(
-        dirty.allocate(job, est, 50.0, nullptr, false).has_value());
+        dirty.allocate(job, est, 50.0, false).has_value());
 }

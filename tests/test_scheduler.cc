@@ -89,8 +89,7 @@ TEST(Scheduler, MeetsModestTargetWithFewNodes)
     double required = 0.8 * est.scale_up_perf[0];
     for (double v : est.scale_up_perf)
         required = std::max(required, 0.4 * v);
-    auto alloc = sched.allocate(w.registry.get(id), est, required,
-                                nullptr, false);
+    auto alloc = sched.allocate(w.registry.get(id), est, required, false);
     ASSERT_TRUE(alloc.has_value());
     EXPECT_FALSE(alloc->degraded);
     EXPECT_LE(alloc->nodes.size(), 3u);
@@ -102,7 +101,7 @@ TEST(Scheduler, SingleNodeWorkloadGetsOneServer)
     World w;
     auto [id, est] = w.make(w.factory.singleNodeJob("s", "specjbb"));
     GreedyScheduler sched(w.cluster);
-    auto alloc = sched.allocate(w.registry.get(id), est, 1e9, nullptr,
+    auto alloc = sched.allocate(w.registry.get(id), est, 1e9,
                                 false);
     ASSERT_TRUE(alloc.has_value());
     EXPECT_EQ(alloc->nodes.size(), 1u);
@@ -115,8 +114,7 @@ TEST(Scheduler, PrefersHighQualityPlatforms)
     auto [id, est] = w.make(w.factory.hadoopJob("j", 30.0));
     GreedyScheduler sched(w.cluster);
     double required = 0.5 * est.scale_up_perf[0];
-    auto alloc = sched.allocate(w.registry.get(id), est, required,
-                                nullptr, false);
+    auto alloc = sched.allocate(w.registry.get(id), est, required, false);
     ASSERT_TRUE(alloc.has_value());
     // The first node must be a high-factor platform (top third).
     const sim::Platform &p =
@@ -137,7 +135,7 @@ TEST(Scheduler, RightSizesInsteadOfMaxing)
     GreedyScheduler sched(w.cluster);
     // Tiny target: should not allocate a whole fat node.
     double tiny = 0.05 * est.scale_up_perf.back();
-    auto alloc = sched.allocate(w.registry.get(id), est, tiny, nullptr,
+    auto alloc = sched.allocate(w.registry.get(id), est, tiny,
                                 false);
     ASSERT_TRUE(alloc.has_value());
     EXPECT_LE(alloc->nodes[0].cores, 8);
@@ -151,11 +149,11 @@ TEST(Scheduler, AvoidsContendedServers)
     for (ServerId sid : w.cluster.serversOfPlatform("J")) {
         auto v = interference::zeroVector();
         v.fill(0.9);
-        w.cluster.server(sid).injectPressure(v);
+        w.cluster.server(sid).injectPressureAt(0, v);
     }
     GreedyScheduler sched(w.cluster);
     auto alloc = sched.allocate(w.registry.get(id), est,
-                                0.5 * est.scale_up_perf[0], nullptr,
+                                0.5 * est.scale_up_perf[0],
                                 false);
     ASSERT_TRUE(alloc.has_value());
     for (const auto &node : alloc->nodes)
@@ -182,16 +180,50 @@ TEST(Scheduler, ProtectsSensitiveResidents)
     auto [id, est] = w.make(w.factory.hadoopJob("new", 30.0));
     est.caused_per_core.fill(0.2);
 
-    auto lookup = [&](WorkloadId q) -> const WorkloadEstimate * {
-        return q == res_id ? &sensitive : nullptr;
-    };
-    GreedyScheduler sched(w.cluster);
+    core::EstimateTable estimates{{res_id, sensitive}};
+    GreedyScheduler sched(w.cluster, {}, nullptr, estimates);
     auto alloc = sched.allocate(w.registry.get(id), est,
-                                0.3 * est.scale_up_perf[0], lookup,
-                                false);
+                                0.3 * est.scale_up_perf[0], false);
     ASSERT_TRUE(alloc.has_value());
     for (const auto &node : alloc->nodes)
         EXPECT_NE(w.cluster.server(node.server).platform().name, "J");
+}
+
+TEST(Scheduler, ResidentEstimatesAreReadAtDecisionTime)
+{
+    // The scheduler reads the table it was built on at each decision,
+    // not a copy taken at construction: erasing a resident's entry
+    // lifts its protection, and re-inserting it restores it.
+    World w;
+    auto [res_id, sensitive] = w.make(w.factory.hadoopJob("res", 30.0));
+    sensitive.tolerated.fill(0.0);
+    const ServerId sid = w.cluster.serversOfPlatform("J").front();
+    sim::TaskShare share;
+    share.workload = res_id;
+    share.cores = 4;
+    share.memory_gb = 8.0;
+    w.cluster.server(sid).place(share);
+    const sim::Server &srv = w.cluster.server(sid);
+
+    auto [id, est] = w.make(w.factory.hadoopJob("new", 30.0));
+    est.caused_per_core.fill(0.2);
+    const Workload &job = w.registry.get(id);
+    const double required = 0.3 * est.scale_up_perf[0];
+
+    core::EstimateTable estimates{{res_id, sensitive}};
+    GreedyScheduler sched(w.cluster, {}, nullptr, estimates);
+    EXPECT_EQ(sched.firstNodeVerdict(srv, job, est, required, false),
+              core::NodeReject::Intolerant);
+    estimates.erase(res_id);
+    EXPECT_EQ(sched.firstNodeVerdict(srv, job, est, required, false),
+              core::NodeReject::None);
+    estimates.emplace(res_id, sensitive);
+    EXPECT_EQ(sched.firstNodeVerdict(srv, job, est, required, false),
+              core::NodeReject::Intolerant);
+    auto alloc = sched.allocate(job, est, required, false);
+    ASSERT_TRUE(alloc.has_value());
+    for (const auto &node : alloc->nodes)
+        EXPECT_NE(node.server, sid);
 }
 
 TEST(Scheduler, PlansEvictionsOfBestEffort)
@@ -211,8 +243,7 @@ TEST(Scheduler, PlansEvictionsOfBestEffort)
     auto [id, est] = w.make(w.factory.hadoopJob("j", 20.0));
     GreedyScheduler sched(w.cluster);
     auto with_evict = sched.allocate(w.registry.get(id), est,
-                                     0.4 * est.scale_up_perf[0],
-                                     nullptr, true);
+                                     0.4 * est.scale_up_perf[0], true);
     ASSERT_TRUE(with_evict.has_value());
     EXPECT_FALSE(with_evict->evictions.empty());
     // Every eviction is on a server the allocation actually uses.
@@ -224,7 +255,7 @@ TEST(Scheduler, PlansEvictionsOfBestEffort)
     }
     // Without eviction rights nothing can be placed.
     auto without = sched.allocate(w.registry.get(id), est,
-                                  0.4 * est.scale_up_perf[0], nullptr,
+                                  0.4 * est.scale_up_perf[0],
                                   false);
     EXPECT_FALSE(without.has_value());
 }
@@ -299,7 +330,7 @@ TEST(Scheduler, CostCapRejectionLeavesNoStaleEvictions)
     // cost-rejected candidates instead of breaking at the knee.
     cfg.min_marginal_efficiency = 0.0;
     GreedyScheduler sched(w.cluster, cfg);
-    auto alloc = sched.allocate(job, est, 1e12, nullptr, true);
+    auto alloc = sched.allocate(job, est, 1e12, true);
     ASSERT_TRUE(alloc.has_value());
     EXPECT_FALSE(alloc->nodes.empty());
     expectEvictionPlanConsistent(w.cluster, *alloc);
@@ -322,7 +353,7 @@ TEST(Scheduler, SpreadingRelaxationDoesNotDoubleCountEvictions)
     SchedulerConfig cfg;
     cfg.min_marginal_efficiency = 0.0; // reach the rejected candidates
     GreedyScheduler sched(w.cluster, cfg);
-    auto alloc = sched.allocate(job, est, 1e12, nullptr, true, true);
+    auto alloc = sched.allocate(job, est, 1e12, true, true);
     ASSERT_TRUE(alloc.has_value());
     expectEvictionPlanConsistent(w.cluster, *alloc);
 }
@@ -334,7 +365,7 @@ TEST(Scheduler, DiminishingReturnsBoundsFootprint)
     GreedyScheduler sched(w.cluster);
     // Impossible target: the scheduler must still stop at the
     // scale-out knee instead of grabbing all 40 servers.
-    auto alloc = sched.allocate(w.registry.get(id), est, 1e12, nullptr,
+    auto alloc = sched.allocate(w.registry.get(id), est, 1e12,
                                 false);
     ASSERT_TRUE(alloc.has_value());
     EXPECT_TRUE(alloc->degraded);
@@ -349,13 +380,13 @@ TEST(Scheduler, ScaleOutFirstAblationSpreadsThin)
 
     SchedulerConfig up_first;
     GreedyScheduler a(w.cluster, up_first);
-    auto up = a.allocate(w.registry.get(id), est, required, nullptr,
+    auto up = a.allocate(w.registry.get(id), est, required,
                          false);
 
     SchedulerConfig out_first = up_first;
     out_first.scale_up_first = false;
     GreedyScheduler b(w.cluster, out_first);
-    auto out = b.allocate(w.registry.get(id), est, required, nullptr,
+    auto out = b.allocate(w.registry.get(id), est, required,
                           false);
 
     ASSERT_TRUE(up.has_value());
@@ -375,8 +406,7 @@ TEST(Scheduler, KnobsConsistentAcrossNodes)
     double best = 0.0;
     for (double v : est.scale_up_perf)
         best = std::max(best, v);
-    auto alloc = sched.allocate(w.registry.get(id), est, 3.0 * best,
-                                nullptr, false);
+    auto alloc = sched.allocate(w.registry.get(id), est, 3.0 * best, false);
     ASSERT_TRUE(alloc.has_value());
     ASSERT_GT(alloc->nodes.size(), 1u);
     for (const auto &node : alloc->nodes)
@@ -402,7 +432,7 @@ TEST(Scheduler, StorageDemandRespected)
     big.storage_gb_per_node = 1500.0; // only I/J (2 TB) can host
     auto [id, est] = w.make(std::move(big));
     GreedyScheduler sched(w.cluster);
-    auto alloc = sched.allocate(w.registry.get(id), est, 1e3, nullptr,
+    auto alloc = sched.allocate(w.registry.get(id), est, 1e3,
                                 false);
     ASSERT_TRUE(alloc.has_value());
     for (const auto &node : alloc->nodes)

@@ -245,7 +245,7 @@ TEST(Server, InjectedPressureIsNormalizedInput)
     Server srv = makeServer();
     auto v = interference::zeroVector();
     v[1] = 0.5; // normalized intensity
-    srv.injectPressure(v);
+    srv.injectPressureAt(0, v);
     EXPECT_NEAR(srv.contentionForNewcomer()[1], 0.5, 1e-12);
     srv.clearInjectedPressure();
     EXPECT_DOUBLE_EQ(srv.contentionForNewcomer()[1], 0.0);

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <limits>
 
-#include "stats/histogram.hh"
 #include "stats/rng.hh"
 #include "stats/summary.hh"
 #include "stats/timeseries.hh"
@@ -228,41 +227,6 @@ TEST(Samples, ErrorReportFormat)
     EXPECT_GT(r.p90, r.avg);
     std::string txt = formatErrorReport(r);
     EXPECT_NE(txt.find("%"), std::string::npos);
-}
-
-TEST(Histogram, BinningAndClamping)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(9.5);
-    h.add(-3.0);  // clamps into first bin
-    h.add(100.0); // clamps into last bin
-    EXPECT_DOUBLE_EQ(h.count(0), 2.0);
-    EXPECT_DOUBLE_EQ(h.count(9), 2.0);
-    EXPECT_DOUBLE_EQ(h.total(), 4.0);
-}
-
-TEST(Histogram, CdfMonotone)
-{
-    Histogram h(0.0, 1.0, 20);
-    Rng rng(3);
-    for (int i = 0; i < 1000; ++i)
-        h.add(rng.uniform());
-    double prev = 0.0;
-    for (auto [edge, frac] : h.cdfPoints()) {
-        EXPECT_GE(frac, prev);
-        prev = frac;
-    }
-    EXPECT_NEAR(h.cdfAt(1.0), 1.0, 1e-9);
-    EXPECT_NEAR(h.cdfAt(0.5), 0.5, 0.06);
-}
-
-TEST(Histogram, WeightedMass)
-{
-    Histogram h(0.0, 2.0, 2);
-    h.add(0.5, 3.0);
-    h.add(1.5, 1.0);
-    EXPECT_DOUBLE_EQ(h.cdfAt(1.0), 0.75);
 }
 
 TEST(TimeSeries, RecordAndQuery)

@@ -431,8 +431,7 @@ TEST(SocketSelection, AwareAvoidsThrashedSocketBlindWalksIn)
 
         auto [id, est] = w.make(w.factory.memcachedService(
             "mc", 3e4, 2e-4, 8.0, nullptr));
-        auto alloc = sched.allocate(w.registry.get(id), est, 1e3,
-                                    nullptr, false);
+        auto alloc = sched.allocate(w.registry.get(id), est, 1e3, false);
         ASSERT_TRUE(alloc.has_value()) << "aware=" << aware;
         ASSERT_EQ(alloc->nodes.size(), 1u) << "aware=" << aware;
         EXPECT_EQ(alloc->nodes[0].socket, aware ? 1 : 0)
@@ -451,8 +450,7 @@ TEST(SocketSelection, FlatPlatformAlwaysHomesSocketZero)
         core::GreedyScheduler sched(w.cluster, cfg, &w.registry);
         auto [id, est] = w.make(w.factory.memcachedService(
             "mc", 3e4, 2e-4, 8.0, nullptr));
-        auto alloc = sched.allocate(w.registry.get(id), est, 1e3,
-                                    nullptr, false);
+        auto alloc = sched.allocate(w.registry.get(id), est, 1e3, false);
         ASSERT_TRUE(alloc.has_value());
         for (const core::AllocationNode &n : alloc->nodes)
             EXPECT_EQ(n.socket, 0);

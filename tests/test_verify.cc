@@ -142,7 +142,7 @@ TEST(Verify, FullRescanModeTakesNoShadowChecks)
     WorkloadId id = registry.add(factory.hadoopJob("probe", 45.0));
     auto data = profiler.profile(registry.get(id), 0.0, rng);
     core::WorkloadEstimate est = clf.classify(registry.get(id), data);
-    legacy.allocate(registry.get(id), est, 45.0, nullptr, false);
+    legacy.allocate(registry.get(id), est, 45.0, false);
 
     EXPECT_EQ(verify::counters().shadow_checks, before)
         << "full_rescan decision was shadow-checked";

@@ -465,7 +465,7 @@ struct MemoWorld
         c = world.registry.add(other);
         interference::IVector push{};
         push.fill(0.2);
-        world.cluster.server(37).injectPressure(push);
+        world.cluster.server(37).injectPressureAt(0, push);
         world.cluster.server(37).degrade(0.7);
     }
 
